@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -72,16 +73,20 @@ _PI_PATTERN = re.compile(
 def parse_angle(text: str) -> float:
     """Parse a radian literal, accepting pi fractions like 'pi/4' or '3pi/8'."""
     match = _PI_PATTERN.match(text)
-    if match:
-        sign = -1.0 if match.group(1) else 1.0
-        value = sign * math.pi * float(match.group(2) or 1.0)
-        if match.group(3):
-            value /= float(match.group(3))
-        return value
+    if not match:
+        return _parse_number(text, "angle")
+    sign = -1.0 if match.group(1) else 1.0
+    den = float(match.group(3) or 1.0)
+    if den == 0.0:
+        raise ValidationError(f"zero denominator in angle {text!r}")
+    return sign * math.pi * float(match.group(2) or 1.0) / den
+
+
+def _parse_number(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(f"cannot parse angle literal {text!r}")
+        raise ValidationError(f"cannot parse {what} literal {text!r}")
 
 
 @dataclass(frozen=True)
@@ -118,21 +123,25 @@ def parse_state_spec(text: str) -> StateSpec:
     """Parse the structured state document (family: ghz | w | raw)."""
     entries = _parse_keyvalue(text)
     family = entries.get("family")
+    required = {"ghz": ("theta", "theta3"), "w": ("alpha", "beta", "gamma")}
+    missing = [key for key in required.get(family, ()) if key not in entries]
+    if missing:
+        raise ValidationError(f"{family} state file missing {missing[0]}")
     if family == "ghz":
         return StateSpec("ghz", ghz=GhzClassParams(
             theta=parse_angle(entries["theta"]),
             theta3=parse_angle(entries["theta3"])))
     if family == "w":
         return StateSpec("w", w=WClassParams(
-            alpha=float(entries["alpha"]),
-            beta=float(entries["beta"]),
-            gamma=float(entries["gamma"])))
+            *(_parse_number(entries[key], key) for key in required["w"])))
     if family == "raw":
         amps = []
         for k in range(8):
             pair = entries.get(f"amp{k}", "[0, 0]").strip().strip("[]")
-            re_part, im_part = (float(v) for v in pair.split(","))
-            amps.append(complex(re_part, im_part))
+            parts = [_parse_number(v, f"amp{k}") for v in pair.split(",")]
+            if len(parts) != 2:
+                raise ValidationError(f"amp{k} needs [re, im], got {pair!r}")
+            amps.append(complex(*parts))
         return StateSpec("raw", raw=make_state(amps))
     raise ValidationError(f"unknown or missing family {family!r}")
 
@@ -164,7 +173,8 @@ def _spec_from_args(args) -> StateSpec:
         return StateSpec("ghz", ghz=GhzClassParams(
             parse_angle(args.ghz[0]), parse_angle(args.ghz[1])))
     if args.w:
-        return StateSpec("w", w=WClassParams(*(float(v) for v in args.w)))
+        return StateSpec("w", w=WClassParams(
+            *(_parse_number(v, "amplitude") for v in args.w)))
     raise ValidationError("provide one of --state, --ghz or --w")
 
 
@@ -212,7 +222,12 @@ def cmd_analyze(args) -> dict:
     return report
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
+def _write_sweep(path: str, header: Sequence[str],
+                 out_rows: Sequence[Sequence], rows: Sequence):
+    """Write a sweep CSV of out_rows, then report the flagged rows."""
+    if not rows:
+        raise ValidationError("no grid point is realizable; nothing written")
+
     def fmt(value):
         if isinstance(value, float):
             return f"{value:.9g}"
@@ -222,16 +237,21 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
+            for row in out_rows:
                 writer.writerow([fmt(v) for v in row])
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(3)
+    flagged = [r for r in rows if r.flag != "match"]
+    print(f"wrote {len(rows)} rows to {path}; {len(flagged)} flagged")
+    for row in flagged:
+        print(f"finding: params={row.params} gap={row.gap:.3e} flag={row.flag}")
 
 
 def _map_rows(worker, tasks, jobs: int) -> list:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(task) for task in tasks]
 
@@ -261,12 +281,8 @@ def cmd_sweep_ghz(args) -> List:
         branch = smax_ghz_closed(profile).branch
         out_rows.append([theta, theta3, profile.tau, profile.c12 ** 2,
                          row.closed_value, row.numeric_value, branch, row.gap])
-    _write_csv(args.out, ["theta", "theta3", "tau", "c12_sq", "smax_closed",
-                          "smax_numeric", "branch", "gap"], out_rows)
-    flagged = [r for r in rows if r.flag != "match"]
-    print(f"wrote {len(rows)} rows to {args.out}; {len(flagged)} flagged")
-    for row in flagged:
-        print(f"finding: params={row.params} gap={row.gap:.3e} flag={row.flag}")
+    _write_sweep(args.out, ["theta", "theta3", "tau", "c12_sq", "smax_closed",
+                            "smax_numeric", "branch", "gap"], out_rows, rows)
     return rows
 
 
@@ -289,22 +305,18 @@ def cmd_sweep_w(args) -> List:
         c12, c23, c31 = row.params
         out_rows.append([c12, c23, c31, c12 + c23 + c31,
                          row.closed_value, row.numeric_value, row.gap])
-    _write_csv(args.out, ["c12", "c23", "c31", "sum_c", "smax_closed",
-                          "smax_numeric", "gap"], out_rows)
-    flagged = [r for r in rows if r.flag != "match"]
-    print(f"wrote {len(rows)} rows to {args.out}; {len(flagged)} flagged")
-    for row in flagged:
-        print(f"finding: params={row.params} gap={row.gap:.3e} flag={row.flag}")
+    _write_sweep(args.out, ["c12", "c23", "c31", "sum_c", "smax_closed",
+                            "smax_numeric", "gap"], out_rows, rows)
     return rows
 
 
 def eval_fraction(text: str) -> float:
     """Parse a plain float or a simple fraction like '2/3'."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    num, sep, den = text.partition("/")
+    den_value = _parse_number(den, "fraction") if sep else 1.0
+    if den_value == 0.0:
+        raise ValidationError(f"zero denominator in {text!r}")
+    return _parse_number(num, "fraction") / den_value
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 States are length-8 complex vectors indexed by the basis label b1 b2 b3 with
 qubit 1 as the leftmost bit (index = 4*b1 + 2*b2 + b3).  Observables are
 spin projections n.sigma built from unit vectors, and all matrices stay at
-most 8x8, so the Hermitian eigenproblems are solved by an in-house cyclic
-Jacobi rotation sweep.
+most 8x8; the Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -170,8 +169,9 @@ def spin_observable(n: UnitVector) -> np.ndarray:
 
 
 def tensor3(o1: np.ndarray, o2: np.ndarray, o3: np.ndarray) -> np.ndarray:
-    """Kronecker product in qubit order 1 x 2 x 3."""
-    return np.kron(np.kron(o1, o2), o3)
+    """Kronecker product of 2x2 factors in qubit order 1 x 2 x 3, as np.kron."""
+    o12 = (o1[:, None, :, None] * o2[None, :, None, :]).reshape(4, 4)
+    return (o12[:, None, :, None] * o3[None, :, None, :]).reshape(8, 8)
 
 
 def expectation(s: ThreeQubitPureState, o: np.ndarray) -> float:
@@ -217,65 +217,13 @@ def _check_hermitian(m: np.ndarray, tol: float):
 
 
 def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
-    """Eigen-decomposition of a small Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of a small Hermitian matrix by LAPACK (eigh).
 
     Returns (values, vectors) with values descending and vectors as columns.
-    Sweeps run until the squared off-diagonal mass drops below 1e-14.
     """
     _check_hermitian(m, tol)
-    n = m.shape[0]
-    a = np.array(m, dtype=complex)
-    v = np.eye(n, dtype=complex)
-    prev_off = math.inf
-    for _ in range(100):
-        # Sum the off-diagonal mass directly; subtracting the diagonal mass
-        # from the total would cancel catastrophically near convergence.
-        off_block = np.abs(a) ** 2
-        np.fill_diagonal(off_block, 0.0)
-        off = float(np.sum(off_block))
-        # Quadratic convergence: keep sweeping past the 1e-14 target until
-        # roundoff stops making progress, which also tightens eigenvectors.
-        if off == 0.0 or (off < 1e-14 and off >= prev_off):
-            break
-        prev_off = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-18:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Stable inner rotation: tan(2*theta) = 2|apq| / (app - aqq),
-                # taking the small-angle root so the sweeps converge and tiny
-                # couplings produce near-identity rotations.
-                mag = abs(apq)
-                phase = apq / mag
-                tau = (app - aqq) / (2.0 * mag)
-                if abs(tau) > 1e12:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cth = 1.0 / math.hypot(1.0, t)
-                sth = t * cth
-                s_fwd = sth * phase
-                s_bwd = sth * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cth * col_p + s_bwd * col_q
-                a[:, q] = cth * col_q - s_fwd * col_p
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cth * row_p + s_fwd * row_q
-                a[q, :] = cth * row_q - s_bwd * row_p
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = cth * col_p + s_bwd * col_q
-                v[:, q] = cth * col_q - s_fwd * col_p
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    vals = np.real(np.diag(a))
-    order = np.argsort(vals)[::-1]
-    return vals[order], v[:, order]
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def herm_eigenvalues(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:

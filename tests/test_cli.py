@@ -23,6 +23,9 @@ def test_parse_angle_fractions():
 def test_eval_fraction():
     assert cli.eval_fraction("2/3") == pytest.approx(2.0 / 3.0)
     assert cli.eval_fraction("0.45") == pytest.approx(0.45)
+    for text in ("abc", "1/0", "2/", "1/2/3"):
+        with pytest.raises(qcore.ValidationError):
+            cli.eval_fraction(text)
 
 
 def test_parse_state_spec_ghz():
@@ -102,6 +105,64 @@ def test_analyze_malformed_spec_is_input_error(tmp_path, capsys):
     path = tmp_path / "state.txt"
     path.write_text("family: ghz\ntheta: pi/4\ntheta3: junk\n")
     assert cli.main(["analyze", "--state", str(path)]) == 2
+
+
+@pytest.mark.parametrize("argv, state_text", [
+    (["--w", "abc", "0.5", "0.5"], None),
+    (["--ghz", "pi/0", "0"], None),
+    (None, "family: ghz\ntheta: pi/4\n"),
+    (None, "family: ghz\ntheta3: pi/4\n"),
+    (None, "family: w\nbeta: 0.6\ngamma: 0.8\n"),
+    (None, "family: w\nalpha: 0.6\ngamma: 0.8\n"),
+    (None, "family: w\nalpha: 0.6\nbeta: 0.8\n"),
+    (None, "family: w\nalpha: x\nbeta: 0.6\ngamma: 0.8\n"),
+    (None, "family: raw\namp0: [1, 0, 0]\n"),
+    (None, "family: raw\namp0: [1]\n"),
+    (None, "family: raw\namp0: 1 0\n"),
+    (None, "family: raw\namp0: [one, 0]\n"),
+])
+def test_analyze_malformed_input_is_input_error(argv, state_text, tmp_path,
+                                                capsys):
+    if state_text is not None:
+        path = tmp_path / "state.txt"
+        path.write_text(state_text)
+        argv = ["--state", str(path)]
+    assert cli.main(["analyze", *argv]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_map_rows_bounds_the_worker_count(monkeypatch):
+    used = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._map_rows(abs, [-1, -2, -3], jobs=1000) == [1, 2, 3]
+    assert cli._map_rows(abs, list(range(-9, 0)), jobs=1000) == list(
+        range(9, 0, -1))
+    assert cli._map_rows(abs, [-1, -2, -3], jobs=1) == [1, 2, 3]
+    assert used == [3, 4]
+
+
+def test_sweep_w_with_no_realizable_point_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "fig2.csv"
+    args = ["sweep-w", "--c12", "1.5", "--sum-steps", "3",
+            "--out", str(out_path)]
+    assert cli.main(args) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_sweep_ghz_csv(tmp_path, capsys):

@@ -120,6 +120,15 @@ def test_tensor3_identity():
     assert np.allclose(qcore.tensor3(eye2, eye2, eye2), np.eye(8))
 
 
+def test_tensor3_matches_nested_kron_exactly():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+               for _ in range(3)]
+        assert np.array_equal(qcore.tensor3(*ops),
+                              np.kron(np.kron(ops[0], ops[1]), ops[2]))
+
+
 def test_expectation_eigenstate():
     s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
     eye2 = np.eye(2, dtype=complex)
@@ -211,19 +220,33 @@ def test_herm_eigenvalues_ghz_reduced():
     assert np.allclose(vals, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
 
-def test_herm_eig_random_accuracy():
+def _herm_eig_cases():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4, 8):
         for _ in range(60):
             m = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(
                 -1.0, 1.0, size=(n, n))
-            m = (m + m.conj().T) / 2
-            vals, vecs = qcore.herm_eig(m)
-            assert np.all(np.diff(vals) <= 1e-12)
-            assert np.max(np.abs(m @ vecs - vecs * vals)) < 1e-10
-            # Characteristic polynomial at each returned eigenvalue.
-            for lam in vals:
-                assert abs(np.linalg.det(m - lam * np.eye(n))) < 1e-8
+            yield (m + m.conj().T) / 2
+    # Degenerate spectra: all equal, the GHZ pair state {1/2, 1/2, 0, 0}
+    # and the rank-2 pair state of a W-class state.
+    yield np.eye(8, dtype=complex)
+    ghz = qcore.ghz_state(qcore.GhzClassParams(math.pi / 4, math.pi / 2))
+    yield qcore.partial_trace(ghz, (1, 2))
+    w = qcore.w_state(qcore.WClassParams(0.6, 0.64, 0.48))
+    yield qcore.partial_trace(w, (1, 3))
+
+
+def test_herm_eig_random_accuracy():
+    for m in _herm_eig_cases():
+        n = m.shape[0]
+        vals, vecs = qcore.herm_eig(m)
+        assert np.all(np.diff(vals) <= 1e-12)
+        assert np.max(np.abs(m @ vecs - vecs * vals)) < 1e-10
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) < 1e-12
+        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) < 1e-12
+        # Characteristic polynomial at each returned eigenvalue.
+        for lam in vals:
+            assert abs(np.linalg.det(m - lam * np.eye(n))) < 1e-8
 
 
 def test_herm_eig_rejects_non_hermitian():
