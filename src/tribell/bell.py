@@ -1,10 +1,13 @@
 """Svetlichny and Mermin operators, correlation tensors and closed-form maxima.
 
 The Svetlichny operator is S = A(DC + D'C') + A'(D'C - DC') with D = B + B'
-and D' = B - B'; the two halves are the Mermin operators M and M'.  Besides
-the exact 8x8 operator path, every correlator is available as a contraction
-of the 3x3x3 correlation tensor, which is the fast path used by the
-optimizers, and as family-specific closed forms.
+and D' = B - B'; the two halves are the Mermin operators M and M'.
+Expanded, <S> = sum over x, y, z of G[x, y, z] <A_x B_y C_z>, where index 0
+is a party's unprimed direction, 1 its primed one, and G is the sign tensor
+SVETLICHNY_SIGNS.  Every correlator is a contraction of the 3x3x3
+correlation tensor, which is the fast path used by the optimizer; the
+explicit 8x8 operators of `bell_operators` are kept as the slow oracle, and
+the GHZ and W families also have closed forms.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .qcore import (
 from .entanglement import EntanglementProfile
 
 ALGEBRAIC_CEILING = 4.0 * math.sqrt(2.0)
+
+# G[x, y, z]: the sign of <A_x B_y C_z> in <S>, with 0 the unprimed and 1
+# the primed direction of each party.
+SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
+                             [[1.0, -1.0], [-1.0, -1.0]]])
 
 
 @dataclass(frozen=True)
@@ -194,18 +202,35 @@ def correlation_tensor(s: ThreeQubitPureState) -> CorrelationTensor:
     return CorrelationTensor(entries.real)
 
 
-def svetlichny_combination(tensor: CorrelationTensor, vectors: np.ndarray) -> float:
-    """Signed <S> from the tensor and a (6, 3) Cartesian settings stack."""
-    a, ap, b, bp, c, cp = vectors
-    d = b + bp
-    dp = b - bp
-    tri = tensor.correlator
-    return tri(a, d, c) + tri(a, dp, cp) + tri(ap, dp, c) - tri(ap, d, cp)
+def _party_coefficients(t: np.ndarray, parties: np.ndarray,
+                        k: int) -> np.ndarray:
+    """Coefficient vectors of <S> in both directions of party k.
+
+    `t` is the 3x3x3 correlation tensor and `parties` a (3, 2, n, 3) stack
+    (party, unprimed/primed, start, axis).  <S> is linear in each
+    direction, so row x of the (2, n, 3) result dotted with direction x of
+    party k, summed over x, gives <S> for each of the n starts.  Every sum
+    is an explicit elementwise addition in a fixed order, so a start's
+    coefficients do not depend on how many starts share the batch.
+    """
+    p, q = (j for j in range(3) if j != k)
+    # Folding the +-1 signs into party q is exact in any summation order.
+    signed = np.einsum("xyz,znl->xynl", np.moveaxis(SVETLICHNY_SIGNS, k, 0),
+                       parties[q])
+    # terms[i, j, y, n, l] = t[i, j, l] P[y, n, j] for the other party p.
+    terms = (np.moveaxis(t, k, 0)[:, :, None, None, :]
+             * parties[p].transpose(2, 0, 1)[None, :, :, :, None])
+    partial = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    terms = partial * signed[:, None]
+    coeff = terms[:, :, 0] + terms[:, :, 1]
+    return (coeff[..., 0] + coeff[..., 1] + coeff[..., 2]).transpose(0, 2, 1)
 
 
 def svetlichny_value(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
     """|<S>| via the correlation-tensor contraction."""
-    return abs(svetlichny_combination(correlation_tensor(s), ms.vectors()))
+    parties = ms.vectors().reshape(3, 2, 1, 3)
+    coeff = _party_coefficients(correlation_tensor(s).entries, parties, 0)
+    return abs(float(np.sum(coeff * parties[0])))
 
 
 def svetlichny_value_direct(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:

@@ -161,14 +161,21 @@ def parse_settings_file(text: str) -> MeasurementSettings:
     return MeasurementSettings(**vectors)
 
 
+def _read_input(path: str, what: str) -> str:
+    """Text of an input file: exit 3 if it cannot be read, 2 if not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} file {path} is not UTF-8: {exc}")
+    except OSError as exc:
+        print(f"error: cannot read {what} file: {exc}", file=sys.stderr)
+        raise SystemExit(3)
+
+
 def _spec_from_args(args) -> StateSpec:
     if args.state:
-        try:
-            with open(args.state, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read state file: {exc}")
-        return parse_state_spec(text)
+        return parse_state_spec(_read_input(args.state, "state"))
     if args.ghz:
         return StateSpec("ghz", ghz=GhzClassParams(
             parse_angle(args.ghz[0]), parse_angle(args.ghz[1])))
@@ -513,11 +520,7 @@ def cmd_simulate(args) -> dict:
     if args.settings == "optimal":
         settings = _optimal_settings_for(spec, args.seed)
     else:
-        try:
-            with open(args.settings, "r", encoding="utf-8") as handle:
-                settings = parse_settings_file(handle.read())
-        except OSError as exc:
-            raise ValidationError(f"cannot read settings file: {exc}")
+        settings = parse_settings_file(_read_input(args.settings, "settings"))
     exact = svetlichny_value(state, settings)
     estimate = estimate_svetlichny(state, settings, args.shots, args.seed)
     z_score = ((abs(estimate.mean) - exact) / estimate.stderr

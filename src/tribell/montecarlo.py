@@ -7,6 +7,7 @@ the Svetlichny value combines eight independently sampled correlators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,20 +22,7 @@ from .qcore import (
     spin_observable,
     tensor3,
 )
-from .bell import MeasurementSettings
-
-# The eight correlators of S = A(DC + D'C') + A'(D'C - DC') expanded in the
-# unprimed/primed bases: (use a', use b', use c', sign).
-SVETLICHNY_TERMS = (
-    (False, False, False, +1.0),
-    (False, True, False, +1.0),
-    (False, False, True, +1.0),
-    (False, True, True, -1.0),
-    (True, False, False, +1.0),
-    (True, True, False, -1.0),
-    (True, False, True, -1.0),
-    (True, True, True, -1.0),
-)
+from .bell import SVETLICHNY_SIGNS, MeasurementSettings
 
 # Outcome index encodes the three signs: bit 0 means the +1 result, so
 # index = 4*i1 + 2*i2 + i3 with i = 0 for +1 and 1 for -1.
@@ -113,15 +101,14 @@ def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
     Each correlator runs on its own derived sub-seed; the combined standard
     error is the quadrature sum of the per-correlator errors.
     """
+    a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
     mean = 0.0
     var = 0.0
-    for index, (use_ap, use_bp, use_cp, sign) in enumerate(SVETLICHNY_TERMS):
-        a = ms.a_prime if use_ap else ms.a
-        b = ms.b_prime if use_bp else ms.b
-        c = ms.c_prime if use_cp else ms.c
-        est = estimate_correlator(s, a, b, c, shots_per_correlator,
+    # The sub-seed index runs over b's choice fastest, then c's, then a's.
+    for index, (x, z, y) in enumerate(itertools.product((0, 1), repeat=3)):
+        est = estimate_correlator(s, a[x], b[y], c[z], shots_per_correlator,
                                   _sub_seed(seed, index))
-        mean += sign * est.mean
+        mean += float(SVETLICHNY_SIGNS[x, y, z]) * est.mean
         var += est.stderr ** 2
     return ShotEstimate(mean=mean, stderr=math.sqrt(var),
                         shots=shots_per_correlator, seed=seed)

@@ -1,9 +1,10 @@
 """See-saw maximization of the Svetlichny value and grid verification.
 
-With five directions held fixed, <S> is linear in the sixth, so the
-alternating ascent sets each direction to its normalized coefficient
-vector in turn.  The per-cycle objective is non-decreasing by
-construction, and a seeded multistart makes the search global in practice.
+<S> is linear in each party's pair of directions, so with the other two
+parties held fixed the best pair is the normalized pair of coefficient
+vectors.  The alternating ascent updates one party per step, three steps
+per cycle; the per-cycle objective is non-decreasing by construction, and
+a seeded multistart makes the search global in practice.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .qcore import (
     w_state,
 )
 from .bell import (
-    CorrelationTensor,
     MeasurementSettings,
+    _party_coefficients,
     correlation_tensor,
     settings_from_vectors,
     smax_ghz_closed,
@@ -53,6 +54,12 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best |<S>| over the starts and the settings that reach it.
+
+    `iterations_used` counts the cycles the batch ran; `trace` is the best
+    start's signed <S> before the first cycle and after each cycle it ran.
+    """
+
     best_value: float
     best_settings: MeasurementSettings
     iterations_used: int
@@ -71,114 +78,66 @@ class VerificationRow:
     flag: str
 
 
-def _update_coefficient(t: np.ndarray, vs: np.ndarray, idx: int) -> np.ndarray:
-    """Coefficient vectors of <S> in direction `idx` for a batch of starts.
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, summed in a fixed order."""
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+            + u[..., 2] * v[..., 2])
 
-    `vs` has shape (6, n, 3) ordered (a, a', b, b', c, c'); the result has
-    shape (n, 3).
+
+def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
+    """Run the alternating ascent in place on a (3, 2, n, 3) batch of starts.
+
+    Converged starts are frozen, and every sum runs in a fixed order, so
+    batched and one-at-a-time execution follow the same ascent paths.
+    Returns (history, cycles, converged): history[c] holds <S> of every
+    start after c cycles, and cycles[i] is the number of cycles start i
+    ran before it converged or ran out.
     """
-    a, ap, b, bp, c, cp = vs
-    d = b + bp
-    dp = b - bp
-    e = np.einsum
-    if idx == 0:
-        return e("ijk,nj,nk->ni", t, d, c) + e("ijk,nj,nk->ni", t, dp, cp)
-    if idx == 1:
-        return e("ijk,nj,nk->ni", t, dp, c) - e("ijk,nj,nk->ni", t, d, cp)
-    if idx == 2:
-        return (e("ijk,ni,nk->nj", t, a, c) + e("ijk,ni,nk->nj", t, a, cp)
-                + e("ijk,ni,nk->nj", t, ap, c) - e("ijk,ni,nk->nj", t, ap, cp))
-    if idx == 3:
-        return (e("ijk,ni,nk->nj", t, a, c) - e("ijk,ni,nk->nj", t, a, cp)
-                - e("ijk,ni,nk->nj", t, ap, c) - e("ijk,ni,nk->nj", t, ap, cp))
-    if idx == 4:
-        return e("ijk,ni,nj->nk", t, a, d) + e("ijk,ni,nj->nk", t, ap, dp)
-    if idx == 5:
-        return e("ijk,ni,nj->nk", t, a, dp) - e("ijk,ni,nj->nk", t, ap, d)
-    raise ValidationError(f"direction index {idx} out of range")
-
-
-def _batch_values(t: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    a, ap, b, bp, c, cp = vs
-    d = b + bp
-    dp = b - bp
-    e = np.einsum
-    return (e("ijk,ni,nj,nk->n", t, a, d, c)
-            + e("ijk,ni,nj,nk->n", t, a, dp, cp)
-            + e("ijk,ni,nj,nk->n", t, ap, dp, c)
-            - e("ijk,ni,nj,nk->n", t, ap, d, cp))
-
-
-def _seesaw_batch(tensor: CorrelationTensor, vs: np.ndarray,
-                  cfg: OptimizationConfig):
-    """Run the alternating ascent on a batch of independent starts.
-
-    Converged starts are frozen so batched and one-at-a-time execution
-    produce the same ascent paths.  Returns (values, vectors, iterations,
-    all_converged).
-    """
-    t = tensor.entries
-    n = vs.shape[1]
-    active = np.ones(n, dtype=bool)
-    prev = _batch_values(t, vs)
-    iterations = 0
+    active = np.ones(parties.shape[2], dtype=bool)
+    cycles = np.zeros(parties.shape[2], dtype=int)
+    # <S> is the sum over the last party's two directions of coeff . c.
+    coeff = _party_coefficients(t, parties, 2)
+    history = [sum(_dot(coeff, parties[2]))]
     for _ in range(cfg.max_iterations):
-        iterations += 1
-        for idx in range(6):
-            coeff = _update_coefficient(t, vs, idx)
-            norms = np.linalg.norm(coeff, axis=1)
+        for k in range(3):
+            coeff = _party_coefficients(t, parties, k)
+            norms = np.sqrt(_dot(coeff, coeff))
             # Degenerate coefficient vectors keep their previous direction.
             usable = active & (norms > 1e-14)
-            vs[idx][usable] = coeff[usable] / norms[usable, None]
-        values = _batch_values(t, vs)
-        gains = values - prev
-        prev = values
-        active &= gains >= cfg.convergence_tol
+            parties[k][usable] = coeff[usable] / norms[usable, None]
+        # The last party's coefficients do not depend on its own directions.
+        history.append(sum(_dot(coeff, parties[2])))
+        cycles[active] += 1
+        active &= history[-1] - history[-2] >= cfg.convergence_tol
         if not active.any():
-            return values, vs, iterations, True
-    return prev, vs, iterations, False
+            break
+    return np.array(history), cycles, not active.any()
 
 
-def _settings_to_array(ms: MeasurementSettings) -> np.ndarray:
-    return ms.vectors()[:, None, :].copy()
+def _result(parties: np.ndarray, history: np.ndarray, cycles: np.ndarray,
+            converged: bool) -> OptimizationResult:
+    """The best start's |<S>|, its settings and its per-cycle trace."""
+    final = history[-1]
+    best = int(np.argmax(np.abs(final)))
+    vectors = parties[:, :, best].reshape(6, 3).copy()
+    if final[best] < 0.0:
+        # Flipping one party's directions flips the sign, so report |<S>|.
+        vectors[:2] = -vectors[:2]
+    return OptimizationResult(
+        best_value=abs(float(final[best])),
+        best_settings=settings_from_vectors(vectors),
+        iterations_used=len(history) - 1,
+        converged=converged,
+        trace=tuple(float(v) for v in history[:cycles[best] + 1, best]),
+    )
 
 
 def seesaw_maximize(s: ThreeQubitPureState, init: MeasurementSettings,
                     cfg: OptimizationConfig) -> OptimizationResult:
     """Alternating ascent of <S> from one initial settings choice."""
-    tensor = correlation_tensor(s)
-    t = tensor.entries
-    vs = _settings_to_array(init)
-    trace = [float(_batch_values(t, vs)[0])]
-    prev = trace[0]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        for idx in range(6):
-            coeff = _update_coefficient(t, vs, idx)[0]
-            norm = np.linalg.norm(coeff)
-            if norm > 1e-14:
-                vs[idx][0] = coeff / norm
-        value = float(_batch_values(t, vs)[0])
-        trace.append(value)
-        if value - prev < cfg.convergence_tol:
-            converged = True
-            break
-        prev = value
-    best = trace[-1]
-    if best < 0.0:
-        # Flipping one party's directions flips the sign, so report |<S>|.
-        vs[0] = -vs[0]
-        vs[1] = -vs[1]
-        best = -best
-    return OptimizationResult(
-        best_value=best,
-        best_settings=settings_from_vectors(vs[:, 0, :]),
-        iterations_used=iterations,
-        converged=converged,
-        trace=tuple(trace),
-    )
+    parties = init.vectors().reshape(3, 2, 1, 3)
+    return _result(parties, *_ascend(correlation_tensor(s).entries, parties,
+                                     cfg))
 
 
 def _random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -200,23 +159,10 @@ def _random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 def multistart_maximize(s: ThreeQubitPureState,
                         cfg: OptimizationConfig) -> OptimizationResult:
     """Best of n_starts see-saw ascents from seeded random settings."""
-    tensor = correlation_tensor(s)
     rng = np.random.default_rng(cfg.seed)
-    vs = _random_directions(rng, cfg.n_starts)
-    values, vs, iterations, converged = _seesaw_batch(tensor, vs, cfg)
-    magnitudes = np.abs(values)
-    best = int(np.argmax(magnitudes))
-    vectors = vs[:, best, :].copy()
-    if values[best] < 0.0:
-        vectors[0] = -vectors[0]
-        vectors[1] = -vectors[1]
-    return OptimizationResult(
-        best_value=float(magnitudes[best]),
-        best_settings=settings_from_vectors(vectors),
-        iterations_used=iterations,
-        converged=converged,
-        trace=tuple(float(v) for v in magnitudes),
-    )
+    parties = _random_directions(rng, cfg.n_starts).reshape(3, 2, -1, 3)
+    return _result(parties, *_ascend(correlation_tensor(s).entries, parties,
+                                     cfg))
 
 
 def _row_config(cfg: OptimizationConfig, index: int) -> OptimizationConfig:

@@ -97,8 +97,31 @@ def test_analyze_raw_product(tmp_path, capsys):
 
 def test_analyze_missing_file_is_input_error(capsys):
     code = cli.main(["analyze", "--state", "/nonexistent/state.txt"])
-    assert code == 2
-    assert "input error" in capsys.readouterr().err
+    assert code == 3
+    assert "cannot read state file" in capsys.readouterr().err
+
+
+def test_unreadable_input_file_is_io_error(tmp_path, capsys):
+    settings = tmp_path / "settings.txt"
+    settings.write_text("".join(f"{name}: pi/2 0\n" for name in
+                                ("a", "a_prime", "b", "b_prime", "c",
+                                 "c_prime")))
+    assert cli.main(["analyze", "--state", str(tmp_path)]) == 3
+    assert cli.main(["simulate", "--state", str(tmp_path), "--settings",
+                     str(settings), "--shots", "1"]) == 3
+    assert cli.main(["simulate", "--ghz", "pi/4", "pi/2", "--settings",
+                     str(tmp_path), "--shots", "1"]) == 3
+    assert "cannot read settings file" in capsys.readouterr().err
+
+
+def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xfffamily: ghz\ntheta: pi/4\ntheta3: pi/2\n")
+    assert cli.main(["analyze", "--state", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert cli.main(["simulate", "--ghz", "pi/4", "pi/2", "--settings",
+                     str(path), "--shots", "1"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_analyze_malformed_spec_is_input_error(tmp_path, capsys):
@@ -237,7 +260,7 @@ def test_simulate_settings_file(tmp_path, capsys):
 def test_simulate_missing_settings_file(capsys):
     code = cli.main(["simulate", "--ghz", "pi/4", "pi/2",
                      "--settings", "/nonexistent/settings.txt"])
-    assert code == 2
+    assert code == 3
 
 
 def test_global_flags_accepted_on_both_sides(tmp_path, capsys):

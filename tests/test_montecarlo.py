@@ -24,13 +24,12 @@ def test_svetlichny_terms_match_operator():
         s = qcore.haar_random_state(rng)
         ms = bell.settings_from_vectors(
             [v / np.linalg.norm(v) for v in rng.normal(size=(6, 3))])
+        a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
         total = 0.0
-        for use_ap, use_bp, use_cp, sign in montecarlo.SVETLICHNY_TERMS:
-            a = ms.a_prime if use_ap else ms.a
-            b = ms.b_prime if use_bp else ms.b
-            c = ms.c_prime if use_cp else ms.c
-            op = qcore.tensor3(*(qcore.spin_observable(v) for v in (a, b, c)))
-            total += sign * qcore.expectation(s, op)
+        for x, y, z in np.ndindex(2, 2, 2):
+            op = qcore.tensor3(*(qcore.spin_observable(v)
+                                 for v in (a[x], b[y], c[z])))
+            total += bell.SVETLICHNY_SIGNS[x, y, z] * qcore.expectation(s, op)
         direct = qcore.expectation(s, bell.bell_operators(ms)[0])
         assert total == pytest.approx(direct, abs=1e-10)
 

@@ -91,6 +91,28 @@ def test_multistart_never_exceeds_ceiling():
         assert 0.0 <= result.best_value <= bell.ALGEBRAIC_CEILING + 1e-9
 
 
+@pytest.mark.parametrize("state", [
+    qcore.haar_random_state(np.random.default_rng(45)),
+    ghz(0.6, 1.1),
+])
+def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
+    cfg = optimize.OptimizationConfig(n_starts=8, seed=9)
+    inits = [random_settings(np.random.default_rng(seed)) for seed in range(8)]
+    # Hand the batch exactly the directions each single run starts from.
+    starts = np.stack([ms.vectors() for ms in inits], axis=1)
+    monkeypatch.setattr(optimize, "_random_directions",
+                        lambda rng, n: starts.copy())
+    runs = [optimize.seesaw_maximize(state, ms, cfg) for ms in inits]
+    single = max(runs, key=lambda r: r.best_value)
+    batched = optimize.multistart_maximize(state, cfg)
+    assert batched.best_value == pytest.approx(single.best_value, abs=1e-12)
+    # Sums run in a fixed order, so the paths agree to the last bit.
+    assert batched.trace == single.trace
+    assert np.array_equal(batched.best_settings.vectors(),
+                          single.best_settings.vectors())
+    assert batched.iterations_used == max(r.iterations_used for r in runs)
+
+
 def _random_local_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
