@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .bell import (
 )
 from .optimize import (
     OptimizationConfig,
+    _random_directions,
     ghz_grid_points,
     ghz_verification_row,
     multistart_maximize,
@@ -335,16 +337,26 @@ class SuiteResult:
     detail: str
 
 
-def _random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    cos_polar = rng.uniform(-1.0, 1.0, size=n)
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    sin_polar = np.sqrt(1.0 - cos_polar ** 2)
-    return np.stack([sin_polar * np.cos(azimuth),
-                     sin_polar * np.sin(azimuth), cos_polar], axis=-1)
+def _worst_case(name: str, tol: float, cases: Iterable[tuple],
+                describe: Callable[..., str]) -> SuiteResult:
+    """Largest error over `(error, *case)` tuples; passes when it is <= tol.
+
+    `describe(*case)` is formatted only for a new worst case.
+    """
+    worst, detail, count = 0.0, "", 0
+    for error, *case in cases:
+        count += 1
+        if error > worst:
+            worst, detail = error, describe(*case)
+    return SuiteResult(name, worst <= tol, count, worst, detail)
 
 
 def _random_settings(rng: np.random.Generator) -> MeasurementSettings:
-    return settings_from_vectors(_random_unit_vectors(rng, 6))
+    return settings_from_vectors(_random_directions(rng, 6))
+
+
+def _random_ghz_params(rng: np.random.Generator) -> GhzClassParams:
+    return GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
 
 
 def _random_w_params(rng: np.random.Generator) -> WClassParams:
@@ -353,87 +365,45 @@ def _random_w_params(rng: np.random.Generator) -> WClassParams:
     return WClassParams(*amps)
 
 
-def _suite_eq12(rng: np.random.Generator, n: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
+def _correlator_cases(rng: np.random.Generator, n: int, draw, closed, state):
+    """Closed correlator `closed(params, a, b, c)` vs. the 8x8 operator."""
     for _ in range(n):
-        params = GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
-        a, d, c = (UnitVector.from_cartesian(v)
-                   for v in _random_unit_vectors(rng, 3))
-        op = tensor3(spin_observable(a), spin_observable(d), spin_observable(c))
-        err = abs(ghz_correlator_closed(params, a, d, c)
-                  - expectation(ghz_state(params), op))
-        if err > worst:
-            worst = err
-            detail = f"params={params} a={a} d={d} c={c}"
-    return SuiteResult("eq12-oracle", worst <= 1e-10, n, worst, detail)
-
-
-def _suite_eq24(rng: np.random.Generator, n: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
-    for _ in range(n):
-        params = _random_w_params(rng)
-        profile = w_profile_closed(params)
+        params = draw(rng)
         a, b, c = (UnitVector.from_cartesian(v)
-                   for v in _random_unit_vectors(rng, 3))
+                   for v in _random_directions(rng, 3))
         op = tensor3(spin_observable(a), spin_observable(b), spin_observable(c))
-        err = abs(w_correlator_closed(profile, a, b, c)
-                  - expectation(w_state(params), op))
-        if err > worst:
-            worst = err
-            detail = f"params={params} a={a} b={b} c={c}"
-    return SuiteResult("eq24-oracle", worst <= 1e-10, n, worst, detail)
+        yield (abs(closed(params, a, b, c) - expectation(state(params), op)),
+               params, a, b, c)
 
 
-def _suite_w_reduced(rng: np.random.Generator, n: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
+def _w_reduced_cases(rng: np.random.Generator, n: int):
     for _ in range(n):
         params = _random_w_params(rng)
-        profile = w_profile_closed(params)
         tilde = rng.uniform(0.0, math.pi, size=3)
-        reduced = w_reduced_value(profile, *tilde)
+        reduced = w_reduced_value(w_profile_closed(params), *tilde)
         direct = expectation(w_state(params), bell_operators(
             settings_from_w_angles(*tilde))[0])
-        err = abs(reduced - direct)
-        if err > worst:
-            worst = err
-            detail = f"params={params} tilde={tilde.tolist()}"
-    return SuiteResult("w-reduced-oracle", worst <= 1e-9, n, worst, detail)
+        yield abs(reduced - direct), params, tilde
 
 
-def _suite_tensor_vs_direct(rng: np.random.Generator, n: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
+def _tensor_vs_direct_cases(rng: np.random.Generator, n: int):
     for k in range(n):
         state = haar_random_state(rng)
         ms = _random_settings(rng)
-        err = abs(svetlichny_value(state, ms)
-                  - svetlichny_value_direct(state, ms))
-        if err > worst:
-            worst = err
-            detail = f"case {k}"
-    return SuiteResult("tensor-vs-direct", worst <= 1e-10, n, worst, detail)
+        yield (abs(svetlichny_value(state, ms)
+                   - svetlichny_value_direct(state, ms)), k)
 
 
-def _suite_monogamy(rng: np.random.Generator, n_haar: int,
-                    n_w: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
-    passed = True
+def _monogamy_cases(rng: np.random.Generator, n_haar: int, n_w: int):
+    """A Haar residual must not be negative; a W-class residual must vanish."""
     for k in range(n_haar):
-        profile = entanglement_profile(haar_random_state(rng))
-        if profile.monogamy_residual < -1e-9:
-            passed = False
-            detail = f"haar case {k}: residual {profile.monogamy_residual}"
-        worst = max(worst, -profile.monogamy_residual)
+        residual = entanglement_profile(
+            haar_random_state(rng)).monogamy_residual
+        yield -residual, "haar", k, residual
     for k in range(n_w):
-        profile = entanglement_profile(w_state(_random_w_params(rng)))
-        if abs(profile.monogamy_residual) > 1e-9:
-            passed = False
-            detail = f"w case {k}: residual {profile.monogamy_residual}"
-    return SuiteResult("monogamy", passed, n_haar + n_w, worst, detail)
+        residual = entanglement_profile(
+            w_state(_random_w_params(rng))).monogamy_residual
+        yield abs(residual), "w", k, residual
 
 
 def _suite_branch_continuity(n: int) -> SuiteResult:
@@ -446,20 +416,14 @@ def _suite_branch_continuity(n: int) -> SuiteResult:
     return SuiteResult("branch-continuity", worst < 1e-12, n, worst, "")
 
 
-def _suite_mermin_factor(n_side: int) -> SuiteResult:
-    worst = 0.0
-    detail = ""
-    for theta in np.linspace(0.0, math.pi / 2, n_side):
-        for theta3 in np.linspace(0.0, math.pi / 2, n_side):
-            params = GhzClassParams(float(theta), float(theta3))
-            state = ghz_state(params)
-            s_op, m_op, _ = bell_operators(optimal_settings_ghz(params))
-            err = abs(expectation(state, s_op) - 2.0 * expectation(state, m_op))
-            if err > worst:
-                worst = err
-                detail = f"params={params}"
-    return SuiteResult("mermin-factor", worst <= 1e-9, n_side * n_side,
-                       worst, detail)
+def _mermin_factor_cases(n_side: int):
+    grid = np.linspace(0.0, math.pi / 2, n_side)
+    for theta, theta3 in itertools.product(grid, grid):
+        params = GhzClassParams(float(theta), float(theta3))
+        state = ghz_state(params)
+        s_op, m_op, _ = bell_operators(optimal_settings_ghz(params))
+        yield (abs(expectation(state, s_op) - 2.0 * expectation(state, m_op)),
+               params)
 
 
 def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
@@ -480,14 +444,27 @@ def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
 def verification_battery(seed: int = 0) -> List[SuiteResult]:
     """The full invariant battery behind the verify command."""
     rng = np.random.default_rng(seed)
+
+    def correlator(p, a, b, c):
+        return f"params={p} a={a} b={b} c={c}"
+
     return [
-        _suite_eq12(rng, 1000),
-        _suite_eq24(rng, 1000),
-        _suite_w_reduced(rng, 500),
-        _suite_tensor_vs_direct(rng, 1000),
-        _suite_monogamy(rng, 1000, 200),
+        _worst_case("eq12-oracle", 1e-10, _correlator_cases(
+            rng, 1000, _random_ghz_params, ghz_correlator_closed, ghz_state),
+            correlator),
+        _worst_case("eq24-oracle", 1e-10, _correlator_cases(
+            rng, 1000, _random_w_params,
+            lambda p, *dirs: w_correlator_closed(w_profile_closed(p), *dirs),
+            w_state), correlator),
+        _worst_case("w-reduced-oracle", 1e-9, _w_reduced_cases(rng, 500),
+                    lambda p, tilde: f"params={p} tilde={tilde.tolist()}"),
+        _worst_case("tensor-vs-direct", 1e-10,
+                    _tensor_vs_direct_cases(rng, 1000), lambda k: f"case {k}"),
+        _worst_case("monogamy", 1e-9, _monogamy_cases(rng, 1000, 200),
+                    lambda kind, k, r: f"{kind} case {k}: residual {r}"),
         _suite_branch_continuity(100),
-        _suite_mermin_factor(10),
+        _worst_case("mermin-factor", 1e-9, _mermin_factor_cases(10),
+                    lambda p: f"params={p}"),
         _suite_ceiling(rng, 200),
     ]
 
@@ -597,6 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     if args.out is None:
         args.out = getattr(args, "default_out", None)
     try:

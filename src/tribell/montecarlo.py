@@ -18,9 +18,7 @@ from .qcore import (
     ThreeQubitPureState,
     UnitVector,
     ValidationError,
-    expectation,
     spin_observable,
-    tensor3,
 )
 from .bell import SVETLICHNY_SIGNS, MeasurementSettings
 
@@ -48,18 +46,18 @@ def outcome_distribution(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
                          c: UnitVector) -> np.ndarray:
     """Born probabilities of the 8 joint outcomes of (a, b, c) measurements.
 
-    P(r1, r2, r3) = <psi| prod_i (I + r_i n_i . sigma) / 2 |psi>.
+    P(r1, r2, r3) = <psi| prod_i (I + r_i n_i . sigma) / 2 |psi>, contracted
+    in one einsum over each party's stacked (2, 2, 2) projector pair.
     """
-    projectors = []
-    for direction in (a, b, c):
-        obs = spin_observable(direction)
-        projectors.append(((IDENTITY_2 + obs) / 2.0, (IDENTITY_2 - obs) / 2.0))
-    probs = np.empty(8)
-    for k in range(8):
-        bits = ((k >> 2) & 1, (k >> 1) & 1, k & 1)
-        op = tensor3(projectors[0][bits[0]], projectors[1][bits[1]],
-                     projectors[2][bits[2]])
-        probs[k] = expectation(s, op)
+    observables = [spin_observable(n) for n in (a, b, c)]
+    pairs = [np.stack([IDENTITY_2 + o, IDENTITY_2 - o]) / 2.0
+             for o in observables]
+    psi = s.amplitudes.reshape(2, 2, 2)
+    probs = np.einsum("abc,rad,sbe,tcf,def->rst", psi.conj(), *pairs,
+                      psi).reshape(8)
+    if np.max(np.abs(probs.imag)) > 1e-10:
+        raise ValidationError("outcome probabilities have an imaginary residue")
+    probs = probs.real
     if np.min(probs) < -1e-12:
         raise ValidationError(f"negative Born probability {np.min(probs)}")
     probs = np.maximum(probs, 0.0)

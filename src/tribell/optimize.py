@@ -140,14 +140,14 @@ def seesaw_maximize(s: ThreeQubitPureState, init: MeasurementSettings,
                                      cfg))
 
 
-def _random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform directions for n starts: shape (6, n, 3).
+def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform directions on the sphere: an array of shape `shape + (3,)`.
 
     Sampling is inverse-CDF on the sphere: the cosine of the polar angle is
     uniform on [-1, 1] and the azimuth uniform on [0, 2 pi).
     """
-    cos_polar = rng.uniform(-1.0, 1.0, size=(6, n))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(6, n))
+    cos_polar = rng.uniform(-1.0, 1.0, size=shape)
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=shape)
     sin_polar = np.sqrt(1.0 - cos_polar ** 2)
     return np.stack([
         sin_polar * np.cos(azimuth),
@@ -160,15 +160,9 @@ def multistart_maximize(s: ThreeQubitPureState,
                         cfg: OptimizationConfig) -> OptimizationResult:
     """Best of n_starts see-saw ascents from seeded random settings."""
     rng = np.random.default_rng(cfg.seed)
-    parties = _random_directions(rng, cfg.n_starts).reshape(3, 2, -1, 3)
+    parties = _random_directions(rng, (6, cfg.n_starts)).reshape(3, 2, -1, 3)
     return _result(parties, *_ascend(correlation_tensor(s).entries, parties,
                                      cfg))
-
-
-def _row_config(cfg: OptimizationConfig, index: int) -> OptimizationConfig:
-    """Derive a per-row config so parallel and serial sweeps agree."""
-    row_seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
-    return replace(cfg, seed=row_seed)
 
 
 def _flag_for_gap(gap: float, report_tol: float) -> str:
@@ -177,28 +171,37 @@ def _flag_for_gap(gap: float, report_tol: float) -> str:
     return "numeric-above" if gap > 0 else "numeric-below"
 
 
-def ghz_verification_row(index: int, theta: float, theta3: float,
-                         cfg: OptimizationConfig,
-                         report_tol: float = 1e-3) -> VerificationRow:
-    """One GHZ grid point: closed form vs. escalating multistart numeric.
+def _verification_row(index: int, params: Tuple[float, ...],
+                       state: ThreeQubitPureState, closed: float,
+                       cfg: OptimizationConfig,
+                       report_tol: float) -> VerificationRow:
+    """Closed value vs. escalating multistart numeric at one grid point.
 
     A numeric-below flag is retried with four times the starts before it
     sticks; numeric-above rows are findings, not failures.
     """
-    params = GhzClassParams(float(theta), float(theta3))
-    closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
-    row_cfg = _row_config(cfg, index)
-    numeric = multistart_maximize(ghz_state(params), row_cfg).best_value
+    # Each row derives its own seed, so parallel and serial sweeps agree.
+    row_seed = np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0]
+    row_cfg = replace(cfg, seed=int(row_seed))
+    numeric = multistart_maximize(state, row_cfg).best_value
     flag = _flag_for_gap(numeric - closed, report_tol)
     if flag == "numeric-below":
         escalated = replace(row_cfg, n_starts=row_cfg.n_starts * 4)
-        numeric = max(numeric, multistart_maximize(
-            ghz_state(params), escalated).best_value)
+        numeric = max(numeric, multistart_maximize(state, escalated).best_value)
         flag = _flag_for_gap(numeric - closed, report_tol)
-    return VerificationRow(
-        params=(params.theta, params.theta3),
-        closed_value=closed, numeric_value=numeric,
-        gap=numeric - closed, flag=flag)
+    return VerificationRow(params=params, closed_value=closed,
+                           numeric_value=numeric, gap=numeric - closed,
+                           flag=flag)
+
+
+def ghz_verification_row(index: int, theta: float, theta3: float,
+                         cfg: OptimizationConfig,
+                         report_tol: float = 1e-3) -> VerificationRow:
+    """One GHZ grid point: closed form vs. escalating multistart numeric."""
+    params = GhzClassParams(float(theta), float(theta3))
+    closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
+    return _verification_row(index, (params.theta, params.theta3),
+                             ghz_state(params), closed, cfg, report_tol)
 
 
 def ghz_grid_points(theta_steps: int,
@@ -264,19 +267,9 @@ def w_verification_row(index: int, c12: float, sum_c: float,
         logger.info("skipping c12=%g sum=%g: %s", c12, sum_c, exc)
         return None
     profile = w_profile_closed(params)
-    closed = smax_w(profile).closed_value
-    row_cfg = _row_config(cfg, index)
-    numeric = multistart_maximize(w_state(params), row_cfg).best_value
-    flag = _flag_for_gap(numeric - closed, report_tol)
-    if flag == "numeric-below":
-        escalated = replace(row_cfg, n_starts=row_cfg.n_starts * 4)
-        numeric = max(numeric, multistart_maximize(
-            w_state(params), escalated).best_value)
-        flag = _flag_for_gap(numeric - closed, report_tol)
-    return VerificationRow(
-        params=(profile.c12, profile.c23, profile.c31),
-        closed_value=closed, numeric_value=numeric,
-        gap=numeric - closed, flag=flag)
+    return _verification_row(index, (profile.c12, profile.c23, profile.c31),
+                             w_state(params), smax_w(profile).closed_value,
+                             cfg, report_tol)
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -281,6 +282,47 @@ def test_verification_battery_suites():
                      "tensor-vs-direct", "monogamy", "branch-continuity",
                      "mermin-factor", "ceiling"]
     assert all(r.passed for r in results)
+
+
+def test_monogamy_suite_reports_the_w_class_residuals(monkeypatch):
+    profile = cli.entanglement_profile
+
+    def w_residual_off_by_5e_10(state):
+        result = profile(state)
+        # A W-class state has amplitudes on |001>, |010> and |100> only.
+        if np.count_nonzero(state.amplitudes) <= 3:
+            result = dataclasses.replace(result, monogamy_residual=5e-10)
+        return result
+
+    monkeypatch.setattr(cli, "entanglement_profile", w_residual_off_by_5e_10)
+    monogamy = cli.verification_battery(seed=0)[4]
+    assert monogamy.name == "monogamy"
+    assert monogamy.passed
+    assert monogamy.worst == 5e-10
+
+
+def test_worst_case_reports_the_worst_case_and_its_detail():
+    cases = [(1e-12, "a"), (3e-10, "b"), (2e-10, "c")]
+    result = cli._worst_case("demo", 1e-9, iter(cases), lambda k: f"case {k}")
+    assert result == cli.SuiteResult("demo", True, 3, 3e-10, "case b")
+    at_tol = cli._worst_case("demo", 1e-9, [(1e-9, 0)], str)
+    assert at_tol.passed and at_tol.worst == 1e-9
+    above = cli._worst_case("demo", 1e-9, [(0.0, 0), (2e-9, 1)], str)
+    assert not above.passed and above.detail == "1"
+    empty = cli._worst_case("demo", 1e-9, iter(()), str)
+    assert empty == cli.SuiteResult("demo", True, 0, 0.0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--ghz", "pi/4", "pi/2", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["simulate", "--ghz", "pi/4", "pi/2", "--shots", "1", "--seed", "-3"],
+])
+def test_negative_seed_is_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_verify_command_exit_code(capsys, monkeypatch):

@@ -81,6 +81,21 @@ def test_outcome_distribution_marginal_consistency():
                 assert marginal[i, j] == pytest.approx(expected, abs=1e-10)
 
 
+def test_outcome_distribution_matches_the_projector_oracle():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        s = qcore.haar_random_state(rng)
+        dirs = [random_unit(rng) for _ in range(3)]
+        pairs = [[(qcore.IDENTITY_2 + r * qcore.spin_observable(d)) / 2
+                  for r in (1.0, -1.0)] for d in dirs]
+        # Outcome index 4*i1 + 2*i2 + i3, with i = 0 for the +1 result.
+        expected = [qcore.expectation(s, qcore.tensor3(
+            pairs[0][i], pairs[1][j], pairs[2][k]))
+            for i, j, k in np.ndindex(2, 2, 2)]
+        probs = montecarlo.outcome_distribution(s, *dirs)
+        assert np.allclose(probs, expected, rtol=0.0, atol=1e-14)
+
+
 def test_estimate_correlator_deterministic_outcome():
     s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
     est = montecarlo.estimate_correlator(s, qcore.Z_HAT, qcore.Z_HAT,

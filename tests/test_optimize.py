@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
     # Hand the batch exactly the directions each single run starts from.
     starts = np.stack([ms.vectors() for ms in inits], axis=1)
     monkeypatch.setattr(optimize, "_random_directions",
-                        lambda rng, n: starts.copy())
+                        lambda rng, shape: starts.copy())
     runs = [optimize.seesaw_maximize(state, ms, cfg) for ms in inits]
     single = max(runs, key=lambda r: r.best_value)
     batched = optimize.multistart_maximize(state, cfg)
@@ -200,3 +201,28 @@ def test_verification_row_flags():
     assert optimize._flag_for_gap(0.0, 1e-3) == "match"
     assert optimize._flag_for_gap(2e-3, 1e-3) == "numeric-above"
     assert optimize._flag_for_gap(-2e-3, 1e-3) == "numeric-below"
+
+
+@pytest.mark.parametrize("row, point, closed", [
+    (optimize.ghz_verification_row, (0.6, 1.1),
+     lambda: bell.smax_ghz_closed(entanglement.ghz_profile_closed(
+         qcore.GhzClassParams(0.6, 1.1))).closed_value),
+    (optimize.w_verification_row, (2.0 / 3.0, 1.5),
+     lambda: bell.smax_w(entanglement.w_profile_closed(
+         optimize.w_params_for_sum(2.0 / 3.0, 1.5))).closed_value),
+])
+def test_numeric_below_row_retries_with_four_times_the_starts(
+        row, point, closed, monkeypatch):
+    target = closed()
+    starts = []
+
+    def below_then_matching(state, cfg):
+        starts.append(cfg.n_starts)
+        value = target - 1e-2 if len(starts) == 1 else target
+        return types.SimpleNamespace(best_value=value)
+
+    monkeypatch.setattr(optimize, "multistart_maximize", below_then_matching)
+    result = row(4, *point, optimize.OptimizationConfig(n_starts=7))
+    assert starts == [7, 28]
+    assert result.flag == "match"
+    assert result.numeric_value == target and result.gap == 0.0
