@@ -43,7 +43,6 @@ from .bell import (
     GhzClosedTerms,
     MeasurementSettings,
     SmaxReport,
-    WReducedTerms,
     bell_operators,
     correlation_tensor,
     decompose_b,
@@ -59,7 +58,6 @@ from .bell import (
     svetlichny_value_direct,
     w_correlator_closed,
     w_params_from_concurrences,
-    w_reduced_terms,
     w_reduced_value,
 )
 from .optimize import (

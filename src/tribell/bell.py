@@ -37,6 +37,10 @@ from .entanglement import EntanglementProfile
 
 ALGEBRAIC_CEILING = 4.0 * math.sqrt(2.0)
 
+# smax_w: seeded L-BFGS-B starts, each run for both signs of <S>.
+_W_STARTS = 20
+_W_SEED = 0
+
 # G[x, y, z]: the sign of <A_x B_y C_z> in <S>, with 0 the unprimed and 1
 # the primed direction of each party.
 SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
@@ -106,27 +110,6 @@ class GhzClosedTerms:
 
     P: float
     Q: float
-
-
-@dataclass(frozen=True)
-class WReducedTerms:
-    """Angle bookkeeping for the reduced W-class Svetlichny expression."""
-
-    theta_bar_a: float
-    theta_bar_b: float
-    theta_bar_c: float
-    theta_tilde_a: float
-    theta_tilde_b: float
-    theta_tilde_c: float
-    sigma: float
-    sigma_a: float
-    sigma_b: float
-    sigma_c: float
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    g: float
 
 
 @dataclass(frozen=True)
@@ -338,42 +321,19 @@ def w_correlator_closed(profile: EntanglementProfile, a: UnitVector,
     )
 
 
-def w_reduced_terms(tilde_a: float, tilde_b: float, tilde_c: float) -> WReducedTerms:
-    """Coefficients p1..p4 of the reduced W-class expression at phi = 0."""
-    sigma = tilde_a + tilde_b + tilde_c
-    sigma_a = sigma - 2.0 * tilde_a
-    sigma_b = sigma - 2.0 * tilde_b
-    sigma_c = sigma - 2.0 * tilde_c
-    sins = (math.sin(sigma), math.sin(sigma_a),
-            math.sin(sigma_b), math.sin(sigma_c))
-    g = (math.sin(tilde_a + tilde_b + tilde_c)
-         + math.sin(tilde_a + tilde_b - tilde_c)
-         + math.sin(tilde_a - tilde_b + tilde_c)
-         + math.sin(tilde_a - tilde_b - tilde_c))
-    return WReducedTerms(
-        theta_bar_a=math.pi / 2, theta_bar_b=math.pi / 2,
-        theta_bar_c=math.pi / 2,
-        theta_tilde_a=tilde_a, theta_tilde_b=tilde_b, theta_tilde_c=tilde_c,
-        sigma=sigma, sigma_a=sigma_a, sigma_b=sigma_b, sigma_c=sigma_c,
-        p1=(-sins[0] + sins[1] + sins[2] + sins[3]) / 4.0,
-        p2=(sins[0] + sins[1] - sins[2] + sins[3]) / 4.0,
-        p3=(sins[0] - sins[1] + sins[2] + sins[3]) / 4.0,
-        p4=(sins[0] + sins[1] + sins[2] - sins[3]) / 4.0,
-        g=g,
-    )
-
-
 def w_reduced_value(profile: EntanglementProfile, tilde_a: float,
                     tilde_b: float, tilde_c: float) -> float:
-    """4 (p1 + p2 C31 + p3 C23 + p4 C12) at theta_bar = pi/2, phi = 0.
+    """<S> of a W-class state at theta_bar = pi/2, phi = 0, as four sines.
 
-    Each coefficient p_g is distinguished in one party and multiplies the
-    concurrence of the other two: p2 (party b) pairs with c31, p3 (party a)
-    with c23, p4 (party c) with c12.
+    Flipping one party's angle flips the sign of the constant and of the
+    concurrence between the other two parties.  Scalar math, since this is
+    the L-BFGS-B objective of `smax_w`.
     """
-    terms = w_reduced_terms(tilde_a, tilde_b, tilde_c)
-    return 4.0 * (terms.p1 + terms.p2 * profile.c31
-                  + terms.p3 * profile.c23 + terms.p4 * profile.c12)
+    c12, c23, c31 = profile.c12, profile.c23, profile.c31
+    return (math.sin(tilde_a + tilde_b + tilde_c) * (c12 + c23 + c31 - 1.0)
+            + math.sin(-tilde_a + tilde_b + tilde_c) * (1.0 + c12 - c23 + c31)
+            + math.sin(tilde_a - tilde_b + tilde_c) * (1.0 + c12 + c23 - c31)
+            + math.sin(tilde_a + tilde_b - tilde_c) * (1.0 - c12 + c23 + c31))
 
 
 def settings_from_w_angles(tilde_a: float, tilde_b: float,
@@ -428,14 +388,13 @@ def w_params_from_concurrences(c12: float, c23: float, c31: float) -> WClassPara
     return WClassParams(*amps)
 
 
-def smax_w(profile: EntanglementProfile, n_starts: int = 20,
-           seed: int = 0) -> SmaxReport:
+def smax_w(profile: EntanglementProfile) -> SmaxReport:
     """Numeric maximum of the reduced W-class expression over theta-tilde.
 
     Multistart local ascent on the smooth 3-angle objective; both signs of
     the expression are explored so the reported value is max |S|.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_W_SEED)
 
     def negated(x, sign):
         return -sign * w_reduced_value(profile, x[0], x[1], x[2])
@@ -443,7 +402,7 @@ def smax_w(profile: EntanglementProfile, n_starts: int = 20,
     best_value = -math.inf
     best_angles = (0.0, 0.0, 0.0)
     bounds = [(0.0, math.pi)] * 3
-    for _ in range(n_starts):
+    for _ in range(_W_STARTS):
         x0 = rng.uniform(0.0, math.pi, size=3)
         for sign in (1.0, -1.0):
             res = minimize(negated, x0, args=(sign,), method="L-BFGS-B",

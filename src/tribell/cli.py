@@ -341,12 +341,13 @@ def _worst_case(name: str, tol: float, cases: Iterable[tuple],
                 describe: Callable[..., str]) -> SuiteResult:
     """Largest error over `(error, *case)` tuples; passes when it is <= tol.
 
-    `describe(*case)` is formatted only for a new worst case.
+    `describe(*case)` is formatted only for a new worst case.  A NaN error
+    is worse than any number, so it is reported and fails the suite.
     """
     worst, detail, count = 0.0, "", 0
     for error, *case in cases:
         count += 1
-        if error > worst:
+        if error > worst or (math.isnan(error) and not math.isnan(worst)):
             worst, detail = error, describe(*case)
     return SuiteResult(name, worst <= tol, count, worst, detail)
 
@@ -412,7 +413,8 @@ def _suite_branch_continuity(n: int) -> SuiteResult:
         c12_sq = 1.0 - 3.0 * tau
         low = 4.0 * math.sqrt(1.0 - tau)
         high = 4.0 * math.sqrt(c12_sq + 2.0 * tau)
-        worst = max(worst, abs(low - high))
+        # np.maximum keeps a NaN, which then fails the comparison below.
+        worst = float(np.maximum(worst, abs(low - high)))
     return SuiteResult("branch-continuity", worst < 1e-12, n, worst, "")
 
 
@@ -434,8 +436,9 @@ def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
         s_op, m_op, _ = bell_operators(_random_settings(rng))
         s_top = float(np.max(np.abs(herm_eigenvalues(s_op))))
         m_top = float(np.max(np.abs(herm_eigenvalues(m_op))))
-        worst = max(worst, s_top)
-        if s_top > ALGEBRAIC_CEILING + 1e-9 or m_top > 4.0 + 1e-9:
+        worst = float(np.maximum(worst, s_top))
+        # Written as "not within" so that a NaN spectrum fails.
+        if not (s_top <= ALGEBRAIC_CEILING + 1e-9 and m_top <= 4.0 + 1e-9):
             passed = False
             detail = f"case {k}: |S|={s_top} |M|={m_top}"
     return SuiteResult("ceiling", passed, n, worst, detail)

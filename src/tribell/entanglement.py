@@ -111,19 +111,9 @@ def concurrence_bipartition(s: ThreeQubitPureState, solo: int) -> float:
     return math.sqrt(_clamp_nonneg(2.0 * (1.0 - purity), "bipartition concurrence^2"))
 
 
-_PAIRS_FOR_SOLO = {1: ((1, 2), (1, 3)), 2: ((1, 2), (2, 3)), 3: ((1, 3), (2, 3))}
-
-
-def _tangle_from_solo(s: ThreeQubitPureState, solo: int) -> float:
-    big = concurrence_bipartition(s, solo) ** 2
-    for pair in _PAIRS_FOR_SOLO[solo]:
-        big -= concurrence_two_qubit(partial_trace(s, pair)) ** 2
-    return big
-
-
 def three_tangle(s: ThreeQubitPureState) -> float:
     """Three-tangle C_{1(23)}^2 - C12^2 - C13^2, clamped at 0 within roundoff."""
-    return _clamp_nonneg(_tangle_from_solo(s, 1), "three-tangle")
+    return entanglement_profile(s).tau
 
 
 def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:

@@ -18,6 +18,7 @@ from .qcore import (
     ThreeQubitPureState,
     UnitVector,
     ValidationError,
+    _derived_seed,
     spin_observable,
 )
 from .bell import SVETLICHNY_SIGNS, MeasurementSettings
@@ -88,10 +89,6 @@ def estimate_correlator(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
     return ShotEstimate(mean=mean, stderr=stderr, shots=shots, seed=seed)
 
 
-def _sub_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
                         shots_per_correlator: int, seed: int) -> ShotEstimate:
     """Estimate <S> from eight independently sampled correlators.
@@ -105,7 +102,7 @@ def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
     # The sub-seed index runs over b's choice fastest, then c's, then a's.
     for index, (x, z, y) in enumerate(itertools.product((0, 1), repeat=3)):
         est = estimate_correlator(s, a[x], b[y], c[z], shots_per_correlator,
-                                  _sub_seed(seed, index))
+                                  _derived_seed(seed, index))
         mean += float(SVETLICHNY_SIGNS[x, y, z]) * est.mean
         var += est.stderr ** 2
     return ShotEstimate(mean=mean, stderr=math.sqrt(var),

@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .qcore import (
     GhzClassParams,
     ThreeQubitPureState,
     ValidationError,
     WClassParams,
+    _derived_seed,
     ghz_state,
     w_state,
 )
@@ -181,8 +181,7 @@ def _verification_row(index: int, params: Tuple[float, ...],
     sticks; numeric-above rows are findings, not failures.
     """
     # Each row derives its own seed, so parallel and serial sweeps agree.
-    row_seed = np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0]
-    row_cfg = replace(cfg, seed=int(row_seed))
+    row_cfg = replace(cfg, seed=_derived_seed(cfg.seed, index))
     numeric = multistart_maximize(state, row_cfg).best_value
     flag = _flag_for_gap(numeric - closed, report_tol)
     if flag == "numeric-below":
@@ -226,30 +225,27 @@ def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
 def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
     """Amplitudes realizing pairwise concurrence c12 and total sum sum_c.
 
-    With beta gamma = c12 / 2 fixed, the remaining freedom is the third
-    amplitude alpha; c23 + c31 = 2 alpha (beta + gamma) grows monotonically
-    with alpha, so the target sum is matched by a bracketed root solve.
-    Raises when the sum is outside the realizable range.
+    With beta gamma = c12 / 2, (beta + gamma)^2 = 1 - alpha^2 + c12, so
+    t = sum_c - c12 = c23 + c31 = 2 alpha (beta + gamma) gives
+    t^2 = 4 alpha^2 (p - alpha^2) with p = 1 + c12.  alpha^2 is the smaller
+    root, capped where beta and gamma stop being real (1 - c12) or where
+    t peaks (p / 2).  Raises when the sum is outside the realizable range.
     """
     if not 0.0 <= c12 <= 1.0:
         raise ValidationError("c12 must lie in [0, 1]")
-    alpha_max = math.sqrt(max(0.0, 1.0 - c12))
-    sum_max = c12 + 2.0 * math.sqrt(max(0.0, 2.0 * c12 * (1.0 - c12)))
+    p = 1.0 + c12
+    alpha_sq_max = min(1.0 - c12, p / 2.0)
+    sum_max = c12 + 2.0 * math.sqrt(alpha_sq_max * (p - alpha_sq_max))
     target = sum_c - c12
     if target < -1e-9 or sum_c > sum_max + 1e-9:
         raise ValidationError(
             f"sum {sum_c} outside realizable range [{c12}, {sum_max}]")
-
-    def excess(alpha):
-        return 2.0 * alpha * math.sqrt(1.0 - alpha * alpha + c12) - target
-
-    if target <= 0.0:
-        alpha = 0.0
-    elif excess(alpha_max) <= 0.0:
-        alpha = alpha_max
-    else:
-        alpha = brentq(excess, 0.0, alpha_max, xtol=1e-14)
-    one_minus = 1.0 - alpha * alpha
+    t_sq = max(0.0, target) ** 2
+    # The rationalized root has no cancellation when t is small.
+    alpha_sq = min(t_sq / (2.0 * (p + math.sqrt(max(0.0, p * p - t_sq)))),
+                   alpha_sq_max)
+    alpha = math.sqrt(alpha_sq)
+    one_minus = 1.0 - alpha_sq
     disc = math.sqrt(max(0.0, one_minus * one_minus - c12 * c12))
     beta = math.sqrt((one_minus + disc) / 2.0)
     gamma = math.sqrt(max(0.0, (one_minus - disc) / 2.0))

@@ -162,6 +162,11 @@ def haar_random_state(rng: np.random.Generator) -> ThreeQubitPureState:
     return make_state(z, normalize=True)
 
 
+def _derived_seed(seed: int, index: int) -> int:
+    """Seed of the index-th independent stream derived from `seed`."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
 def spin_observable(n: UnitVector) -> np.ndarray:
     """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1."""
     v = n.cartesian

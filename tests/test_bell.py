@@ -238,14 +238,6 @@ def test_w_correlator_closed_oracle():
             qcore.expectation(qcore.w_state(params), op), abs=1e-10)
 
 
-def test_w_reduced_terms_sigma_identities():
-    terms = bell.w_reduced_terms(0.3, 0.8, 1.1)
-    assert terms.sigma == pytest.approx(2.2)
-    assert terms.sigma_a == pytest.approx(terms.sigma - 0.6)
-    assert terms.sigma_b == pytest.approx(terms.sigma - 1.6)
-    assert terms.sigma_c == pytest.approx(terms.sigma - 2.2)
-
-
 def test_w_reduced_value_symmetric_formula():
     profile = w_sym_profile()
     for tilde in (0.2, 0.7, bell.W_SYMMETRIC_TILT, 1.3):
@@ -318,10 +310,8 @@ def test_smax_w_violation_threshold():
     for _ in range(20):
         profile = entanglement.w_profile_closed(random_w_params(rng))
         report = bell.smax_w(profile)
-        terms = bell.w_reduced_terms(*report.theta_tilde)
-        combo = (terms.p1 + terms.p2 * profile.c31
-                 + terms.p3 * profile.c23 + terms.p4 * profile.c12)
-        assert (report.closed_value > 4.0) == (combo > 1.0)
+        reduced = bell.w_reduced_value(profile, *report.theta_tilde)
+        assert (report.closed_value > 4.0) == (reduced > 4.0)
 
 
 def test_optimal_settings_w_symmetric_structure():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ def test_sweep_w_with_no_realizable_point_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_w_writes_the_sums_past_the_turn_of_a_low_c12_curve(
+        tmp_path, capsys):
+    # Below c12 = 1/3, c23 + c31 peaks before beta and gamma stop being
+    # real, so every sum up to 1 + 2 c12 = 1.2 is realizable.
+    out_path = tmp_path / "fig2.csv"
+    args = ["sweep-w", "--c12", "0.1", "--sum-steps", "11",
+            "--out", str(out_path)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    rows = {round(float(r[3]), 9): r for r in (
+        line.split(",") for line in out_path.read_text().splitlines()[1:])}
+    assert 1.0 in rows and 1.2 in rows
+    # The sum = 1.2 state violates the inequality.
+    assert float(rows[1.2][4]) > 4.0
+
+
 def test_sweep_ghz_csv(tmp_path, capsys):
     out_path = tmp_path / "fig1.csv"
     args = ["sweep-ghz", "--theta-steps", "5", "--theta3", "pi/2",
@@ -311,6 +328,20 @@ def test_worst_case_reports_the_worst_case_and_its_detail():
     assert not above.passed and above.detail == "1"
     empty = cli._worst_case("demo", 1e-9, iter(()), str)
     assert empty == cli.SuiteResult("demo", True, 0, 0.0, "")
+    nan = cli._worst_case("demo", 1e-9, [(0.0, 0), (math.nan, 1), (2e-9, 2),
+                                         (math.nan, 3)], str)
+    assert not nan.passed and math.isnan(nan.worst) and nan.detail == "1"
+
+
+def test_nan_fails_the_continuity_and_ceiling_suites(monkeypatch):
+    monkeypatch.setattr(cli, "math", types.SimpleNamespace(
+        sqrt=lambda x: math.nan))
+    continuity = cli._suite_branch_continuity(5)
+    assert not continuity.passed and math.isnan(continuity.worst)
+    monkeypatch.setattr(cli, "herm_eigenvalues",
+                        lambda m: np.full(8, math.nan))
+    ceiling = cli._suite_ceiling(np.random.default_rng(0), 3)
+    assert not ceiling.passed and math.isnan(ceiling.worst)
 
 
 @pytest.mark.parametrize("argv", [

@@ -202,5 +202,9 @@ def test_tau_permutation_invariance():
     rng = np.random.default_rng(18)
     for _ in range(100):
         s = qcore.haar_random_state(rng)
-        taus = [entanglement._tangle_from_solo(s, solo) for solo in (1, 2, 3)]
+        p = entanglement.entanglement_profile(s)
+        taus = [p.c1_23 ** 2 - p.c12 ** 2 - p.c31 ** 2,
+                p.c2_13 ** 2 - p.c12 ** 2 - p.c23 ** 2,
+                p.c3_12 ** 2 - p.c31 ** 2 - p.c23 ** 2]
         assert max(taus) - min(taus) < 1e-8
+        assert entanglement.three_tangle(s) == max(0.0, taus[0])

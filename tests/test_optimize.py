@@ -158,10 +158,16 @@ def test_verify_grid_ghz_small():
     assert rows[0].numeric_value == pytest.approx(4.0, abs=1e-6)
 
 
+def w_sum_max(c12):
+    """c12 + c23 + c31 at its peak: 1 + 2 c12 below c12 = 1/3."""
+    if c12 < 1.0 / 3.0:
+        return 1.0 + 2.0 * c12
+    return c12 + 2.0 * math.sqrt(2.0 * c12 * (1.0 - c12))
+
+
 def test_w_params_for_sum_round_trip():
-    for c12 in (0.35, 0.45, 2.0 / 3.0):
-        sum_max = c12 + 2.0 * math.sqrt(2.0 * c12 * (1.0 - c12))
-        for sum_c in np.linspace(c12, sum_max, 9):
+    for c12 in (0.1, 0.2, 0.35, 0.45, 2.0 / 3.0):
+        for sum_c in np.linspace(c12, w_sum_max(c12), 9):
             params = optimize.w_params_for_sum(c12, float(sum_c))
             profile = entanglement.w_profile_closed(params)
             assert profile.c12 == pytest.approx(c12, abs=1e-9)
@@ -176,6 +182,9 @@ def test_w_params_for_sum_rejects_unrealizable():
         optimize.w_params_for_sum(0.35, 0.1)
     with pytest.raises(qcore.ValidationError):
         optimize.w_params_for_sum(1.5, 1.5)
+    for c12 in (0.1, 0.2, 0.35, 0.45, 2.0 / 3.0):
+        with pytest.raises(qcore.ValidationError):
+            optimize.w_params_for_sum(c12, w_sum_max(c12) + 1e-6)
 
 
 def test_w_params_for_sum_symmetric_endpoint():

@@ -1,0 +1,39 @@
+"""The README's examples run as written.
+
+The `python` block is executed, and every `tribell analyze` and
+`tribell simulate` line goes through `cli.main`.  The sweep and `verify`
+lines are left out: the acceptance criteria and the battery tests run them.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from tribell import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+COMMANDS = [shlex.split(line, comments=True)
+            for lang, body in BLOCKS if not lang
+            for line in body.splitlines()
+            if re.match(r"tribell (analyze|simulate) ", line)]
+
+
+def test_readme_has_the_examples():
+    assert [lang for lang, _ in BLOCKS].count("python") == 1
+    assert {argv[1] for argv in COMMANDS} == {"analyze", "simulate"}
+
+
+def test_readme_python_block_runs(capsys):
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_readme_cli_line_exits_zero(argv, capsys):
+    assert cli.main(argv[1:]) == 0
+    assert capsys.readouterr().out.strip()
