@@ -39,13 +39,11 @@ from .entanglement import (
 from .bell import (
     ALGEBRAIC_CEILING,
     CorrelationTensor,
-    DecomposedB,
     GhzClosedTerms,
     MeasurementSettings,
     SmaxReport,
     bell_operators,
     correlation_tensor,
-    decompose_b,
     ghz_closed_terms,
     ghz_correlator_closed,
     optimal_settings_ghz,

@@ -27,6 +27,7 @@ from .qcore import (
     ValidationError,
     WClassParams,
     X_HAT,
+    Z_HAT,
     expectation,
     ghz_state,
     spin_observable,
@@ -60,28 +61,16 @@ class MeasurementSettings:
 
     def vectors(self) -> np.ndarray:
         """Cartesian stack of shape (6, 3) in the field order above."""
-        return np.stack([
-            self.a.cartesian, self.a_prime.cartesian,
-            self.b.cartesian, self.b_prime.cartesian,
-            self.c.cartesian, self.c_prime.cartesian,
-        ])
+        return np.array([(v.x, v.y, v.z) for v in (
+            self.a, self.a_prime, self.b, self.b_prime, self.c, self.c_prime)])
 
 
 def settings_from_vectors(vectors) -> MeasurementSettings:
-    """Build MeasurementSettings from six Cartesian vectors."""
-    vecs = [UnitVector.from_cartesian(v) for v in vectors]
-    if len(vecs) != 6:
-        raise ValidationError("expected exactly six vectors")
-    return MeasurementSettings(*vecs)
-
-
-@dataclass(frozen=True)
-class DecomposedB:
-    """Orthogonal split b + b' = 2 d cos t, b - b' = 2 d' sin t."""
-
-    d: UnitVector
-    d_prime: UnitVector
-    t: float
+    """MeasurementSettings holding six Cartesian unit vectors exactly."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.shape != (6, 3):
+        raise ValidationError("expected six 3-vectors")
+    return MeasurementSettings(*(UnitVector(*v) for v in vectors))
 
 
 @dataclass(frozen=True)
@@ -114,50 +103,20 @@ class GhzClosedTerms:
 
 @dataclass(frozen=True)
 class SmaxReport:
-    """Closed-form maximum with the settings that achieve it."""
+    """Closed-form maximum with the settings that achieve it.
+
+    For the GHZ class, `achieving_settings` and `operator_value_at_settings`
+    belong to the representative state of `_ghz_params_from_profile`
+    (theta <= pi/4), not necessarily to the state the profile came from:
+    at theta = 1.2, theta3 = 0.2 they reach 3.7906 on the input state
+    against the closed form's 3.9638.
+    """
 
     closed_value: float
     branch: str
     achieving_settings: MeasurementSettings
     operator_value_at_settings: float
     theta_tilde: Optional[Tuple[float, float, float]] = None
-
-
-def _orthogonal_companion(d: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to d: z-hat projected off d, x-hat fallback."""
-    comp = np.array([0.0, 0.0, 1.0]) - d[2] * d
-    norm = np.linalg.norm(comp)
-    if norm < 1e-7:
-        comp = np.array([1.0, 0.0, 0.0]) - d[0] * d
-        norm = np.linalg.norm(comp)
-    return comp / norm
-
-
-def decompose_b(b: UnitVector, b_prime: UnitVector) -> DecomposedB:
-    """Split (b, b') into orthogonal d, d' with mixing angle t."""
-    bv = b.cartesian
-    bpv = b_prime.cartesian
-    total = bv + bpv
-    diff = bv - bpv
-    norm_total = np.linalg.norm(total)
-    norm_diff = np.linalg.norm(diff)
-    t = math.acos(min(1.0, norm_total / 2.0))
-    if norm_diff < 1e-9:
-        d = total / norm_total
-        d_prime = _orthogonal_companion(d)
-    elif norm_total < 1e-9:
-        d_prime = diff / norm_diff
-        d = _orthogonal_companion(d_prime)
-    else:
-        d = total / norm_total
-        d_prime = diff / norm_diff
-    if abs(float(d @ d_prime)) > 1e-10:
-        raise ValidationError("decomposed directions failed orthogonality")
-    return DecomposedB(
-        d=UnitVector.from_cartesian(d),
-        d_prime=UnitVector.from_cartesian(d_prime),
-        t=t,
-    )
 
 
 def bell_operators(ms: MeasurementSettings):
@@ -266,18 +225,16 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
     if 3.0 * tau + c12_sq <= 1.0:
         terms = ghz_closed_terms(p)
         theta_c = math.atan2(terms.Q, terms.P)
-        c = UnitVector.from_cartesian(
-            [math.sin(theta_c), 0.0, math.cos(theta_c)])
-        z = UnitVector(0.0, 0.0)
-        minus_z = UnitVector(math.pi, 0.0)
-        return MeasurementSettings(a=z, a_prime=z, b=z, b_prime=minus_z,
-                                   c=c, c_prime=c)
+        c = UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
+        minus_z = UnitVector.from_angles(math.pi, 0.0)
+        return MeasurementSettings(a=Z_HAT, a_prime=Z_HAT, b=Z_HAT,
+                                   b_prime=minus_z, c=c, c_prime=c)
     theta_c = math.atan2(math.sqrt(2.0) * math.sin(p.theta3), math.cos(p.theta3))
-    minus_y = UnitVector(math.pi / 2, 3.0 * math.pi / 2)
+    minus_y = UnitVector.from_angles(math.pi / 2, 3.0 * math.pi / 2)
     return MeasurementSettings(
         a=X_HAT, a_prime=minus_y, b=X_HAT, b_prime=minus_y,
-        c=UnitVector(theta_c, math.pi / 4),
-        c_prime=UnitVector(theta_c, 2.0 * math.pi - math.pi / 4),
+        c=UnitVector.from_angles(theta_c, math.pi / 4),
+        c_prime=UnitVector.from_angles(theta_c, 2.0 * math.pi - math.pi / 4),
     )
 
 
@@ -285,7 +242,9 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """Closed-form Svetlichny maximum of a GHZ-class profile.
 
     4 sqrt(1 - tau) on the low branch (3 tau + C12^2 <= 1), else
-    4 sqrt(C12^2 + 2 tau).
+    4 sqrt(C12^2 + 2 tau).  The report's settings are those of the
+    representative state from `_ghz_params_from_profile` (theta <= pi/4),
+    not of the input state; see `SmaxReport`.
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
@@ -340,10 +299,8 @@ def settings_from_w_angles(tilde_a: float, tilde_b: float,
                            tilde_c: float) -> MeasurementSettings:
     """Unprimed/primed directions at polar pi/2 -/+ theta-tilde, azimuth 0."""
     def pair(tilde):
-        return (UnitVector.from_cartesian(
-                    [math.cos(tilde), 0.0, math.sin(tilde)]),
-                UnitVector.from_cartesian(
-                    [math.cos(tilde), 0.0, -math.sin(tilde)]))
+        return (UnitVector(math.cos(tilde), 0.0, math.sin(tilde)),
+                UnitVector(math.cos(tilde), 0.0, -math.sin(tilde)))
     a, ap = pair(tilde_a)
     b, bp = pair(tilde_b)
     c, cp = pair(tilde_c)

@@ -158,8 +158,8 @@ def parse_settings_file(text: str) -> MeasurementSettings:
         parts = entries[name].split()
         if len(parts) != 2:
             raise ValidationError(f"vector {name} needs 'polar azimuth'")
-        vectors[name] = UnitVector(parse_angle(parts[0]),
-                                   parse_angle(parts[1]) % (2 * math.pi))
+        vectors[name] = UnitVector.from_angles(
+            parse_angle(parts[0]), parse_angle(parts[1]) % (2 * math.pi))
     return MeasurementSettings(**vectors)
 
 
@@ -370,8 +370,7 @@ def _correlator_cases(rng: np.random.Generator, n: int, draw, closed, state):
     """Closed correlator `closed(params, a, b, c)` vs. the 8x8 operator."""
     for _ in range(n):
         params = draw(rng)
-        a, b, c = (UnitVector.from_cartesian(v)
-                   for v in _random_directions(rng, 3))
+        a, b, c = (UnitVector(*v) for v in _random_directions(rng, 3))
         op = tensor3(spin_observable(a), spin_observable(b), spin_observable(c))
         yield (abs(closed(params, a, b, c) - expectation(state(params), op)),
                params, a, b, c)

@@ -1,9 +1,11 @@
 """Complex linear algebra kernel for three-qubit pure states.
 
 States are length-8 complex vectors indexed by the basis label b1 b2 b3 with
-qubit 1 as the leftmost bit (index = 4*b1 + 2*b2 + b3).  Observables are
-spin projections n.sigma built from unit vectors, and all matrices stay at
-most 8x8; the Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
+qubit 1 as the leftmost bit (index = 4*b1 + 2*b2 + b3).  A measurement
+direction is a unit vector stored as its Cartesian components; its polar
+and azimuth angles are derived for I/O and the closed forms.  Observables
+are spin projections n.sigma, and all matrices stay at most 8x8; the
+Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -67,41 +69,63 @@ class WClassParams:
 
 @dataclass(frozen=True)
 class UnitVector:
-    """Measurement direction given by polar angle in [0, pi] and azimuth."""
+    """Measurement direction stored as its Cartesian components (x, y, z).
 
-    polar: float
-    azimuth: float
+    The components are kept exactly as given, so a direction that an
+    optimizer reached comes back bit for bit; the angles are derived.
+    """
+
+    x: float
+    y: float
+    z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.polar) and math.isfinite(self.azimuth)):
-            raise ValidationError("angles must be finite")
-        if not -1e-12 <= self.polar <= math.pi + 1e-12:
-            raise ValidationError(f"polar={self.polar} outside [0, pi]")
+        components = tuple(float(c) for c in (self.x, self.y, self.z))
+        if not all(math.isfinite(c) for c in components):
+            raise ValidationError("components must be finite")
+        norm = math.hypot(*components)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValidationError(f"direction has norm {norm}, not 1")
+        for name, value in zip("xyz", components):
+            object.__setattr__(self, name, value)
 
     @property
     def cartesian(self) -> np.ndarray:
-        st = math.sin(self.polar)
-        return np.array([
-            st * math.cos(self.azimuth),
-            st * math.sin(self.azimuth),
-            math.cos(self.polar),
-        ])
+        return np.array([self.x, self.y, self.z])
+
+    @property
+    def polar(self) -> float:
+        """Angle from +z in [0, pi]; atan2 keeps it accurate at the poles."""
+        return math.atan2(math.hypot(self.x, self.y), self.z)
+
+    @property
+    def azimuth(self) -> float:
+        return math.atan2(self.y, self.x) % (2 * math.pi)
 
     @classmethod
     def from_cartesian(cls, v) -> "UnitVector":
+        """The direction of any nonzero 3-vector."""
         v = np.asarray(v, dtype=float)
         norm = np.linalg.norm(v)
         if norm < 1e-14:
             raise ValidationError("cannot normalize a zero vector")
-        v = v / norm
-        polar = math.acos(min(1.0, max(-1.0, v[2])))
-        azimuth = math.atan2(v[1], v[0]) % (2 * math.pi)
-        return cls(polar, azimuth)
+        return cls(*(v / norm))
+
+    @classmethod
+    def from_angles(cls, polar: float, azimuth: float) -> "UnitVector":
+        """The direction at polar angle in [0, pi] and azimuth, in radians."""
+        if not (math.isfinite(polar) and math.isfinite(azimuth)):
+            raise ValidationError("angles must be finite")
+        if not -1e-12 <= polar <= math.pi + 1e-12:
+            raise ValidationError(f"polar={polar} outside [0, pi]")
+        st = math.sin(polar)
+        return cls(st * math.cos(azimuth), st * math.sin(azimuth),
+                   math.cos(polar))
 
 
-X_HAT = UnitVector(math.pi / 2, 0.0)
-Y_HAT = UnitVector(math.pi / 2, math.pi / 2)
-Z_HAT = UnitVector(0.0, 0.0)
+X_HAT = UnitVector.from_angles(math.pi / 2, 0.0)
+Y_HAT = UnitVector.from_angles(math.pi / 2, math.pi / 2)
+Z_HAT = UnitVector.from_angles(0.0, 0.0)
 
 
 class ThreeQubitPureState:
@@ -169,8 +193,7 @@ def _derived_seed(seed: int, index: int) -> int:
 
 def spin_observable(n: UnitVector) -> np.ndarray:
     """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1."""
-    v = n.cartesian
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    return np.einsum("i,ijk->jk", n.cartesian, PAULIS)
 
 
 def tensor3(o1: np.ndarray, o2: np.ndarray, o3: np.ndarray) -> np.ndarray:

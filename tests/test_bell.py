@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tribell import bell, entanglement, qcore
+from tribell import bell, entanglement, optimize, qcore
 
 
 R2 = math.sqrt(2.0)
@@ -34,32 +34,21 @@ def random_w_params(rng):
     return qcore.WClassParams(*amps)
 
 
-def test_decompose_b_diagonal():
-    dec = bell.decompose_b(qcore.X_HAT, qcore.Y_HAT)
-    assert np.allclose(dec.d.cartesian, [1 / R2, 1 / R2, 0.0], atol=1e-12)
-    assert np.allclose(dec.d_prime.cartesian, [1 / R2, -1 / R2, 0.0],
-                       atol=1e-12)
-    assert dec.t == pytest.approx(math.pi / 4)
+def test_settings_from_vectors_keeps_every_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        vectors = optimize._random_directions(rng, 6)
+        ms = bell.settings_from_vectors(vectors)
+        assert np.array_equal(ms.vectors(), vectors)
+        again = bell.settings_from_vectors(ms.vectors())
+        assert ms == again and hash(ms) == hash(again)
 
 
-def test_decompose_b_coincident():
-    dec = bell.decompose_b(qcore.Z_HAT, qcore.Z_HAT)
-    assert np.allclose(dec.d.cartesian, [0.0, 0.0, 1.0], atol=1e-12)
-    assert dec.t == pytest.approx(0.0, abs=1e-7)
-
-
-def test_decompose_b_antipodal():
-    minus_x = qcore.UnitVector(math.pi / 2, math.pi)
-    dec = bell.decompose_b(qcore.X_HAT, minus_x)
-    assert np.allclose(dec.d_prime.cartesian, [1.0, 0.0, 0.0], atol=1e-12)
-    assert dec.t == pytest.approx(math.pi / 2)
-
-
-def test_decompose_b_orthogonality_random():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        dec = bell.decompose_b(random_unit(rng), random_unit(rng))
-        assert abs(float(dec.d.cartesian @ dec.d_prime.cartesian)) < 1e-10
+def test_settings_from_vectors_rejects_bad_input():
+    with pytest.raises(qcore.ValidationError):
+        bell.settings_from_vectors(np.eye(3))
+    with pytest.raises(qcore.ValidationError):
+        bell.settings_from_vectors(2.0 * np.ones((6, 3)))
 
 
 def test_bell_operators_structure():

@@ -68,6 +68,9 @@ def test_parse_settings_file():
         cli.parse_settings_file("a: pi/2 0\n")
     with pytest.raises(qcore.ValidationError):
         cli.parse_settings_file(lines.replace("a: pi/2 0", "a: pi/2"))
+    for bad in ("4 0", "nan 0", "inf 0", "pi/2 nan"):
+        with pytest.raises(qcore.ValidationError):
+            cli.parse_settings_file(lines.replace("a: pi/2 0", f"a: {bad}"))
 
 
 def test_analyze_ghz(capsys):

@@ -114,6 +114,37 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
     assert batched.iterations_used == max(r.iterations_used for r in runs)
 
 
+def test_best_settings_are_the_final_directions_of_the_ascent():
+    state = qcore.haar_random_state(np.random.default_rng(46))
+    cfg = optimize.OptimizationConfig(n_starts=6, seed=4)
+    parties = optimize._random_directions(
+        np.random.default_rng(cfg.seed), (6, cfg.n_starts)).reshape(3, 2, -1, 3)
+    history, _, _ = optimize._ascend(
+        bell.correlation_tensor(state).entries, parties, cfg)
+    best = int(np.argmax(np.abs(history[-1])))
+    expected = parties[:, :, best].reshape(6, 3).copy()
+    if history[-1][best] < 0.0:
+        expected[:2] = -expected[:2]
+    result = optimize.multistart_maximize(state, cfg)
+    assert np.array_equal(result.best_settings.vectors(), expected)
+
+
+def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative():
+    state = ghz(0.6, 1.1)
+    cfg = optimize.OptimizationConfig(max_iterations=0)
+    signs = set()
+    for seed in range(20):
+        init = random_settings(np.random.default_rng(seed))
+        result = optimize.seesaw_maximize(state, init, cfg)
+        expected = init.vectors()
+        if result.trace[0] < 0.0:
+            expected[:2] = -expected[:2]
+        signs.add(result.trace[0] < 0.0)
+        assert np.array_equal(result.best_settings.vectors(), expected)
+        assert result.best_value == abs(result.trace[0])
+    assert signs == {True, False}
+
+
 def _random_local_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)

@@ -101,6 +101,8 @@ def test_unit_vector_round_trip():
         v /= np.linalg.norm(v)
         n = qcore.UnitVector.from_cartesian(v)
         assert np.allclose(n.cartesian, v, atol=1e-12)
+        assert np.allclose(qcore.UnitVector.from_cartesian(2.5 * v).cartesian,
+                           v, atol=1e-12)
         assert 0.0 <= n.polar <= math.pi
         assert 0.0 <= n.azimuth < 2 * math.pi
 
@@ -111,8 +113,24 @@ def test_unit_vector_rejects_zero():
 
 
 def test_unit_vector_rejects_bad_polar():
-    with pytest.raises(qcore.ValidationError):
-        qcore.UnitVector(4.0, 0.0)
+    for polar, azimuth in ((4.0, 0.0), (-0.1, 0.0), (math.nan, 0.0),
+                           (math.inf, 0.0), (1.0, math.nan)):
+        with pytest.raises(qcore.ValidationError):
+            qcore.UnitVector.from_angles(polar, azimuth)
+
+
+def test_unit_vector_rejects_off_unit_and_nonfinite_components():
+    for components in ((1.0 + 1e-6, 0.0, 0.0), (0.6, 0.8, 1e-3),
+                       (math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(qcore.ValidationError):
+            qcore.UnitVector(*components)
+
+
+@pytest.mark.parametrize("polar", [1e-9, math.pi - 1e-9, 0.3, math.pi / 2])
+def test_unit_vector_polar_is_accurate_near_the_poles(polar):
+    n = qcore.UnitVector.from_angles(polar, 0.3)
+    assert n.polar == pytest.approx(polar, rel=1e-6)
+    assert n.azimuth == pytest.approx(0.3, rel=1e-6)
 
 
 def test_tensor3_identity():
