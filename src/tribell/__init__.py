@@ -38,7 +38,6 @@ from .entanglement import (
 )
 from .bell import (
     ALGEBRAIC_CEILING,
-    CorrelationTensor,
     GhzClosedTerms,
     MeasurementSettings,
     SmaxReport,
@@ -67,6 +66,7 @@ from .optimize import (
     verify_grid_ghz,
     verify_grid_w,
     w_params_for_sum,
+    w_sum_max,
 )
 from .montecarlo import (
     ShotEstimate,

@@ -74,26 +74,6 @@ def settings_from_vectors(vectors) -> MeasurementSettings:
 
 
 @dataclass(frozen=True)
-class CorrelationTensor:
-    """T[i, j, k] = <sigma_i x sigma_j x sigma_k> over the x, y, z axes."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (3, 3, 3):
-            raise ValidationError("correlation tensor must be 3x3x3")
-        if np.max(np.abs(entries)) > 1.0 + 1e-10:
-            raise ValidationError("correlation tensor entry outside [-1, 1]")
-        object.__setattr__(self, "entries", entries)
-        entries.setflags(write=False)
-
-    def correlator(self, x, y, z) -> float:
-        """Trilinear contraction <(x.sigma)(y.sigma)(z.sigma)>."""
-        return float(np.einsum("ijk,i,j,k->", self.entries, x, y, z))
-
-
-@dataclass(frozen=True)
 class GhzClosedTerms:
     """P = 1 - 2 sin^2(theta) sin^2(theta3) and Q = sin^2(theta) sin(2 theta3)."""
 
@@ -134,14 +114,22 @@ def bell_operators(ms: MeasurementSettings):
     return s, m, m_prime
 
 
-def correlation_tensor(s: ThreeQubitPureState) -> CorrelationTensor:
-    """All 27 Pauli-triple expectations in one contraction."""
+def correlation_tensor(s: ThreeQubitPureState) -> np.ndarray:
+    """T[i, j, k] = <sigma_i x sigma_j x sigma_k> over the x, y, z axes.
+
+    All 27 Pauli-triple expectations in one contraction, as a read-only
+    (3, 3, 3) array.
+    """
     psi = s.amplitudes.reshape(2, 2, 2)
     entries = np.einsum(
         "abc,iad,jbe,kcf,def->ijk", psi.conj(), PAULIS, PAULIS, PAULIS, psi)
     if np.max(np.abs(entries.imag)) > 1e-10:
         raise ValidationError("correlation tensor has an imaginary residue")
-    return CorrelationTensor(entries.real)
+    t = entries.real
+    if np.max(np.abs(t)) > 1.0 + 1e-10:
+        raise ValidationError("correlation tensor entry outside [-1, 1]")
+    t.setflags(write=False)
+    return t
 
 
 def _party_coefficients(t: np.ndarray, parties: np.ndarray,
@@ -171,7 +159,7 @@ def _party_coefficients(t: np.ndarray, parties: np.ndarray,
 def svetlichny_value(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
     """|<S>| via the correlation-tensor contraction."""
     parties = ms.vectors().reshape(3, 2, 1, 3)
-    coeff = _party_coefficients(correlation_tensor(s).entries, parties, 0)
+    coeff = _party_coefficients(correlation_tensor(s), parties, 0)
     return abs(float(np.sum(coeff * parties[0])))
 
 

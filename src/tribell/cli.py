@@ -11,10 +11,8 @@ import argparse
 import csv
 import itertools
 import math
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -57,6 +55,7 @@ from .bell import (
 )
 from .optimize import (
     OptimizationConfig,
+    _map_rows,
     _random_directions,
     ghz_grid_points,
     ghz_verification_row,
@@ -222,7 +221,7 @@ def cmd_analyze(args) -> dict:
     if closed is not None:
         print(f"smax closed:       {closed.closed_value:.9g} ({closed.branch})")
         if closed.theta_tilde is not None:
-            degs = " ".join(f"{math.degrees(t):.7f}" for t in closed.theta_tilde)
+            degs = " ".join(f"{math.degrees(t):.5f}" for t in closed.theta_tilde)
             print(f"theta-tilde (deg): {degs}")
     print(f"smax numeric:      {numeric.best_value:.9g}")
     print(f"verdict:           "
@@ -234,9 +233,6 @@ def cmd_analyze(args) -> dict:
 def _write_sweep(path: str, header: Sequence[str],
                  out_rows: Sequence[Sequence], rows: Sequence):
     """Write a sweep CSV of out_rows, then report the flagged rows."""
-    if not rows:
-        raise ValidationError("no grid point is realizable; nothing written")
-
     def fmt(value):
         if isinstance(value, float):
             return f"{value:.9g}"
@@ -257,31 +253,11 @@ def _write_sweep(path: str, header: Sequence[str],
         print(f"finding: params={row.params} gap={row.gap:.3e} flag={row.flag}")
 
 
-def _map_rows(worker, tasks, jobs: int) -> list:
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=1))
-    return [worker(task) for task in tasks]
-
-
-def _ghz_row_task(task):
-    index, theta, theta3, cfg, tol = task
-    return ghz_verification_row(index, theta, theta3, cfg, tol)
-
-
-def _w_row_task(task):
-    index, c12, sum_c, cfg, tol = task
-    return w_verification_row(index, c12, sum_c, cfg, tol)
-
-
 def cmd_sweep_ghz(args) -> List:
     theta3_values = [parse_angle(v) for v in args.theta3.split(",")]
-    cfg = OptimizationConfig(seed=args.seed)
     points = ghz_grid_points(args.theta_steps, theta3_values)
-    tasks = [(i, theta, theta3, cfg, args.tol)
-             for i, (theta, theta3) in enumerate(points)]
-    rows = _map_rows(_ghz_row_task, tasks, args.jobs)
+    rows = _map_rows(ghz_verification_row, points,
+                     OptimizationConfig(seed=args.seed), args.tol, args.jobs)
     out_rows = []
     for row in rows:
         theta, theta3 = row.params
@@ -297,18 +273,9 @@ def cmd_sweep_ghz(args) -> List:
 
 def cmd_sweep_w(args) -> List:
     c12_values = [float(eval_fraction(v)) for v in args.c12.split(",")]
-    cfg = OptimizationConfig(seed=args.seed)
     points = w_grid_points(c12_values, args.sum_steps)
-    tasks = [(i, c12, sum_c, cfg, args.tol)
-             for i, (c12, sum_c) in enumerate(points)]
-    maybe_rows = _map_rows(_w_row_task, tasks, args.jobs)
-    rows = []
-    for task, row in zip(tasks, maybe_rows):
-        if row is None:
-            print(f"skipping unrealizable point c12={task[1]:.9g} "
-                  f"sum={task[2]:.9g}")
-        else:
-            rows.append(row)
+    rows = _map_rows(w_verification_row, points,
+                     OptimizationConfig(seed=args.seed), args.tol, args.jobs)
     out_rows = []
     for row in rows:
         c12, c23, c31 = row.params

@@ -9,8 +9,10 @@ a seeded multistart makes the search global in practice.
 
 from __future__ import annotations
 
-import logging
+import itertools
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -34,8 +36,6 @@ from .bell import (
     smax_w,
 )
 from .entanglement import ghz_profile_closed, w_profile_closed
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,7 @@ def seesaw_maximize(s: ThreeQubitPureState, init: MeasurementSettings,
                     cfg: OptimizationConfig) -> OptimizationResult:
     """Alternating ascent of <S> from one initial settings choice."""
     parties = init.vectors().reshape(3, 2, 1, 3)
-    return _result(parties, *_ascend(correlation_tensor(s).entries, parties,
-                                     cfg))
+    return _result(parties, *_ascend(correlation_tensor(s), parties, cfg))
 
 
 def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
@@ -161,8 +160,7 @@ def multistart_maximize(s: ThreeQubitPureState,
     """Best of n_starts see-saw ascents from seeded random settings."""
     rng = np.random.default_rng(cfg.seed)
     parties = _random_directions(rng, (6, cfg.n_starts)).reshape(3, 2, -1, 3)
-    return _result(parties, *_ascend(correlation_tensor(s).entries, parties,
-                                     cfg))
+    return _result(parties, *_ascend(correlation_tensor(s), parties, cfg))
 
 
 def _flag_for_gap(gap: float, report_tol: float) -> str:
@@ -203,6 +201,22 @@ def ghz_verification_row(index: int, theta: float, theta3: float,
                              ghz_state(params), closed, cfg, report_tol)
 
 
+def _map_rows(row, points: Sequence[tuple], cfg: OptimizationConfig,
+              report_tol: float, jobs: int = 1) -> list:
+    """`row(index, *point, cfg, report_tol)` for each grid point, in order.
+
+    Up to `jobs` worker processes share the rows, bounded by the CPU count
+    and the number of points; one worker runs them in this process.
+    """
+    tasks = [(index, *point, cfg, report_tol)
+             for index, point in enumerate(points)]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(row, *zip(*tasks), chunksize=1))
+    return list(itertools.starmap(row, tasks))
+
+
 def ghz_grid_points(theta_steps: int,
                     theta3_values: Sequence[float]) -> list:
     if theta_steps < 2:
@@ -216,10 +230,23 @@ def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
                     cfg: Optional[OptimizationConfig] = None,
                     report_tol: float = 1e-3) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
-    cfg = cfg or OptimizationConfig()
-    return [ghz_verification_row(index, theta, theta3, cfg, report_tol)
-            for index, (theta, theta3)
-            in enumerate(ghz_grid_points(theta_steps, theta3_values))]
+    return _map_rows(ghz_verification_row,
+                     ghz_grid_points(theta_steps, theta3_values),
+                     cfg or OptimizationConfig(), report_tol)
+
+
+def w_sum_max(c12: float) -> float:
+    """The largest c12 + c23 + c31 of a W-class state with concurrence c12.
+
+    c23 + c31 = 2 alpha sqrt(p - alpha^2) with p = 1 + c12 grows with
+    alpha^2 up to p / 2, and alpha^2 cannot pass 1 - c12, where beta and
+    gamma stop being real.
+    """
+    if not 0.0 <= c12 <= 1.0:
+        raise ValidationError("c12 must lie in [0, 1]")
+    p = 1.0 + c12
+    alpha_sq_max = min(1.0 - c12, p / 2.0)
+    return c12 + 2.0 * math.sqrt(alpha_sq_max * (p - alpha_sq_max))
 
 
 def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
@@ -229,21 +256,19 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
     t = sum_c - c12 = c23 + c31 = 2 alpha (beta + gamma) gives
     t^2 = 4 alpha^2 (p - alpha^2) with p = 1 + c12.  alpha^2 is the smaller
     root, capped where beta and gamma stop being real (1 - c12) or where
-    t peaks (p / 2).  Raises when the sum is outside the realizable range.
+    t peaks (p / 2).  Raises when the sum is outside the realizable range
+    [c12, w_sum_max(c12)].
     """
-    if not 0.0 <= c12 <= 1.0:
-        raise ValidationError("c12 must lie in [0, 1]")
-    p = 1.0 + c12
-    alpha_sq_max = min(1.0 - c12, p / 2.0)
-    sum_max = c12 + 2.0 * math.sqrt(alpha_sq_max * (p - alpha_sq_max))
+    sum_max = w_sum_max(c12)
     target = sum_c - c12
     if target < -1e-9 or sum_c > sum_max + 1e-9:
         raise ValidationError(
             f"sum {sum_c} outside realizable range [{c12}, {sum_max}]")
+    p = 1.0 + c12
     t_sq = max(0.0, target) ** 2
     # The rationalized root has no cancellation when t is small.
     alpha_sq = min(t_sq / (2.0 * (p + math.sqrt(max(0.0, p * p - t_sq)))),
-                   alpha_sq_max)
+                   1.0 - c12, p / 2.0)
     alpha = math.sqrt(alpha_sq)
     one_minus = 1.0 - alpha_sq
     disc = math.sqrt(max(0.0, one_minus * one_minus - c12 * c12))
@@ -255,13 +280,9 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 
 def w_verification_row(index: int, c12: float, sum_c: float,
                        cfg: OptimizationConfig,
-                       report_tol: float = 1e-3) -> Optional[VerificationRow]:
-    """One W grid point, or None when (c12, sum) is not realizable."""
-    try:
-        params = w_params_for_sum(float(c12), float(sum_c))
-    except ValidationError as exc:
-        logger.info("skipping c12=%g sum=%g: %s", c12, sum_c, exc)
-        return None
+                       report_tol: float = 1e-3) -> VerificationRow:
+    """One W grid point: reduced W form vs. escalating multistart numeric."""
+    params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
     return _verification_row(index, (profile.c12, profile.c23, profile.c31),
                              w_state(params), smax_w(profile).closed_value,
@@ -269,26 +290,21 @@ def w_verification_row(index: int, c12: float, sum_c: float,
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
-    """Fig.-2 style grid: the concurrence sum swept over [0, 2] per curve."""
+    """Fig.-2 grid: each curve's sum swept from c12 to w_sum_max(c12).
+
+    A curve whose range is one point (c12 = 1) gives one grid point.
+    """
     if sum_steps < 2:
         raise ValidationError("sum_steps must be at least 2")
     return [(float(c12), float(sum_c))
             for c12 in c12_values
-            for sum_c in np.linspace(0.0, 2.0, sum_steps)]
+            for sum_c in np.unique(
+                np.linspace(c12, w_sum_max(c12), sum_steps))]
 
 
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
                   cfg: Optional[OptimizationConfig] = None,
                   report_tol: float = 1e-3) -> list:
-    """Compare numeric maxima against the reduced W form along Fig.-2 curves.
-
-    Grid points outside the realizable range for their c12 are skipped
-    with a log line.
-    """
-    cfg = cfg or OptimizationConfig()
-    rows = []
-    for index, (c12, sum_c) in enumerate(w_grid_points(c12_values, sum_steps)):
-        row = w_verification_row(index, c12, sum_c, cfg, report_tol)
-        if row is not None:
-            rows.append(row)
-    return rows
+    """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
+    return _map_rows(w_verification_row, w_grid_points(c12_values, sum_steps),
+                     cfg or OptimizationConfig(), report_tol)

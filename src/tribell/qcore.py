@@ -100,7 +100,9 @@ class UnitVector:
 
     @property
     def azimuth(self) -> float:
-        return math.atan2(self.y, self.x) % (2 * math.pi)
+        azimuth = math.atan2(self.y, self.x) % (2 * math.pi)
+        # The modulo rounds a tiny negative angle up to exactly 2 pi.
+        return azimuth if azimuth < 2 * math.pi else 0.0
 
     @classmethod
     def from_cartesian(cls, v) -> "UnitVector":

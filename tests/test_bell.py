@@ -79,13 +79,14 @@ def test_bell_operators_ghz_high_branch():
 
 def test_correlation_tensor_examples():
     t = bell.correlation_tensor(qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0]))
-    assert t.entries[2, 2, 2] == pytest.approx(1.0)
-    assert t.entries[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert t.shape == (3, 3, 3) and not t.flags.writeable
+    assert t[2, 2, 2] == pytest.approx(1.0)
+    assert t[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
     t = bell.correlation_tensor(ghz())
-    assert t.entries[0, 0, 0] == pytest.approx(1.0)
-    assert t.entries[2, 2, 0] == pytest.approx(0.0, abs=1e-12)
+    assert t[0, 0, 0] == pytest.approx(1.0)
+    assert t[2, 2, 0] == pytest.approx(0.0, abs=1e-12)
     t = bell.correlation_tensor(qcore.w_state(qcore.WClassParams(R3, R3, R3)))
-    assert t.entries[2, 2, 2] == pytest.approx(-1.0)
+    assert t[2, 2, 2] == pytest.approx(-1.0)
 
 
 def test_correlation_tensor_matches_expectation():
@@ -95,8 +96,8 @@ def test_correlation_tensor_matches_expectation():
         t = bell.correlation_tensor(s)
         dirs = [random_unit(rng) for _ in range(3)]
         op = qcore.tensor3(*(qcore.spin_observable(d) for d in dirs))
-        assert t.correlator(*(d.cartesian for d in dirs)) == pytest.approx(
-            qcore.expectation(s, op), abs=1e-10)
+        value = np.einsum("ijk,i,j,k->", t, *(d.cartesian for d in dirs))
+        assert value == pytest.approx(qcore.expectation(s, op), abs=1e-10)
 
 
 def test_svetlichny_value_examples():

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from tribell import cli, qcore
+from tribell import cli, optimize, qcore
 
 
 R3 = 1 / math.sqrt(3)
@@ -89,6 +89,8 @@ def test_analyze_w_symmetric(capsys):
     assert "W-class" in out
     assert "4.35464843" in out
     assert "54.73561" in out
+    # Five decimals of a degree: the optimizer resolves about 1e-6 degree.
+    assert "theta-tilde (deg): 54.73561 54.73561 54.73561\n" in out
 
 
 def test_analyze_raw_product(tmp_path, capsys):
@@ -172,16 +174,47 @@ def test_map_rows_bounds_the_worker_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._map_rows(abs, [-1, -2, -3], jobs=1000) == [1, 2, 3]
-    assert cli._map_rows(abs, list(range(-9, 0)), jobs=1000) == list(
-        range(9, 0, -1))
-    assert cli._map_rows(abs, [-1, -2, -3], jobs=1) == [1, 2, 3]
+    def row(index, x, cfg, tol):
+        return abs(x)
+
+    def rows(xs, jobs):
+        return optimize._map_rows(row, [(x,) for x in xs], None, None, jobs)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 4)
+    assert rows([-1, -2, -3], jobs=1000) == [1, 2, 3]
+    assert rows(range(-9, 0), jobs=1000) == list(range(9, 0, -1))
+    assert rows([-1, -2, -3], jobs=1) == [1, 2, 3]
     assert used == [3, 4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-ghz", "--theta-steps", "4", "--theta3", "pi/2"],
+    ["sweep-w", "--c12", "2/3", "--sum-steps", "4"],
+])
+def test_parallel_sweep_writes_the_serial_bytes(argv, tmp_path, capsys,
+                                                monkeypatch):
+    # Two CPUs, so that the pool starts even on a one-CPU host.
+    monkeypatch.setattr(optimize.os, "cpu_count", lambda: 2)
+    started = []
+    pool = optimize.ProcessPoolExecutor
+
+    def counted_pool(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", counted_pool)
+    outputs = []
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"jobs{jobs}.csv"
+        assert cli.main(["--jobs", jobs, *argv, "--out", str(out_path)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out_path), "OUT")
+        outputs.append((out_path.read_bytes(), stdout))
+    assert outputs[0] == outputs[1]
+    assert started == [2]
 
 
 def test_sweep_w_with_no_realizable_point_writes_nothing(tmp_path, capsys):
@@ -202,11 +235,12 @@ def test_sweep_w_writes_the_sums_past_the_turn_of_a_low_c12_curve(
             "--out", str(out_path)]
     assert cli.main(args) == 0
     capsys.readouterr()
-    rows = {round(float(r[3]), 9): r for r in (
-        line.split(",") for line in out_path.read_text().splitlines()[1:])}
-    assert 1.0 in rows and 1.2 in rows
+    rows = [line.split(",")
+            for line in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 11
+    assert float(rows[-1][3]) == pytest.approx(1.2, abs=1e-9)
     # The sum = 1.2 state violates the inequality.
-    assert float(rows[1.2][4]) > 4.0
+    assert float(rows[-1][4]) > 4.0
 
 
 def test_sweep_ghz_csv(tmp_path, capsys):
@@ -235,12 +269,16 @@ def test_sweep_w_csv(tmp_path, capsys):
             "--out", str(out_path)]
     assert cli.main(args) == 0
     out = capsys.readouterr().out
-    assert "skipping unrealizable point" in out
+    assert "skipping" not in out
+    assert "wrote 6 rows" in out
     lines = out_path.read_text().splitlines()
     assert lines[0] == "c12,c23,c31,sum_c,smax_closed,smax_numeric,gap"
     rows = [line.split(",") for line in lines[1:]]
     assert all(float(r[0]) == pytest.approx(2.0 / 3.0, abs=1e-8)
                for r in rows)
+    # The curve starts at sum = c12, where c23 = c31 = 0 and S = 4.
+    assert float(rows[0][3]) == pytest.approx(2.0 / 3.0, abs=1e-8)
+    assert float(rows[0][4]) == pytest.approx(4.0, abs=1e-6)
     # The sum = 2 endpoint is the symmetric state at the global maximum.
     assert float(rows[-1][3]) == pytest.approx(2.0, abs=1e-8)
     assert float(rows[-1][4]) == pytest.approx(4.3546, abs=1e-4)

@@ -60,8 +60,8 @@ def test_outcome_distribution_reproduces_correlator():
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
         mean = float(probs @ montecarlo._OUTCOME_PRODUCTS)
         tensor = bell.correlation_tensor(s)
-        assert mean == pytest.approx(
-            tensor.correlator(*(d.cartesian for d in dirs)), abs=1e-10)
+        assert mean == pytest.approx(np.einsum(
+            "ijk,i,j,k->", tensor, *(d.cartesian for d in dirs)), abs=1e-10)
 
 
 def test_outcome_distribution_marginal_consistency():

@@ -120,7 +120,7 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     parties = optimize._random_directions(
         np.random.default_rng(cfg.seed), (6, cfg.n_starts)).reshape(3, 2, -1, 3)
     history, _, _ = optimize._ascend(
-        bell.correlation_tensor(state).entries, parties, cfg)
+        bell.correlation_tensor(state), parties, cfg)
     best = int(np.argmax(np.abs(history[-1])))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if history[-1][best] < 0.0:
@@ -197,6 +197,9 @@ def w_sum_max(c12):
 
 
 def test_w_params_for_sum_round_trip():
+    for c12 in (0.0, 0.1, 1.0 / 3.0, 0.45, 2.0 / 3.0, 1.0):
+        assert optimize.w_sum_max(c12) == pytest.approx(w_sum_max(c12),
+                                                        abs=1e-12)
     for c12 in (0.1, 0.2, 0.35, 0.45, 2.0 / 3.0):
         for sum_c in np.linspace(c12, w_sum_max(c12), 9):
             params = optimize.w_params_for_sum(c12, float(sum_c))
@@ -227,14 +230,17 @@ def test_w_params_for_sum_symmetric_endpoint():
 def test_verify_grid_w_small():
     rows = optimize.verify_grid_w(
         [2.0 / 3.0], 6, cfg=optimize.OptimizationConfig(seed=8))
-    assert 0 < len(rows) <= 6
+    assert len(rows) == 6
     for row in rows:
         assert row.flag != "numeric-below"
         assert row.numeric_value >= row.closed_value - 1e-6
         assert abs(row.gap) <= 1e-3
-    # The realizable sums for this curve start at c12 itself.
+    # The curve runs from sum = c12, where S = 4, to the symmetric state.
     assert all(row.params[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
                for row in rows)
+    assert sum(rows[0].params) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert rows[0].closed_value == pytest.approx(4.0, abs=1e-6)
+    assert sum(rows[-1].params) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_verification_row_flags():

@@ -105,6 +105,8 @@ def test_unit_vector_round_trip():
                            v, atol=1e-12)
         assert 0.0 <= n.polar <= math.pi
         assert 0.0 <= n.azimuth < 2 * math.pi
+    # atan2 gives -1e-17 here, which the modulo alone rounds up to 2 pi.
+    assert qcore.UnitVector.from_cartesian([1.0, -1e-17, 0.0]).azimuth == 0.0
 
 
 def test_unit_vector_rejects_zero():
