@@ -158,7 +158,7 @@ def parse_settings_file(text: str) -> MeasurementSettings:
         if len(parts) != 2:
             raise ValidationError(f"vector {name} needs 'polar azimuth'")
         vectors[name] = UnitVector.from_angles(
-            parse_angle(parts[0]), parse_angle(parts[1]) % (2 * math.pi))
+            parse_angle(parts[0]), parse_angle(parts[1]))
     return MeasurementSettings(**vectors)
 
 
@@ -534,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--w", nargs=3, metavar=("ALPHA", "BETA", "GAMMA"))
     simulate.add_argument("--settings", default="optimal",
                           help="'optimal' or a settings file path")
-    simulate.add_argument("--shots", type=int, default=1_000_000)
+    simulate.add_argument("--shots", type=int, default=1_000_000,
+                          help="shots per correlator, 1 to 2**63 - 1 "
+                               "(default 1000000)")
     _add_common_flags(simulate, suppress=True)
     simulate.set_defaults(func=cmd_simulate)
     return parser

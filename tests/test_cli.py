@@ -73,6 +73,23 @@ def test_parse_settings_file():
             cli.parse_settings_file(lines.replace("a: pi/2 0", f"a: {bad}"))
 
 
+def test_parse_settings_file_takes_any_azimuth():
+    names = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
+    wrapped = cli.parse_settings_file("\n".join(
+        f"{name}: 1.1 {2 * math.pi + 0.1!r}" for name in names))
+    expected = qcore.UnitVector.from_angles(1.1, 0.1).cartesian
+    assert np.allclose(wrapped.vectors(), expected, rtol=0.0, atol=1e-15)
+    # An azimuth in range reaches from_angles unchanged.
+    rng = np.random.default_rng(9)
+    angles = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+              for _ in names]
+    ms = cli.parse_settings_file("\n".join(
+        f"{name}: {polar!r} {azimuth!r}"
+        for name, (polar, azimuth) in zip(names, angles)))
+    assert np.array_equal(ms.vectors(), [
+        qcore.UnitVector.from_angles(*pair).cartesian for pair in angles])
+
+
 def test_analyze_ghz(capsys):
     code = cli.main(["analyze", "--ghz", "pi/4", "pi/2"])
     out = capsys.readouterr().out
@@ -314,6 +331,15 @@ def test_simulate_settings_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "shots per correlator: 100" in out
+
+
+def test_simulate_rejects_a_shot_count_past_int64(capsys):
+    code = cli.main(["simulate", "--ghz", "pi/4", "pi/2",
+                     "--shots", "100000000000000000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: shots must be at most 2**63 - 1")
+    assert "Traceback" not in err
 
 
 def test_simulate_missing_settings_file(capsys):

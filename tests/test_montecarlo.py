@@ -136,6 +136,56 @@ def test_estimate_correlator_rejects_zero_shots():
                                        qcore.X_HAT, shots=0, seed=0)
 
 
+def test_estimate_correlator_matches_the_expanded_samples():
+    # Expand each draw's counts into the explicit +-1 array the closed forms
+    # stand for, and take its mean and standard error the long way.
+    rng = np.random.default_rng(54)
+    for shots in (2, 3, 17, 1000):
+        for seed in range(5):
+            s = qcore.haar_random_state(rng)
+            dirs = [random_unit(rng) for _ in range(3)]
+            probs = montecarlo.outcome_distribution(s, *dirs)
+            counts = np.random.default_rng(seed).multinomial(
+                shots, probs / probs.sum())
+            samples = np.repeat(montecarlo._OUTCOME_PRODUCTS, counts)
+            est = montecarlo.estimate_correlator(s, *dirs, shots=shots,
+                                                 seed=seed)
+            assert est.shots == shots and est.seed == seed
+            assert est.mean == pytest.approx(samples.mean(), rel=1e-15,
+                                             abs=0.0)
+            assert est.stderr == pytest.approx(
+                samples.std(ddof=1) / math.sqrt(shots), rel=1e-15, abs=0.0)
+
+
+def test_estimate_correlator_renormalises_the_distribution(monkeypatch):
+    # The sum passes outcome_distribution's 1e-10 check, but its first seven
+    # entries exceed 1 by more than numpy's multinomial tolerates.
+    probs = np.zeros(8)
+    probs[0], probs[6] = 0.5 + 5e-11, 0.5
+    monkeypatch.setattr(montecarlo, "outcome_distribution",
+                        lambda *args: probs)
+    est = montecarlo.estimate_correlator(ghz(), qcore.Z_HAT, qcore.Z_HAT,
+                                         qcore.Z_HAT, shots=1000, seed=0)
+    # Outcomes 0 and 6 both have an even number of -1 results.
+    assert est.mean == 1.0
+    assert est.stderr == 0.0
+
+
+def test_estimate_correlator_takes_huge_shot_counts():
+    dirs = (qcore.X_HAT, qcore.Z_HAT, qcore.Z_HAT)
+    est = montecarlo.estimate_correlator(ghz(), *dirs, shots=10 ** 15,
+                                         seed=7)
+    # The exact correlator is 0, so the stderr is close to 1/sqrt(N).
+    assert 0.0 < est.stderr <= 1e-7
+    assert abs(est.mean) <= 5.0 * est.stderr
+    most = montecarlo.estimate_correlator(ghz(), *dirs, shots=2 ** 63 - 1,
+                                          seed=7)
+    assert most.shots == 2 ** 63 - 1
+    assert abs(most.mean) <= 5.0 * most.stderr
+    with pytest.raises(qcore.ValidationError):
+        montecarlo.estimate_correlator(ghz(), *dirs, shots=2 ** 63, seed=7)
+
+
 def test_estimate_svetlichny_ghz():
     params = qcore.GhzClassParams(math.pi / 4, math.pi / 2)
     ms = bell.optimal_settings_ghz(params)
