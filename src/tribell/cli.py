@@ -107,7 +107,13 @@ class StateSpec:
         return self.raw
 
 
+_SETTINGS_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
+_STATE_KEYS = {"ghz": ("theta", "theta3"), "w": ("alpha", "beta", "gamma"),
+               "raw": tuple(f"amp{k}" for k in range(8))}
+
+
 def _parse_keyvalue(text: str) -> dict:
+    """'key: value' lines; a repeated key raises."""
     entries = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -115,26 +121,30 @@ def _parse_keyvalue(text: str) -> dict:
             continue
         if ":" not in line:
             raise ValidationError(f"malformed line {line!r}: expected key: value")
-        key, value = line.split(":", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split(":", 1))
+        if key in entries:
+            raise ValidationError(f"repeated key {key!r}")
+        entries[key] = value
     return entries
 
 
+def _check_schema(entries: dict, schema) -> None:
+    unknown = [key for key in entries if key not in schema]
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r}")
+
+
 def parse_state_spec(text: str) -> StateSpec:
-    """Parse the structured state document (family: ghz | w | raw)."""
+    """Parse the structured state document (family: ghz | w | raw).
+
+    Besides `family`, a file may hold only its family's keys: theta and
+    theta3, alpha, beta and gamma, or amp0 to amp7.
+    """
     entries = _parse_keyvalue(text)
     family = entries.get("family")
-    required = {"ghz": ("theta", "theta3"), "w": ("alpha", "beta", "gamma")}
-    missing = [key for key in required.get(family, ()) if key not in entries]
-    if missing:
-        raise ValidationError(f"{family} state file missing {missing[0]}")
-    if family == "ghz":
-        return StateSpec("ghz", ghz=GhzClassParams(
-            theta=parse_angle(entries["theta"]),
-            theta3=parse_angle(entries["theta3"])))
-    if family == "w":
-        return StateSpec("w", w=WClassParams(
-            *(_parse_number(entries[key], key) for key in required["w"])))
+    if family not in _STATE_KEYS:
+        raise ValidationError(f"unknown or missing family {family!r}")
+    _check_schema(entries, ("family",) + _STATE_KEYS[family])
     if family == "raw":
         amps = []
         for k in range(8):
@@ -144,14 +154,23 @@ def parse_state_spec(text: str) -> StateSpec:
                 raise ValidationError(f"amp{k} needs [re, im], got {pair!r}")
             amps.append(complex(*parts))
         return StateSpec("raw", raw=make_state(amps))
-    raise ValidationError(f"unknown or missing family {family!r}")
+    missing = [key for key in _STATE_KEYS[family] if key not in entries]
+    if missing:
+        raise ValidationError(f"{family} state file missing {missing[0]}")
+    if family == "ghz":
+        return StateSpec("ghz", ghz=GhzClassParams(
+            theta=parse_angle(entries["theta"]),
+            theta3=parse_angle(entries["theta3"])))
+    return StateSpec("w", w=WClassParams(
+        *(_parse_number(entries[key], key) for key in _STATE_KEYS["w"])))
 
 
 def parse_settings_file(text: str) -> MeasurementSettings:
     """Six lines 'name: polar azimuth' for a, a', b, b', c, c'."""
     entries = _parse_keyvalue(text)
+    _check_schema(entries, _SETTINGS_NAMES)
     vectors = {}
-    for name in ("a", "a_prime", "b", "b_prime", "c", "c_prime"):
+    for name in _SETTINGS_NAMES:
         if name not in entries:
             raise ValidationError(f"settings file missing vector {name}")
         parts = entries[name].split()
@@ -547,6 +566,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    if not args.tol >= 0:
+        parser.error(f"--tol must be a non-negative number, got {args.tol}")
     if args.out is None:
         args.out = getattr(args, "default_out", None)
     try:

@@ -4,6 +4,10 @@ Implements the Wootters concurrence of two-qubit reduced states, the
 bipartite concurrence across a 1-vs-2 cut, the three-tangle and the
 monogamy residual, together with the closed-form profiles of the
 GHZ-class and W-class families.
+
+The concurrence takes two Hermitian solves: one factors rho = F F+, and
+one reads Wootters' lambdas as the singular values of F^T (sy x sy) F,
+through the eigenvalues of its Hermitian dilation.
 """
 
 from __future__ import annotations
@@ -70,34 +74,23 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
 def concurrence_two_qubit(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    The spin-flipped state rho~ = (sy x sy) rho* (sy x sy) enters through
-    the Hermitian sandwich sqrt(rho) rho~ sqrt(rho), whose eigenvalue
-    square roots l1 >= l2 >= l3 >= l4 give max(0, l1 - l2 - l3 - l4).
+    With rho = F F+ for the factor F = V diag(sqrt(eigenvalues)), the matrix
+    M = F^T (sy x sy) F has M+ M similar to rho rho~, where
+    rho~ = (sy x sy) rho* (sy x sy).  So the singular values of M are
+    Wootters' l1 >= l2 >= l3 >= l4, and C = max(0, l1 - l2 - l3 - l4).
+    They are read as the top four eigenvalues of the Hermitian dilation
+    [[0, M], [M+, 0]], whose spectrum is +-l_i with error linear in
+    roundoff.
     """
     rho = _check_density(rho)
     vals, vecs = herm_eig(rho, tol=1e-10)
     if vals[-1] < -1e-9:
         raise ValidationError("density matrix has a negative eigenvalue")
-    root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
-    # The sandwich factors as m m+ with m = sqrt(rho) (sy x sy) sqrt(rho)*,
-    # since sqrt(rho)* sqrt(rho)^T = rho*.
-    m = root @ _SPIN_FLIP @ root.conj()
-    sandwich = m @ m.conj().T
-    # Symmetrize away the accumulation error of the product before handing
-    # the matrix to the eigensolver.
-    sandwich = (sandwich + sandwich.conj().T) / 2.0
-    vals, vecs = herm_eig(sandwich, tol=1e-10)
-    # Squaring puts a ~1e-15 noise floor under the sandwich spectrum, which
-    # the square root would blow up to ~3e-8.  Refine the near-zero cluster
-    # by projecting m+ onto its eigenvectors: the Gram matrix of m+ U has
-    # the same tiny eigenvalues with absolute error at the ~1e-20 level.
-    small = vals < 1e-8
-    if np.any(small):
-        b = m.conj().T @ vecs[:, small]
-        gram = b.conj().T @ b
-        gram = (gram + gram.conj().T) / 2.0
-        vals[small] = herm_eigenvalues(gram, tol=1e-10)
-    lams = np.sort(np.sqrt(np.maximum(vals, 0.0)))[::-1]
+    factor = vecs * np.sqrt(np.maximum(vals, 0.0))
+    m = factor.T @ _SPIN_FLIP @ factor
+    zero = np.zeros((4, 4), dtype=complex)
+    lams = herm_eigenvalues(np.block([[zero, m], [m.conj().T, zero]]),
+                            tol=1e-10)[:4]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 

@@ -71,6 +71,9 @@ def test_parse_settings_file():
     for bad in ("4 0", "nan 0", "inf 0", "pi/2 nan"):
         with pytest.raises(qcore.ValidationError):
             cli.parse_settings_file(lines.replace("a: pi/2 0", f"a: {bad}"))
+    for extra in ("a: 0 0", "d: 0 0", "a': 0 0"):
+        with pytest.raises(qcore.ValidationError):
+            cli.parse_settings_file(lines + "\n" + extra + "\n")
 
 
 def test_parse_settings_file_takes_any_azimuth():
@@ -167,6 +170,13 @@ def test_analyze_malformed_spec_is_input_error(tmp_path, capsys):
     (None, "family: raw\namp0: [1]\n"),
     (None, "family: raw\namp0: 1 0\n"),
     (None, "family: raw\namp0: [one, 0]\n"),
+    (None, "family: ghz\ntheta: pi/4\ntheta3: pi/2\ntheta3: 0.1\n"),
+    (None, "family: ghz\ntheta: pi/4\ntheta3: pi/2\nthetta: 3\n"),
+    (None, "family: ghz\nfamily: ghz\ntheta: pi/4\ntheta3: pi/2\n"),
+    (None, "family: w\nalpha: 0.6\nbeta: 0.8\ngamma: 0\ntheta: 1\n"),
+    (None, "family: raw\namp0: [1, 0]\namp0: [0, 1]\n"),
+    (None, "family: raw\namp0: [1, 0]\namp 7: [0, 1]\n"),
+    (None, "family: raw\namp0: [1, 0]\namp8: [0, 1]\n"),
 ])
 def test_analyze_malformed_input_is_input_error(argv, state_text, tmp_path,
                                                 capsys):
@@ -421,6 +431,19 @@ def test_negative_seed_is_input_error(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-ghz", "--theta-steps", "2", "--tol", "-1"],
+    ["--tol", "nan", "sweep-w", "--c12", "2/3", "--sum-steps", "2"],
+    ["analyze", "--ghz", "pi/4", "pi/2", "--tol=-1e-9"],
+])
+def test_negative_or_nan_tol_is_input_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "--tol must be a non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_command_exit_code(capsys, monkeypatch):

@@ -61,6 +61,34 @@ def test_concurrence_rejects_non_density():
         entanglement.concurrence_two_qubit(bad)
 
 
+@pytest.mark.parametrize("p", [0.2, 1 / 3, 0.5, 0.9])
+def test_concurrence_werner_state(p):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
+    rho = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
+    assert entanglement.concurrence_two_qubit(rho) == pytest.approx(
+        max(0.0, (3 * p - 1) / 2), abs=1e-12)
+
+
+def _textbook_concurrence(rho):
+    """sqrt of the eigenvalues of rho (sy x sy) rho* (sy x sy), by a
+    general (non-Hermitian) eigensolver."""
+    flip = np.kron(qcore.SIGMA_Y, qcore.SIGMA_Y)
+    eigs = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)
+    lams = np.sort(np.sqrt(np.maximum(eigs.real, 0.0)))[::-1]
+    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+
+
+def test_concurrence_random_full_rank_vs_textbook():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert np.linalg.eigvalsh(rho)[0] > 1e-6
+        assert entanglement.concurrence_two_qubit(rho) == pytest.approx(
+            _textbook_concurrence(rho), abs=1e-10)
+
+
 def _random_local_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
@@ -161,15 +189,24 @@ def test_w_profile_closed_examples():
     assert p.c12 == p.c31 == 0.0
 
 
+def _assert_profiles_agree(closed, numeric):
+    # The pair concurrences and tau are linear in roundoff; the bipartition
+    # fields are not, since c3_12 = sqrt(tau) amplifies it near tau = 0.
+    for field in ("tau", "c12", "c23", "c31"):
+        assert getattr(closed, field) == pytest.approx(
+            getattr(numeric, field), abs=1e-12)
+    for field in ("c1_23", "c2_13", "c3_12"):
+        assert getattr(closed, field) == pytest.approx(
+            getattr(numeric, field), abs=1e-8)
+
+
 def test_closed_vs_numeric_ghz_family():
     rng = np.random.default_rng(13)
     for _ in range(150):
         params = random_ghz_params(rng)
         closed = entanglement.ghz_profile_closed(params)
         numeric = entanglement.entanglement_profile(qcore.ghz_state(params))
-        for field in ("tau", "c12", "c23", "c31", "c1_23", "c2_13", "c3_12"):
-            assert getattr(closed, field) == pytest.approx(
-                getattr(numeric, field), abs=1e-8)
+        _assert_profiles_agree(closed, numeric)
 
 
 def test_closed_vs_numeric_w_family():
@@ -178,9 +215,7 @@ def test_closed_vs_numeric_w_family():
         params = random_w_params(rng)
         closed = entanglement.w_profile_closed(params)
         numeric = entanglement.entanglement_profile(qcore.w_state(params))
-        for field in ("tau", "c12", "c23", "c31", "c1_23", "c2_13", "c3_12"):
-            assert getattr(closed, field) == pytest.approx(
-                getattr(numeric, field), abs=1e-8)
+        _assert_profiles_agree(closed, numeric)
 
 
 def test_monogamy_on_random_states():
