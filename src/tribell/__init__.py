@@ -54,7 +54,6 @@ from .bell import (
     svetlichny_value,
     svetlichny_value_direct,
     w_correlator_closed,
-    w_params_from_concurrences,
     w_reduced_value,
 )
 from .optimize import (

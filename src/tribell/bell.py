@@ -25,14 +25,11 @@ from .qcore import (
     ThreeQubitPureState,
     UnitVector,
     ValidationError,
-    WClassParams,
     X_HAT,
     Z_HAT,
     expectation,
-    ghz_state,
     spin_observable,
     tensor3,
-    w_state,
 )
 from .entanglement import EntanglementProfile
 
@@ -85,17 +82,15 @@ class GhzClosedTerms:
 class SmaxReport:
     """Closed-form maximum with the settings that achieve it.
 
-    For the GHZ class, `achieving_settings` and `operator_value_at_settings`
-    belong to the representative state of `_ghz_params_from_profile`
-    (theta <= pi/4), not necessarily to the state the profile came from:
-    at theta = 1.2, theta3 = 0.2 they reach 3.7906 on the input state
-    against the closed form's 3.9638.
+    For the GHZ class, `achieving_settings` belong to the representative
+    state of `_ghz_params_from_profile` (theta <= pi/4), not necessarily to
+    the state the profile came from: at theta = 1.2, theta3 = 0.2 they
+    reach 3.7906 on the input state against the closed form's 3.9638.
     """
 
     closed_value: float
     branch: str
     achieving_settings: MeasurementSettings
-    operator_value_at_settings: float
     theta_tilde: Optional[Tuple[float, float, float]] = None
 
 
@@ -230,9 +225,10 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """Closed-form Svetlichny maximum of a GHZ-class profile.
 
     4 sqrt(1 - tau) on the low branch (3 tau + C12^2 <= 1), else
-    4 sqrt(C12^2 + 2 tau).  The report's settings are those of the
-    representative state from `_ghz_params_from_profile` (theta <= pi/4),
-    not of the input state; see `SmaxReport`.
+    4 sqrt(C12^2 + 2 tau), from the profile alone.  The report's settings
+    are `optimal_settings_ghz` of the representative state from
+    `_ghz_params_from_profile` (theta <= pi/4), not of the input state;
+    see `SmaxReport`.
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
@@ -244,12 +240,9 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     else:
         branch = "high-branch"
         value = 4.0 * math.sqrt(c12_sq + 2.0 * tau)
-    params = _ghz_params_from_profile(profile)
-    settings = optimal_settings_ghz(params)
-    achieved = svetlichny_value(ghz_state(params), settings)
     return SmaxReport(closed_value=value, branch=branch,
-                      achieving_settings=settings,
-                      operator_value_at_settings=achieved)
+                      achieving_settings=optimal_settings_ghz(
+                          _ghz_params_from_profile(profile)))
 
 
 def w_correlator_closed(profile: EntanglementProfile, a: UnitVector,
@@ -296,48 +289,13 @@ def settings_from_w_angles(tilde_a: float, tilde_b: float,
                                c=c, c_prime=cp)
 
 
-def w_params_from_concurrences(c12: float, c23: float, c31: float) -> WClassParams:
-    """Invert (C12, C23, C31) = (2bg, 2ab, 2ga) back to amplitudes.
-
-    Raises when the three concurrences do not correspond to a normalized
-    amplitude triple.
-    """
-    cs = (c12, c23, c31)
-    if any(c < -1e-12 for c in cs):
-        raise ValidationError("concurrences must be non-negative")
-    tol = 1e-12
-    nonzero = [c > tol for c in cs]
-    if all(nonzero):
-        alpha_sq = c23 * c31 / (2.0 * c12)
-        beta_sq = c12 * c23 / (2.0 * c31)
-        gamma_sq = c12 * c31 / (2.0 * c23)
-        amps = [math.sqrt(v) for v in (alpha_sq, beta_sq, gamma_sq)]
-    elif sum(nonzero) == 2:
-        raise ValidationError(
-            "exactly one vanishing concurrence is not realizable")
-    elif sum(nonzero) == 1:
-        # One product survives, so the third amplitude vanishes; the split
-        # between the two roots is fixed deterministically.
-        idx = nonzero.index(True)
-        c = cs[idx]
-        disc = max(0.0, 1.0 - c * c)
-        hi = math.sqrt((1.0 + math.sqrt(disc)) / 2.0)
-        lo = math.sqrt(max(0.0, (1.0 - math.sqrt(disc)) / 2.0))
-        amps = [[0.0, hi, lo], [hi, lo, 0.0], [hi, 0.0, lo]][idx]
-    else:
-        amps = [1.0, 0.0, 0.0]
-    norm_sq = sum(a * a for a in amps)
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValidationError(
-            f"concurrences imply squared norm {norm_sq}, not realizable")
-    return WClassParams(*amps)
-
-
 def smax_w(profile: EntanglementProfile) -> SmaxReport:
     """Numeric maximum of the reduced W-class expression over theta-tilde.
 
-    Multistart local ascent on the smooth 3-angle objective; both signs of
-    the expression are explored so the reported value is max |S|.
+    Multistart local ascent on the smooth 3-angle objective, which depends
+    on the profile's C12, C23 and C31 alone; both signs of the expression
+    are explored so the reported value is max |S|.  The report carries the
+    maximizing angles and their `settings_from_w_angles` directions.
     """
     rng = np.random.default_rng(_W_SEED)
 
@@ -362,12 +320,8 @@ def smax_w(profile: EntanglementProfile) -> SmaxReport:
     # pi - theta; report the representative with the smaller sum.
     if sum(best_angles) > 1.5 * math.pi:
         best_angles = tuple(math.pi - v for v in best_angles)
-    settings = settings_from_w_angles(*best_angles)
-    params = w_params_from_concurrences(profile.c12, profile.c23, profile.c31)
-    achieved = svetlichny_value(w_state(params), settings)
     return SmaxReport(closed_value=best_value, branch="w-class",
-                      achieving_settings=settings,
-                      operator_value_at_settings=achieved,
+                      achieving_settings=settings_from_w_angles(*best_angles),
                       theta_tilde=best_angles)
 
 

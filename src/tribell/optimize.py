@@ -273,7 +273,8 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
     one_minus = 1.0 - alpha_sq
     disc = math.sqrt(max(0.0, one_minus * one_minus - c12 * c12))
     beta = math.sqrt((one_minus + disc) / 2.0)
-    gamma = math.sqrt(max(0.0, (one_minus - disc) / 2.0))
+    # beta gamma = c12 / 2 with beta^2 >= 1/6; the other root would cancel.
+    gamma = c12 / (2.0 * beta)
     norm = math.sqrt(alpha ** 2 + beta ** 2 + gamma ** 2)
     return WClassParams(alpha / norm, beta / norm, gamma / norm)
 

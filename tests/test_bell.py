@@ -157,8 +157,8 @@ def test_smax_ghz_closed_examples():
     report = bell.smax_ghz_closed(profile)
     assert report.closed_value == pytest.approx(4.0 * R2)
     assert report.branch == "high-branch"
-    assert report.operator_value_at_settings == pytest.approx(4.0 * R2,
-                                                              abs=1e-9)
+    assert bell.svetlichny_value(ghz(), report.achieving_settings) == (
+        pytest.approx(4.0 * R2, abs=1e-9))
 
 
 def test_smax_ghz_closed_branch_boundary():
@@ -178,9 +178,11 @@ def test_optimal_settings_ghz_achieves_closed_value():
     rng = np.random.default_rng(25)
     for _ in range(40):
         params = qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
-        report = bell.smax_ghz_closed(entanglement.ghz_profile_closed(params))
-        assert report.operator_value_at_settings == pytest.approx(
-            report.closed_value, abs=1e-9)
+        closed = bell.smax_ghz_closed(
+            entanglement.ghz_profile_closed(params)).closed_value
+        value = bell.svetlichny_value(qcore.ghz_state(params),
+                                      bell.optimal_settings_ghz(params))
+        assert value == pytest.approx(closed, abs=1e-9)
 
 
 def test_optimal_settings_ghz_low_branch_example():
@@ -254,35 +256,12 @@ def test_w_reduced_value_oracle():
             direct, abs=1e-9)
 
 
-def test_w_params_from_concurrences_round_trip():
-    rng = np.random.default_rng(30)
-    for _ in range(100):
-        params = random_w_params(rng)
-        profile = entanglement.w_profile_closed(params)
-        back = bell.w_params_from_concurrences(profile.c12, profile.c23,
-                                               profile.c31)
-        assert back.alpha == pytest.approx(params.alpha, abs=1e-9)
-        assert back.beta == pytest.approx(params.beta, abs=1e-9)
-        assert back.gamma == pytest.approx(params.gamma, abs=1e-9)
-
-
-def test_w_params_from_concurrences_degenerate_cases():
-    params = bell.w_params_from_concurrences(0.0, 0.0, 0.0)
-    assert (params.alpha, params.beta, params.gamma) == (1.0, 0.0, 0.0)
-    params = bell.w_params_from_concurrences(1.0, 0.0, 0.0)
-    profile = entanglement.w_profile_closed(params)
-    assert profile.c12 == pytest.approx(1.0)
-    with pytest.raises(qcore.ValidationError):
-        bell.w_params_from_concurrences(0.5, 0.5, 0.0)
-    with pytest.raises(qcore.ValidationError):
-        bell.w_params_from_concurrences(0.9, 0.9, 0.9)
-
-
 def test_smax_w_symmetric():
     report = bell.smax_w(w_sym_profile())
     assert report.closed_value == pytest.approx(W_SYM_MAX, abs=1e-9)
-    assert report.operator_value_at_settings == pytest.approx(W_SYM_MAX,
-                                                              abs=1e-9)
+    state = qcore.w_state(qcore.WClassParams(R3, R3, R3))
+    assert bell.svetlichny_value(state, report.achieving_settings) == (
+        pytest.approx(W_SYM_MAX, abs=1e-9))
     for tilde in report.theta_tilde:
         assert math.degrees(tilde) == pytest.approx(54.7356103, abs=1e-4)
 
@@ -293,6 +272,14 @@ def test_smax_w_separable_limits():
     r2 = 1 / R2
     profile = entanglement.w_profile_closed(qcore.WClassParams(0.0, r2, r2))
     assert bell.smax_w(profile).closed_value == pytest.approx(4.0, abs=1e-9)
+
+
+def test_smax_w_on_two_near_vanishing_concurrences():
+    # C23 = 2e-13 and C31 ~ 2e-12: smax_w reads the profile alone and
+    # rebuilds no amplitudes from it.
+    params = qcore.WClassParams(1e-12, 0.1, math.sqrt(0.99 - 1e-24))
+    report = bell.smax_w(entanglement.w_profile_closed(params))
+    assert report.closed_value == pytest.approx(4.0, abs=1e-9)
 
 
 def test_smax_w_violation_threshold():

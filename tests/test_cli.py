@@ -113,6 +113,23 @@ def test_analyze_w_symmetric(capsys):
     assert "theta-tilde (deg): 54.73561 54.73561 54.73561\n" in out
 
 
+def test_analyze_bell_pair_times_a_qubit_does_not_violate(capsys):
+    # A bi-separable state sits at S = 4; roundoff must not make it violate.
+    code = cli.main(["analyze", "--ghz", "pi/4", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verdict:           no violation (threshold 4)\n" in out
+
+
+@pytest.mark.parametrize("command", [["analyze"],
+                                     ["simulate", "--shots", "1000"]])
+def test_w_state_with_two_near_vanishing_concurrences(command, capsys):
+    code = cli.main([*command, "--w", "1e-12", "0.1", "0.99498743710662"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+
+
 def test_analyze_raw_product(tmp_path, capsys):
     path = tmp_path / "state.txt"
     path.write_text("family: raw\namp0: [1, 0]\n")
@@ -456,3 +473,19 @@ def test_verify_command_exit_code(capsys, monkeypatch):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "case 3" in out
+
+
+def test_main_builds_the_parser_once_and_runs_the_current_command(
+        capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(cli, "verification_battery",
+                        lambda seed: seeds.append(seed) or [])
+    assert cli.main(["--seed", "9", "verify"]) == 0
+    assert cli.main(["verify"]) == 0
+    assert seeds == [9, 0]
+    assert cli.build_parser() is cli.build_parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args) or 0)
+    assert cli.main(["verify"]) == 0
+    assert len(ran) == 1 and ran[0].seed == 0
+    capsys.readouterr()

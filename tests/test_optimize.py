@@ -207,6 +207,12 @@ def test_w_params_for_sum_round_trip():
             assert profile.c12 == pytest.approx(c12, abs=1e-9)
             total = profile.c12 + profile.c23 + profile.c31
             assert total == pytest.approx(float(sum_c), abs=1e-9)
+    # A small c12 comes back to full relative precision.
+    for c12 in (1e-13, 1e-9, 1e-6):
+        for sum_c in np.linspace(c12, w_sum_max(c12), 9):
+            params = optimize.w_params_for_sum(c12, float(sum_c))
+            profile = entanglement.w_profile_closed(params)
+            assert profile.c12 == pytest.approx(c12, rel=1e-9)
 
 
 def test_w_params_for_sum_rejects_unrealizable():
