@@ -55,6 +55,7 @@ from .bell import (
     w_reduced_value,
 )
 from .optimize import (
+    MAX_GRID_STEPS,
     OptimizationConfig,
     _map_rows,
     _random_directions,
@@ -67,6 +68,9 @@ from .optimize import (
 from .montecarlo import estimate_svetlichny
 
 GHZ_CLASS_TAU_THRESHOLD = 1e-9
+# A bipartition concurrence below this counts as zero: it is read as
+# sqrt(2 (1 - purity)), so roundoff in a purity of 1 alone gives ~1e-8.
+SEPARABLE_CONCURRENCE_TOL = 1e-7
 # A maximum must pass 4 by more than roundoff to count as a violation.
 VIOLATION_MARGIN = 1e-9
 
@@ -216,12 +220,27 @@ def _closed_report(spec: StateSpec):
     return None
 
 
+def classify(profile) -> str:
+    """The SLOCC class of a profile (Dur, Vidal and Cirac, PRA 62, 062314).
+
+    product when every c_i(jk) vanishes, bi-separable when one does (two
+    vanishing force the third), else GHZ-class when tau > 0 and W-class
+    when tau = 0.
+    """
+    cuts = (profile.c1_23, profile.c2_13, profile.c3_12)
+    vanishing = sum(c <= SEPARABLE_CONCURRENCE_TOL for c in cuts)
+    if vanishing == len(cuts):
+        return "product"
+    if vanishing:
+        return "bi-separable"
+    return "GHZ-class" if profile.tau > GHZ_CLASS_TAU_THRESHOLD else "W-class"
+
+
 def cmd_analyze(args) -> dict:
     spec = _spec_from_args(args)
     state = spec.state()
     profile = entanglement_profile(state)
-    classification = ("GHZ-class" if profile.tau > GHZ_CLASS_TAU_THRESHOLD
-                      else "W-class")
+    classification = classify(profile)
     closed = _closed_report(spec)
     cfg = OptimizationConfig(seed=args.seed)
     numeric = multistart_maximize(state, cfg)
@@ -246,6 +265,8 @@ def cmd_analyze(args) -> dict:
             degs = " ".join(f"{math.degrees(t):.5f}" for t in closed.theta_tilde)
             print(f"theta-tilde (deg): {degs}")
     print(f"smax numeric:      {numeric.best_value:.9g}")
+    print(f"optimality residual: {numeric.residual:.3e} "
+          f"({'converged' if numeric.converged else 'not converged'})")
     print(f"verdict:           "
           f"{'violates' if report['violates'] else 'no violation'} "
           f"(threshold 4)")
@@ -533,7 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(analyze, suppress=True)
 
     sweep_ghz = sub.add_parser("sweep-ghz", help="Fig.-1 style GHZ sweep CSV")
-    sweep_ghz.add_argument("--theta-steps", type=int, default=21)
+    sweep_ghz.add_argument("--theta-steps", type=int, default=21,
+                           help="theta points per curve, 2 to "
+                                f"{MAX_GRID_STEPS} (default 21)")
     sweep_ghz.add_argument("--theta3", default="pi/8,pi/4,pi/2",
                            help="comma-separated theta3 curve values")
     _add_common_flags(sweep_ghz, suppress=True)
@@ -542,7 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_w = sub.add_parser("sweep-w", help="Fig.-2 style W sweep CSV")
     sweep_w.add_argument("--c12", default="0.35,0.45,2/3",
                          help="comma-separated fixed c12 curve values")
-    sweep_w.add_argument("--sum-steps", type=int, default=21)
+    sweep_w.add_argument("--sum-steps", type=int, default=21,
+                         help="sums per curve, 2 to "
+                              f"{MAX_GRID_STEPS} (default 21)")
     _add_common_flags(sweep_w, suppress=True)
     sweep_w.set_defaults(default_out="fig2_w.csv")
 

@@ -1,10 +1,19 @@
-"""See-saw maximization of the Svetlichny value and grid verification.
+"""Certified maximization of the Svetlichny value and grid verification.
 
 <S> is linear in each party's pair of directions, so with the other two
 parties held fixed the best pair is the normalized pair of coefficient
-vectors.  The alternating ascent updates one party per step, three steps
-per cycle; the per-cycle objective is non-decreasing by construction, and
-a seeded multistart makes the search global in practice.
+vectors.  The see-saw cycle updates the three parties in turn and never
+lowers <S>, but near a maximum it converges only linearly, and on a flat
+maximum very slowly.  So each start runs _HANDOVER see-saw cycles and
+then takes Riemannian Newton steps on the product of the six unit
+spheres (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008).  <S> is multilinear, so its gradient and Hessian there
+have closed forms: the coefficient vectors, and the correlation tensor
+contracted with the third party's directions.  The safeguard: a Newton
+step that would lower <S> is replaced by a see-saw cycle, so the ascent
+stays monotone.  A start stops when its residual, the norm of the
+Riemannian gradient, is within the tolerance; a seeded multistart makes
+the search global in practice.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .qcore import (
 )
 from .bell import (
     MeasurementSettings,
+    SVETLICHNY_SIGNS,
     _party_coefficients,
     correlation_tensor,
     settings_from_vectors,
@@ -37,12 +47,32 @@ from .bell import (
 )
 from .entanglement import ghz_profile_closed, w_profile_closed
 
+# See-saw cycles each start runs before it may take Newton steps.
+_HANDOVER = 10
+# Hessian eigenvalues of smaller magnitude mark flat directions, along
+# which an undamped Newton step does not move.
+_FLAT_CURVATURE = 1e-8
+# Levenberg-Marquardt shifts added to the curvature.  Every Newton step
+# tries each and keeps the best, so a start far from its maximum, where
+# the undamped step overshoots, still gains.
+_DAMPING = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
+# The largest Hessian eigenvalue that still counts as non-positive.  On a
+# continuous family of maxima the flat directions measure up to ~1e-10.
+_NSD_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
+    """Multistart ascent settings.
+
+    `max_iterations` caps the steps of each start, see-saw cycles and
+    Newton steps together.  `convergence_tol` is a residual tolerance: a
+    start stops once the norm of its Riemannian gradient is within it.
+    """
+
     n_starts: int = 50
     max_iterations: int = 500
-    convergence_tol: float = 1e-12
+    convergence_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +86,14 @@ class OptimizationConfig:
 class OptimizationResult:
     """Best |<S>| over the starts and the settings that reach it.
 
-    `iterations_used` counts the cycles the batch ran; `trace` is the best
-    start's signed <S> before the first cycle and after each cycle it ran.
+    `iterations_used` counts the steps the batch ran: _HANDOVER see-saw
+    cycles, then safeguarded Newton steps, each of which may have given
+    way to a see-saw cycle.  `trace` is the best start's signed <S> before
+    its first step and after each step it ran; it never decreases beyond
+    roundoff.  The certificate: `residual` is the best start's Riemannian
+    gradient norm, `converged` says it is within `convergence_tol`, and
+    `hessian_nsd` says the projected Hessian at the reported settings is
+    negative semidefinite, as at a local maximum.
     """
 
     best_value: float
@@ -65,6 +101,8 @@ class OptimizationResult:
     iterations_used: int
     converged: bool
     trace: Tuple[float, ...]
+    residual: float
+    hessian_nsd: bool
 
 
 @dataclass(frozen=True)
@@ -84,59 +122,203 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             + u[..., 2] * v[..., 2])
 
 
-def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
-    """Run the alternating ascent in place on a (3, 2, n, 3) batch of starts.
+def _gradients(t: np.ndarray, parties: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of <S> in each of the six directions: (3, 2, n, 3)."""
+    return np.stack([_party_coefficients(t, parties, k) for k in range(3)])
 
-    Converged starts are frozen, and every sum runs in a fixed order, so
-    batched and one-at-a-time execution follow the same ascent paths.
-    Returns (history, cycles, converged): history[c] holds <S> of every
-    start after c cycles, and cycles[i] is the number of cycles start i
-    ran before it converged or ran out.
+
+def _value(coeff: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """<S> of each start from the last party's coefficients and its pair."""
+    return sum(_dot(coeff, pair))
+
+
+def _residual(grad: np.ndarray, parties: np.ndarray) -> np.ndarray:
+    """Norm of the Riemannian gradient of each start on the six spheres.
+
+    The radial part is subtracted as a vector, not as |g|^2 - (g . v)^2,
+    which would cancel to roundoff well above the tolerance.
     """
-    active = np.ones(parties.shape[2], dtype=bool)
-    cycles = np.zeros(parties.shape[2], dtype=int)
-    # <S> is the sum over the last party's two directions of coeff . c.
-    coeff = _party_coefficients(t, parties, 2)
-    history = [sum(_dot(coeff, parties[2]))]
-    for _ in range(cfg.max_iterations):
-        for k in range(3):
+    tangent = grad - _dot(grad, parties)[..., None] * parties
+    return np.sqrt(sum(_dot(tangent, tangent).reshape(6, -1)))
+
+
+def _tangent_bases(parties: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the six tangent planes: (3, 2, n, 2, 3)."""
+    x, y, z = parties[..., 0], parties[..., 1], parties[..., 2]
+    zero = np.zeros_like(x)
+    # z x v, or x x v for a direction within 26 degrees of the z axis.
+    first = np.where((np.abs(z) > 0.9)[..., None],
+                     np.stack([zero, -z, y], axis=-1),
+                     np.stack([-y, x, zero], axis=-1))
+    first = first / np.sqrt(_dot(first, first))[..., None]
+    return np.stack([first, np.cross(parties, first)], axis=-2)
+
+
+def _hessian(t: np.ndarray, parties: np.ndarray, grad: np.ndarray,
+             bases: np.ndarray) -> np.ndarray:
+    """Riemannian Hessian of <S> in tangent coordinates: (n, 12, 12).
+
+    Coordinates run over (party, direction, basis vector).  <S> is linear
+    in each party, so the Euclidean Hessian has blocks only between the
+    directions of different parties: the correlation tensor contracted
+    with the third party's directions through SVETLICHNY_SIGNS.  On a
+    sphere each direction v also gains -(v . g) I from its curvature.
+    """
+    n = parties.shape[2]
+    hess = np.zeros((n, 3, 2, 2, 3, 2, 2))
+    for r in range(3):
+        p, q = (j for j in range(3) if j != r)
+        signs = np.moveaxis(SVETLICHNY_SIGNS, r, -1)
+        # contracted[z, n, i, j] = sum_k t[i, j, k] R[z, n, k], axes (p, q, r).
+        contracted = _dot(np.moveaxis(t, r, -1),
+                          parties[r][:, :, None, None, :])
+        # block[x, y, n, i, j]: d^2 <S> / dP_x[i] dQ_y[j].  The signs are
+        # +-1, so each product is exact and the sum of two terms is too.
+        block = (signs[..., 0, None, None, None] * contracted[0]
+                 + signs[..., 1, None, None, None] * contracted[1])
+        left = _dot(bases[p][:, None, :, :, None, :],
+                    np.swapaxes(block, -1, -2)[:, :, :, None, :, :])
+        projected = _dot(left[:, :, :, :, None, :],
+                         bases[q][None, :, :, None, :, :])
+        hess[:, p, :, :, q, :, :] = projected.transpose(2, 0, 3, 1, 4)
+        hess[:, q, :, :, p, :, :] = projected.transpose(2, 1, 4, 0, 3)
+    hess = hess.reshape(n, 12, 12)
+    diagonal = np.arange(12)
+    hess[:, diagonal, diagonal] = -np.repeat(
+        _dot(grad, parties).reshape(6, n), 2, axis=0).T
+    return hess
+
+
+def _newton_step(t: np.ndarray, parties: np.ndarray,
+                 grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each start's best Newton trial and its <S>, without the safeguard.
+
+    There is one trial per damping mu in _DAMPING.  Along each eigenvector
+    of the Hessian a trial steps by the gradient's component over
+    |eigenvalue| + mu.  Undamped, that is the Newton step -H^-1 g where H
+    is negative definite, and an ascent step along any direction of
+    positive curvature; directions flatter than _FLAT_CURVATURE are left
+    alone.  Every sum over the 12 coordinates runs in a fixed order.
+    """
+    n = parties.shape[2]
+    bases = _tangent_bases(parties)
+    eigenvalues, vectors = np.linalg.eigh(
+        _hessian(t, parties, grad, bases))
+    coords = _dot(bases, grad[:, :, :, None, :]).transpose(2, 0, 1, 3)
+    coords = coords.reshape(n, 12)
+    along = sum(vectors[:, m, :] * coords[:, m, None] for m in range(12))
+    curvature = np.abs(eigenvalues) + np.reshape(_DAMPING, (-1, 1, 1))
+    along = np.where(curvature > _FLAT_CURVATURE,
+                     along / np.maximum(curvature, _FLAT_CURVATURE), 0.0)
+    step = sum(vectors[:, :, i] * along[:, :, None, i] for i in range(12))
+    step = step.reshape(-1, n, 3, 2, 2).transpose(0, 2, 3, 1, 4)
+    trials = (parties + bases[..., 0, :] * step[..., 0, None]
+              + bases[..., 1, :] * step[..., 1, None])
+    trials = trials / np.sqrt(_dot(trials, trials))[..., None]
+    stacked = np.concatenate(trials, axis=2)
+    values = _value(_party_coefficients(t, stacked, 2), stacked[2])
+    values = values.reshape(len(_DAMPING), n)
+    pick = np.argmax(values, axis=0)
+    index = np.arange(n)
+    return (trials[pick, :, :, index].transpose(1, 2, 0, 3),
+            values[pick, index])
+
+
+def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
+                  coeff: np.ndarray) -> np.ndarray:
+    """One see-saw cycle in place on the starts in `moving`: each party in
+    turn takes its normalized coefficient vectors as its pair.
+
+    `coeff` holds the first party's coefficients at the current directions
+    of the moving starts.  Returns the last party's coefficients after the
+    cycle, which do not depend on that party's own pair, so they hold for
+    every start.
+    """
+    for k in range(3):
+        if k:
             coeff = _party_coefficients(t, parties, k)
-            norms = np.sqrt(_dot(coeff, coeff))
-            # Degenerate coefficient vectors keep their previous direction.
-            usable = active & (norms > 1e-14)
-            parties[k][usable] = coeff[usable] / norms[usable, None]
-        # The last party's coefficients do not depend on its own directions.
-        history.append(sum(_dot(coeff, parties[2])))
-        cycles[active] += 1
-        active &= history[-1] - history[-2] >= cfg.convergence_tol
-        if not active.any():
+        norms = np.sqrt(_dot(coeff, coeff))
+        # Degenerate coefficient vectors keep their previous direction.
+        usable = moving & (norms > 1e-14)
+        parties[k][usable] = coeff[usable] / norms[usable, None]
+    return coeff
+
+
+def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
+    """Run the ascent in place on a (3, 2, n, 3) batch of starts.
+
+    Each step of a start is a see-saw cycle for the first _HANDOVER steps
+    and a Newton step after that, replaced by a see-saw cycle whenever it
+    would lower <S>.  A start is frozen once its residual is within
+    cfg.convergence_tol.  Every sum runs in a fixed order, so batched and
+    one-at-a-time execution follow the same paths.  Returns (history,
+    steps, residual): history[c] holds <S> of every start after c steps,
+    steps[i] is the number of steps start i ran, and residual[i] its final
+    Riemannian gradient norm.
+    """
+    grad = _gradients(t, parties)
+    value = _value(grad[2], parties[2])
+    residual = _residual(grad, parties)
+    steps = np.zeros(parties.shape[2], dtype=int)
+    history = [value.copy()]
+    for step in range(cfg.max_iterations):
+        live = np.flatnonzero(residual > cfg.convergence_tol)
+        if live.size == 0:
             break
-    return np.array(history), cycles, not active.any()
+        batch = parties[:, :, live]
+        seesaw = np.ones(live.size, dtype=bool)
+        if step >= _HANDOVER:
+            moved, moved_value = _newton_step(t, batch, grad[:, :, live])
+            # The safeguard: a step that would lower <S> (or is NaN) gives
+            # way to a see-saw cycle.
+            gains = moved_value >= value[live]
+            batch[:, :, gains] = moved[:, :, gains]
+            seesaw = ~gains
+        if seesaw.any():
+            last = _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
+        else:
+            last = _party_coefficients(t, batch, 2)
+        fresh = np.stack([_party_coefficients(t, batch, 0),
+                          _party_coefficients(t, batch, 1), last])
+        parties[:, :, live] = batch
+        grad[:, :, live] = fresh
+        value[live] = _value(last, batch[2])
+        residual[live] = _residual(fresh, batch)
+        steps[live] += 1
+        history.append(value.copy())
+    return np.array(history), steps, residual
 
 
-def _result(parties: np.ndarray, history: np.ndarray, cycles: np.ndarray,
-            converged: bool) -> OptimizationResult:
-    """The best start's |<S>|, its settings and its per-cycle trace."""
+def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
+            steps: np.ndarray, residual: np.ndarray,
+            cfg: OptimizationConfig) -> OptimizationResult:
+    """The best start's |<S>|, its settings, trace and certificate."""
     final = history[-1]
     best = int(np.argmax(np.abs(final)))
     vectors = parties[:, :, best].reshape(6, 3).copy()
     if final[best] < 0.0:
         # Flipping one party's directions flips the sign, so report |<S>|.
         vectors[:2] = -vectors[:2]
+    reported = vectors.reshape(3, 2, 1, 3)
+    hessian = _hessian(t, reported, _gradients(t, reported),
+                       _tangent_bases(reported))
     return OptimizationResult(
         best_value=abs(float(final[best])),
         best_settings=settings_from_vectors(vectors),
         iterations_used=len(history) - 1,
-        converged=converged,
-        trace=tuple(float(v) for v in history[:cycles[best] + 1, best]),
+        converged=bool(residual[best] <= cfg.convergence_tol),
+        trace=tuple(float(v) for v in history[:steps[best] + 1, best]),
+        residual=float(residual[best]),
+        hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1] <= _NSD_TOL),
     )
 
 
 def seesaw_maximize(s: ThreeQubitPureState, init: MeasurementSettings,
                     cfg: OptimizationConfig) -> OptimizationResult:
-    """Alternating ascent of <S> from one initial settings choice."""
+    """Certified ascent of <S> from one initial settings choice."""
     parties = init.vectors().reshape(3, 2, 1, 3)
-    return _result(parties, *_ascend(correlation_tensor(s), parties, cfg))
+    t = correlation_tensor(s)
+    return _result(t, parties, *_ascend(t, parties, cfg), cfg)
 
 
 def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
@@ -157,10 +339,11 @@ def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
 
 def multistart_maximize(s: ThreeQubitPureState,
                         cfg: OptimizationConfig) -> OptimizationResult:
-    """Best of n_starts see-saw ascents from seeded random settings."""
+    """Best of n_starts certified ascents from seeded random settings."""
     rng = np.random.default_rng(cfg.seed)
     parties = _random_directions(rng, (6, cfg.n_starts)).reshape(3, 2, -1, 3)
-    return _result(parties, *_ascend(correlation_tensor(s), parties, cfg))
+    t = correlation_tensor(s)
+    return _result(t, parties, *_ascend(t, parties, cfg), cfg)
 
 
 def _flag_for_gap(gap: float, report_tol: float) -> str:
@@ -217,10 +400,21 @@ def _map_rows(row, points: Sequence[tuple], cfg: OptimizationConfig,
     return list(itertools.starmap(row, tasks))
 
 
+# The most points a sweep axis may take.  Every grid point runs a
+# multistart ascent, and the grid and its rows are held in memory, so
+# larger --theta-steps or --sum-steps values are rejected up front.
+MAX_GRID_STEPS = 10_000
+
+
+def _check_steps(name: str, steps: int) -> None:
+    if not 2 <= steps <= MAX_GRID_STEPS:
+        raise ValidationError(
+            f"{name} must lie in [2, {MAX_GRID_STEPS}], got {steps}")
+
+
 def ghz_grid_points(theta_steps: int,
                     theta3_values: Sequence[float]) -> list:
-    if theta_steps < 2:
-        raise ValidationError("theta_steps must be at least 2")
+    _check_steps("theta_steps", theta_steps)
     return [(float(theta), float(theta3))
             for theta3 in theta3_values
             for theta in np.linspace(0.0, math.pi / 2, theta_steps)]
@@ -295,8 +489,7 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
     A curve whose range is one point (c12 = 1) gives one grid point.
     """
-    if sum_steps < 2:
-        raise ValidationError("sum_steps must be at least 2")
+    _check_steps("sum_steps", sum_steps)
     return [(float(c12), float(sum_c))
             for c12 in c12_values
             for sum_c in np.unique(

@@ -121,6 +121,52 @@ def test_analyze_bell_pair_times_a_qubit_does_not_violate(capsys):
     assert "verdict:           no violation (threshold 4)\n" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--ghz", "pi/4", "pi/2"], "GHZ-class"),
+    (["--w", "0.6", "0.64", "0.48"], "W-class"),
+    # A Bell pair on qubits 1 and 2 times |0>.
+    (["--ghz", "pi/4", "0"], "bi-separable"),
+    (["--ghz", "0", "pi/2"], "product"),
+])
+def test_analyze_classifies_from_the_profile(argv, expected, capsys):
+    assert cli.main(["analyze", *argv]) == 0
+    assert f"classification:    {expected}\n" in capsys.readouterr().out
+
+
+def test_analyze_prints_the_optimality_residual_after_the_maximum(capsys):
+    assert cli.main(["analyze", "--w", "0.6", "0.64", "0.48"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = [k for k, line in enumerate(lines)
+          if line.startswith("smax numeric:")][0]
+    assert lines[at + 1].startswith("optimality residual: ")
+    value, status = lines[at + 1].split(": ")[1].split(" ", 1)
+    assert float(value) <= 1e-9
+    assert status == "(converged)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-ghz", "--theta-steps", str(10 ** 12)],
+    ["sweep-w", "--sum-steps", str(10 ** 12)],
+])
+def test_a_huge_sweep_grid_exits_2_before_any_row_runs(argv, tmp_path,
+                                                       capsys, monkeypatch):
+    built = []
+
+    def no_rows(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a grid of this size must not be built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_rows)
+    monkeypatch.setattr(cli, "_map_rows", no_rows)
+    out_path = tmp_path / "grid.csv"
+    assert cli.main([*argv, "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert f"[2, {optimize.MAX_GRID_STEPS}]" in err
+    assert built == []
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", [["analyze"],
                                      ["simulate", "--shots", "1000"]])
 def test_w_state_with_two_near_vanishing_concurrences(command, capsys):
@@ -329,6 +375,15 @@ def test_sweep_w_csv(tmp_path, capsys):
     # Closed-form values are non-decreasing along the curve.
     closed = [float(r[4]) for r in rows]
     assert all(b >= a - 1e-9 for a, b in zip(closed, closed[1:]))
+
+
+def test_default_sweep_w_matches_the_reduced_form_to_1e_9(tmp_path, capsys):
+    args = cli.build_parser().parse_args(
+        ["sweep-w", "--out", str(tmp_path / "fig2.csv")])
+    rows = cli.cmd_sweep_w(args)
+    capsys.readouterr()
+    assert len(rows) == 63
+    assert max(abs(row.gap) for row in rows) < 1e-9
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):

@@ -25,6 +25,7 @@ def test_config_validation():
         optimize.OptimizationConfig(n_starts=0)
     with pytest.raises(qcore.ValidationError):
         optimize.OptimizationConfig(convergence_tol=0.0)
+    assert optimize.OptimizationConfig().convergence_tol == 1e-9
 
 
 def test_seesaw_trace_monotone():
@@ -119,14 +120,130 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     cfg = optimize.OptimizationConfig(n_starts=6, seed=4)
     parties = optimize._random_directions(
         np.random.default_rng(cfg.seed), (6, cfg.n_starts)).reshape(3, 2, -1, 3)
-    history, _, _ = optimize._ascend(
+    history, steps, residual = optimize._ascend(
         bell.correlation_tensor(state), parties, cfg)
     best = int(np.argmax(np.abs(history[-1])))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if history[-1][best] < 0.0:
         expected[:2] = -expected[:2]
     result = optimize.multistart_maximize(state, cfg)
+    # The directions after the last see-saw cycle or Newton step, exactly.
     assert np.array_equal(result.best_settings.vectors(), expected)
+    assert result.residual == residual[best] <= cfg.convergence_tol
+    assert len(result.trace) == steps[best] + 1
+
+
+def _plain_seesaw(tensors, parties, cycles):
+    """|<S>| of every start after `cycles` plain see-saw cycles.
+
+    An independent reference written with matmul and einsum: `tensors` is
+    (states, 3, 3, 3) and `parties` (3, 2, states, starts, 3).
+    """
+    n_states, n_starts = parties.shape[2:4]
+    for cycle in range(cycles + 1):
+        for k in range(3):
+            p, q = (j for j in range(3) if j != k)
+            t_k = np.moveaxis(tensors, (1 + k, 1 + p, 1 + q), (1, 2, 3))
+            signs = np.moveaxis(bell.SVETLICHNY_SIGNS, (k, p, q), (0, 1, 2))
+            # partial[s, i, j, z, n] = sum_l t_k[s, i, j, l] Q[z, s, n, l]
+            partial = (t_k.reshape(n_states, 9, 3)
+                       @ parties[q].transpose(1, 3, 0, 2).reshape(
+                           n_states, 3, 2 * n_starts))
+            partial = np.einsum(
+                "sijzn,ysnj->yzsni",
+                partial.reshape(n_states, 3, 3, 2, n_starts), parties[p])
+            coeff = np.einsum("xyz,yzsni->xsni", signs, partial)
+            if cycle == cycles:
+                return np.abs(np.einsum("xsni,xsni->sn", coeff, parties[k]))
+            parties[k] = coeff / np.linalg.norm(coeff, axis=-1, keepdims=True)
+
+
+def test_certified_ascent_reaches_a_long_plain_seesaw():
+    rng = np.random.default_rng(47)
+    states = [qcore.haar_random_state(rng) for _ in range(200)]
+    configs = [optimize.OptimizationConfig(n_starts=8, seed=k)
+               for k in range(len(states))]
+    starts = np.stack([
+        optimize._random_directions(np.random.default_rng(cfg.seed),
+                                    (6, cfg.n_starts)).reshape(3, 2, -1, 3)
+        for cfg in configs], axis=2)
+    tensors = np.stack([bell.correlation_tensor(s) for s in states])
+    reference = _plain_seesaw(tensors, starts, 3000).max(axis=1)
+    for state, cfg, plain in zip(states, configs, reference):
+        result = optimize.multistart_maximize(state, cfg)
+        assert result.best_value >= plain - 1e-12
+        assert result.residual <= 1e-9 and result.converged
+        assert result.hessian_nsd
+
+
+def test_hessian_matches_second_differences_on_the_spheres():
+    rng = np.random.default_rng(48)
+    t = bell.correlation_tensor(qcore.haar_random_state(rng))
+    parties = optimize._random_directions(rng, (6, 1)).reshape(3, 2, 1, 3)
+    bases = optimize._tangent_bases(parties)
+    grad = optimize._gradients(t, parties)
+    hessian = optimize._hessian(t, parties, grad, bases)[0]
+
+    def value(eta):
+        # <S> at the normalized point v + E eta: a second-order retraction,
+        # so its Hessian at eta = 0 is the Riemannian Hessian.
+        step = np.einsum("pxnai,pxa->pxni", bases, eta.reshape(3, 2, 2))
+        moved = parties + step
+        moved = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+        return float(optimize._value(
+            bell._party_coefficients(t, moved, 2), moved[2])[0])
+
+    h = 1e-4
+    unit = np.eye(12) * h
+    numeric = np.array([[
+        (value(unit[a] + unit[b]) - value(unit[a] - unit[b])
+         - value(unit[b] - unit[a]) + value(-unit[a] - unit[b])) / (4 * h * h)
+        for b in range(12)] for a in range(12)])
+    assert np.allclose(hessian, hessian.T, atol=1e-15)
+    assert np.max(np.abs(hessian - numeric)) < 1e-6
+    gradient = np.array([(value(unit[a]) - value(-unit[a])) / (2 * h)
+                         for a in range(12)])
+    tangent = np.einsum("pxnai,pxni->pxa", bases, grad).reshape(12)
+    assert np.max(np.abs(tangent - gradient)) < 1e-7
+    assert optimize._residual(grad, parties)[0] == pytest.approx(
+        np.linalg.norm(tangent), rel=1e-12)
+
+
+def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
+        monkeypatch):
+    state = qcore.haar_random_state(np.random.default_rng(51))
+    init = random_settings(np.random.default_rng(52))
+    cfg = optimize.OptimizationConfig(max_iterations=40)
+    monkeypatch.setattr(optimize, "_HANDOVER", cfg.max_iterations)
+    cycles_only = optimize.seesaw_maximize(state, init, cfg)
+
+    def downhill(t, parties, grad):
+        # After one cycle <S> >= 0, so flipping a party's pair lowers it.
+        moved = parties.copy()
+        moved[0] = -moved[0]
+        return moved, optimize._value(
+            bell._party_coefficients(t, moved, 2), moved[2])
+
+    monkeypatch.setattr(optimize, "_HANDOVER", 1)
+    monkeypatch.setattr(optimize, "_newton_step", downhill)
+    guarded = optimize.seesaw_maximize(state, init, cfg)
+    assert guarded.trace == cycles_only.trace
+    assert np.array_equal(guarded.best_settings.vectors(),
+                          cycles_only.best_settings.vectors())
+
+
+def test_a_random_start_is_not_certified():
+    state = qcore.haar_random_state(np.random.default_rng(49))
+    init = random_settings(np.random.default_rng(50))
+    cfg = optimize.OptimizationConfig(max_iterations=0)
+    result = optimize.seesaw_maximize(state, init, cfg)
+    assert result.residual > 1e-3
+    assert not result.converged
+    assert not result.hessian_nsd
+    polished = optimize.seesaw_maximize(
+        state, init, optimize.OptimizationConfig())
+    assert polished.converged and polished.hessian_nsd
+    assert polished.residual <= 1e-9
 
 
 def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative():
