@@ -19,7 +19,6 @@ from .qcore import (
     ghz_state,
     haar_random_state,
     herm_eig,
-    herm_eigenvalues,
     make_state,
     partial_trace,
     reduced_single,
@@ -33,17 +32,14 @@ from .entanglement import (
     concurrence_two_qubit,
     entanglement_profile,
     ghz_profile_closed,
-    three_tangle,
     w_profile_closed,
 )
 from .bell import (
     ALGEBRAIC_CEILING,
-    GhzClosedTerms,
     MeasurementSettings,
     SmaxReport,
     bell_operators,
     correlation_tensor,
-    ghz_closed_terms,
     ghz_correlator_closed,
     optimal_settings_ghz,
     optimal_settings_w_symmetric,

@@ -71,14 +71,6 @@ def settings_from_vectors(vectors) -> MeasurementSettings:
 
 
 @dataclass(frozen=True)
-class GhzClosedTerms:
-    """P = 1 - 2 sin^2(theta) sin^2(theta3) and Q = sin^2(theta) sin(2 theta3)."""
-
-    P: float
-    Q: float
-
-
-@dataclass(frozen=True)
 class SmaxReport:
     """Closed-form maximum with the settings that achieve it.
 
@@ -164,23 +156,23 @@ def svetlichny_value_direct(s: ThreeQubitPureState, ms: MeasurementSettings) -> 
     return abs(expectation(s, op))
 
 
-def ghz_closed_terms(p: GhzClassParams) -> GhzClosedTerms:
+def _ghz_closed_terms(p: GhzClassParams) -> Tuple[float, float]:
+    """(P, Q) with P = 1 - 2 sin^2(theta) sin^2(theta3) and
+    Q = sin^2(theta) sin(2 theta3)."""
     sin_sq = math.sin(p.theta) ** 2
-    return GhzClosedTerms(
-        P=1.0 - 2.0 * sin_sq * math.sin(p.theta3) ** 2,
-        Q=sin_sq * math.sin(2.0 * p.theta3),
-    )
+    return (1.0 - 2.0 * sin_sq * math.sin(p.theta3) ** 2,
+            sin_sq * math.sin(2.0 * p.theta3))
 
 
 def ghz_correlator_closed(p: GhzClassParams, a: UnitVector, d: UnitVector,
                           c: UnitVector) -> float:
     """Closed-form <A D C> for the GHZ-class family."""
-    terms = ghz_closed_terms(p)
+    P, Q = _ghz_closed_terms(p)
     ta, pa = a.polar, a.azimuth
     td, pd = d.polar, d.azimuth
     tc, pc = c.polar, c.azimuth
     first = math.cos(ta) * math.cos(td) * (
-        terms.P * math.cos(tc) + terms.Q * math.cos(pc) * math.sin(tc))
+        P * math.cos(tc) + Q * math.cos(pc) * math.sin(tc))
     second = math.sin(2.0 * p.theta) * math.sin(ta) * math.sin(td) * (
         math.cos(p.theta3) * math.cos(pa + pd) * math.cos(tc)
         + math.sin(p.theta3) * math.cos(pa + pd + pc) * math.sin(tc))
@@ -206,8 +198,8 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
     tau = math.sin(2.0 * p.theta) ** 2 * math.sin(p.theta3) ** 2
     c12_sq = math.sin(2.0 * p.theta) ** 2 * math.cos(p.theta3) ** 2
     if 3.0 * tau + c12_sq <= 1.0:
-        terms = ghz_closed_terms(p)
-        theta_c = math.atan2(terms.Q, terms.P)
+        P, Q = _ghz_closed_terms(p)
+        theta_c = math.atan2(Q, P)
         c = UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
         minus_z = UnitVector.from_angles(math.pi, 0.0)
         return MeasurementSettings(a=Z_HAT, a_prime=Z_HAT, b=Z_HAT,

@@ -28,7 +28,6 @@ from .qcore import (
     expectation,
     ghz_state,
     haar_random_state,
-    herm_eigenvalues,
     make_state,
     spin_observable,
     tensor3,
@@ -57,13 +56,10 @@ from .bell import (
 from .optimize import (
     MAX_GRID_STEPS,
     OptimizationConfig,
-    _map_rows,
     _random_directions,
-    ghz_grid_points,
-    ghz_verification_row,
     multistart_maximize,
-    w_grid_points,
-    w_verification_row,
+    verify_grid_ghz,
+    verify_grid_w,
 )
 from .montecarlo import estimate_svetlichny
 
@@ -164,12 +160,18 @@ def parse_state_spec(text: str) -> StateSpec:
     missing = [key for key in _STATE_KEYS[family] if key not in entries]
     if missing:
         raise ValidationError(f"{family} state file missing {missing[0]}")
+    return _family_spec(family, [entries[key] for key in _STATE_KEYS[family]])
+
+
+def _family_spec(family: str, values: Sequence[str]) -> StateSpec:
+    """A GHZ spec from theta and theta3 angle literals, or a W spec from
+    alpha, beta and gamma number literals."""
     if family == "ghz":
         return StateSpec("ghz", ghz=GhzClassParams(
-            theta=parse_angle(entries["theta"]),
-            theta3=parse_angle(entries["theta3"])))
+            *(parse_angle(value) for value in values)))
     return StateSpec("w", w=WClassParams(
-        *(_parse_number(entries[key], key) for key in _STATE_KEYS["w"])))
+        *(_parse_number(value, key)
+          for key, value in zip(_STATE_KEYS["w"], values))))
 
 
 def parse_settings_file(text: str) -> MeasurementSettings:
@@ -204,11 +206,9 @@ def _spec_from_args(args) -> StateSpec:
     if args.state:
         return parse_state_spec(_read_input(args.state, "state"))
     if args.ghz:
-        return StateSpec("ghz", ghz=GhzClassParams(
-            parse_angle(args.ghz[0]), parse_angle(args.ghz[1])))
+        return _family_spec("ghz", args.ghz)
     if args.w:
-        return StateSpec("w", w=WClassParams(
-            *(_parse_number(v, "amplitude") for v in args.w)))
+        return _family_spec("w", args.w)
     raise ValidationError("provide one of --state, --ghz or --w")
 
 
@@ -298,9 +298,9 @@ def _write_sweep(path: str, header: Sequence[str],
 
 def cmd_sweep_ghz(args) -> List:
     theta3_values = [parse_angle(v) for v in args.theta3.split(",")]
-    points = ghz_grid_points(args.theta_steps, theta3_values)
-    rows = _map_rows(ghz_verification_row, points,
-                     OptimizationConfig(seed=args.seed), args.tol, args.jobs)
+    rows = verify_grid_ghz(args.theta_steps, theta3_values,
+                           OptimizationConfig(seed=args.seed), args.tol,
+                           args.jobs)
     out_rows = []
     for row in rows:
         theta, theta3 = row.params
@@ -316,9 +316,9 @@ def cmd_sweep_ghz(args) -> List:
 
 def cmd_sweep_w(args) -> List:
     c12_values = [float(eval_fraction(v)) for v in args.c12.split(",")]
-    points = w_grid_points(c12_values, args.sum_steps)
-    rows = _map_rows(w_verification_row, points,
-                     OptimizationConfig(seed=args.seed), args.tol, args.jobs)
+    rows = verify_grid_w(c12_values, args.sum_steps,
+                         OptimizationConfig(seed=args.seed), args.tol,
+                         args.jobs)
     out_rows = []
     for row in rows:
         c12, c23, c31 = row.params
@@ -443,8 +443,8 @@ def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
     passed = True
     for k in range(n):
         s_op, m_op, _ = bell_operators(_random_settings(rng))
-        s_top = float(np.max(np.abs(herm_eigenvalues(s_op))))
-        m_top = float(np.max(np.abs(herm_eigenvalues(m_op))))
+        s_top = float(np.max(np.abs(np.linalg.eigvalsh(s_op))))
+        m_top = float(np.max(np.abs(np.linalg.eigvalsh(m_op))))
         worst = float(np.maximum(worst, s_top))
         # Written as "not within" so that a NaN spectrum fails.
         if not (s_top <= ALGEBRAIC_CEILING + 1e-9 and m_top <= 4.0 + 1e-9):
@@ -522,6 +522,13 @@ def cmd_simulate(args) -> dict:
     return {"estimate": estimate, "exact": exact, "z_score": z_score}
 
 
+def _add_state_flags(parser: argparse.ArgumentParser):
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--state", help="state spec file")
+    group.add_argument("--ghz", nargs=2, metavar=("THETA", "THETA3"))
+    group.add_argument("--w", nargs=3, metavar=("ALPHA", "BETA", "GAMMA"))
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool):
     # The same flags live on the main parser (with real defaults) and on
     # every subparser (defaulting to SUPPRESS), so they are accepted on
@@ -547,10 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="entanglement and S_max report")
-    group = analyze.add_mutually_exclusive_group(required=True)
-    group.add_argument("--state", help="state spec file")
-    group.add_argument("--ghz", nargs=2, metavar=("THETA", "THETA3"))
-    group.add_argument("--w", nargs=3, metavar=("ALPHA", "BETA", "GAMMA"))
+    _add_state_flags(analyze)
     _add_common_flags(analyze, suppress=True)
 
     sweep_ghz = sub.add_parser("sweep-ghz", help="Fig.-1 style GHZ sweep CSV")
@@ -575,10 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(verify, suppress=True)
 
     simulate = sub.add_parser("simulate", help="finite-shot Born sampling")
-    group = simulate.add_mutually_exclusive_group(required=True)
-    group.add_argument("--state", help="state spec file")
-    group.add_argument("--ghz", nargs=2, metavar=("THETA", "THETA3"))
-    group.add_argument("--w", nargs=3, metavar=("ALPHA", "BETA", "GAMMA"))
+    _add_state_flags(simulate)
     simulate.add_argument("--settings", default="optimal",
                           help="'optimal' or a settings file path")
     simulate.add_argument("--shots", type=int, default=1_000_000,

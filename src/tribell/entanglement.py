@@ -24,7 +24,6 @@ from .qcore import (
     ValidationError,
     WClassParams,
     herm_eig,
-    herm_eigenvalues,
     partial_trace,
     reduced_single,
 )
@@ -89,8 +88,8 @@ def concurrence_two_qubit(rho) -> float:
     factor = vecs * np.sqrt(np.maximum(vals, 0.0))
     m = factor.T @ _SPIN_FLIP @ factor
     zero = np.zeros((4, 4), dtype=complex)
-    lams = herm_eigenvalues(np.block([[zero, m], [m.conj().T, zero]]),
-                            tol=1e-10)[:4]
+    lams = herm_eig(np.block([[zero, m], [m.conj().T, zero]]),
+                    tol=1e-10)[0][:4]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
@@ -102,11 +101,6 @@ def concurrence_bipartition(s: ThreeQubitPureState, solo: int) -> float:
     rho = reduced_single(s, solo)
     purity = float(np.trace(rho @ rho).real)
     return math.sqrt(_clamp_nonneg(2.0 * (1.0 - purity), "bipartition concurrence^2"))
-
-
-def three_tangle(s: ThreeQubitPureState) -> float:
-    """Three-tangle C_{1(23)}^2 - C12^2 - C13^2, clamped at 0 within roundoff."""
-    return entanglement_profile(s).tau
 
 
 def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:

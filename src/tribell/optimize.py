@@ -12,8 +12,8 @@ have closed forms: the coefficient vectors, and the correlation tensor
 contracted with the third party's directions.  The safeguard: a Newton
 step that would lower <S> is replaced by a see-saw cycle, so the ascent
 stays monotone.  A start stops when its residual, the norm of the
-Riemannian gradient, is within the tolerance; a seeded multistart makes
-the search global in practice.
+Riemannian gradient, is within CONVERGENCE_TOL, or after _MAX_STEPS
+steps; a seeded multistart makes the search global in practice.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ from .bell import (
 )
 from .entanglement import ghz_profile_closed, w_profile_closed
 
+# A start is certified, and stops, once its residual is within this.
+CONVERGENCE_TOL = 1e-9
+# The most steps a start runs, see-saw cycles and Newton steps together.
+_MAX_STEPS = 500
 # See-saw cycles each start runs before it may take Newton steps.
 _HANDOVER = 10
 # Hessian eigenvalues of smaller magnitude mark flat directions, along
@@ -63,23 +67,18 @@ _NSD_TOL = 1e-7
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Multistart ascent settings.
+    """Multistart ascent settings: the number of seeded starts and the seed.
 
-    `max_iterations` caps the steps of each start, see-saw cycles and
-    Newton steps together.  `convergence_tol` is a residual tolerance: a
-    start stops once the norm of its Riemannian gradient is within it.
+    The stopping rule is fixed: a start stops once its residual is within
+    CONVERGENCE_TOL, or after _MAX_STEPS steps.
     """
 
     n_starts: int = 50
-    max_iterations: int = 500
-    convergence_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValidationError("n_starts must be at least 1")
-        if self.convergence_tol <= 0:
-            raise ValidationError("convergence_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class OptimizationResult:
     way to a see-saw cycle.  `trace` is the best start's signed <S> before
     its first step and after each step it ran; it never decreases beyond
     roundoff.  The certificate: `residual` is the best start's Riemannian
-    gradient norm, `converged` says it is within `convergence_tol`, and
+    gradient norm, `converged` says it is within CONVERGENCE_TOL, and
     `hessian_nsd` says the projected Hessian at the reported settings is
     negative semidefinite, as at a local maximum.
     """
@@ -244,13 +243,13 @@ def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
     return coeff
 
 
-def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
+def _ascend(t: np.ndarray, parties: np.ndarray):
     """Run the ascent in place on a (3, 2, n, 3) batch of starts.
 
     Each step of a start is a see-saw cycle for the first _HANDOVER steps
     and a Newton step after that, replaced by a see-saw cycle whenever it
     would lower <S>.  A start is frozen once its residual is within
-    cfg.convergence_tol.  Every sum runs in a fixed order, so batched and
+    CONVERGENCE_TOL.  Every sum runs in a fixed order, so batched and
     one-at-a-time execution follow the same paths.  Returns (history,
     steps, residual): history[c] holds <S> of every start after c steps,
     steps[i] is the number of steps start i ran, and residual[i] its final
@@ -261,8 +260,8 @@ def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
     residual = _residual(grad, parties)
     steps = np.zeros(parties.shape[2], dtype=int)
     history = [value.copy()]
-    for step in range(cfg.max_iterations):
-        live = np.flatnonzero(residual > cfg.convergence_tol)
+    for step in range(_MAX_STEPS):
+        live = np.flatnonzero(residual > CONVERGENCE_TOL)
         if live.size == 0:
             break
         batch = parties[:, :, live]
@@ -290,8 +289,7 @@ def _ascend(t: np.ndarray, parties: np.ndarray, cfg: OptimizationConfig):
 
 
 def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
-            steps: np.ndarray, residual: np.ndarray,
-            cfg: OptimizationConfig) -> OptimizationResult:
+            steps: np.ndarray, residual: np.ndarray) -> OptimizationResult:
     """The best start's |<S>|, its settings, trace and certificate."""
     final = history[-1]
     best = int(np.argmax(np.abs(final)))
@@ -306,19 +304,19 @@ def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
         best_value=abs(float(final[best])),
         best_settings=settings_from_vectors(vectors),
         iterations_used=len(history) - 1,
-        converged=bool(residual[best] <= cfg.convergence_tol),
+        converged=bool(residual[best] <= CONVERGENCE_TOL),
         trace=tuple(float(v) for v in history[:steps[best] + 1, best]),
         residual=float(residual[best]),
         hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1] <= _NSD_TOL),
     )
 
 
-def seesaw_maximize(s: ThreeQubitPureState, init: MeasurementSettings,
-                    cfg: OptimizationConfig) -> OptimizationResult:
+def seesaw_maximize(s: ThreeQubitPureState,
+                    init: MeasurementSettings) -> OptimizationResult:
     """Certified ascent of <S> from one initial settings choice."""
     parties = init.vectors().reshape(3, 2, 1, 3)
     t = correlation_tensor(s)
-    return _result(t, parties, *_ascend(t, parties, cfg), cfg)
+    return _result(t, parties, *_ascend(t, parties))
 
 
 def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
@@ -343,7 +341,7 @@ def multistart_maximize(s: ThreeQubitPureState,
     rng = np.random.default_rng(cfg.seed)
     parties = _random_directions(rng, (6, cfg.n_starts)).reshape(3, 2, -1, 3)
     t = correlation_tensor(s)
-    return _result(t, parties, *_ascend(t, parties, cfg), cfg)
+    return _result(t, parties, *_ascend(t, parties))
 
 
 def _flag_for_gap(gap: float, report_tol: float) -> str:
@@ -400,21 +398,26 @@ def _map_rows(row, points: Sequence[tuple], cfg: OptimizationConfig,
     return list(itertools.starmap(row, tasks))
 
 
-# The most points a sweep axis may take.  Every grid point runs a
-# multistart ascent, and the grid and its rows are held in memory, so
-# larger --theta-steps or --sum-steps values are rejected up front.
+# The most points a sweep curve may take, and the most a whole grid may
+# take (ten full curves).  Every grid point runs a multistart ascent, and
+# the grid and its rows are held in memory, so a larger grid is rejected
+# before any point is built.
 MAX_GRID_STEPS = 10_000
+MAX_GRID_POINTS = 100_000
 
 
-def _check_steps(name: str, steps: int) -> None:
+def _check_grid(name: str, steps: int, curves: int) -> None:
     if not 2 <= steps <= MAX_GRID_STEPS:
         raise ValidationError(
             f"{name} must lie in [2, {MAX_GRID_STEPS}], got {steps}")
+    if curves * steps > MAX_GRID_POINTS:
+        raise ValidationError(f"{curves} curves of {steps} points exceed "
+                              f"the {MAX_GRID_POINTS}-point grid bound")
 
 
 def ghz_grid_points(theta_steps: int,
                     theta3_values: Sequence[float]) -> list:
-    _check_steps("theta_steps", theta_steps)
+    _check_grid("theta_steps", theta_steps, len(theta3_values))
     return [(float(theta), float(theta3))
             for theta3 in theta3_values
             for theta in np.linspace(0.0, math.pi / 2, theta_steps)]
@@ -422,11 +425,11 @@ def ghz_grid_points(theta_steps: int,
 
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
                     cfg: Optional[OptimizationConfig] = None,
-                    report_tol: float = 1e-3) -> list:
+                    report_tol: float = 1e-3, jobs: int = 1) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
     return _map_rows(ghz_verification_row,
                      ghz_grid_points(theta_steps, theta3_values),
-                     cfg or OptimizationConfig(), report_tol)
+                     cfg or OptimizationConfig(), report_tol, jobs)
 
 
 def w_sum_max(c12: float) -> float:
@@ -489,7 +492,7 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
     A curve whose range is one point (c12 = 1) gives one grid point.
     """
-    _check_steps("sum_steps", sum_steps)
+    _check_grid("sum_steps", sum_steps, len(c12_values))
     return [(float(c12), float(sum_c))
             for c12 in c12_values
             for sum_c in np.unique(
@@ -498,7 +501,7 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
                   cfg: Optional[OptimizationConfig] = None,
-                  report_tol: float = 1e-3) -> list:
+                  report_tol: float = 1e-3, jobs: int = 1) -> list:
     """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
     return _map_rows(w_verification_row, w_grid_points(c12_values, sum_steps),
-                     cfg or OptimizationConfig(), report_tol)
+                     cfg or OptimizationConfig(), report_tol, jobs)

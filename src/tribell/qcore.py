@@ -254,9 +254,3 @@ def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
     _check_hermitian(m, tol)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], vecs[:, ::-1]
-
-
-def herm_eigenvalues(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix up to 8x8, descending."""
-    vals, _ = herm_eig(m, tol)
-    return vals

@@ -197,7 +197,7 @@ def test_criterion_09_ceiling(capsys):
         vectors /= np.linalg.norm(vectors, axis=1)[:, None]
         s_op = bell.bell_operators(bell.settings_from_vectors(vectors))[0]
         worst_spec = max(worst_spec,
-                         float(np.max(np.abs(qcore.herm_eigenvalues(s_op)))))
+                         float(np.max(np.abs(np.linalg.eigvalsh(s_op)))))
     cfg = optimize.OptimizationConfig(n_starts=10, seed=9)
     worst_opt = max(
         optimize.multistart_maximize(qcore.haar_random_state(rng),

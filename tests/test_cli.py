@@ -43,6 +43,25 @@ def test_parse_state_spec_w():
     assert spec.w.alpha == pytest.approx(R3)
 
 
+@pytest.mark.parametrize("flags, fields", [
+    (["--ghz", "1.2", "pi/8"], "family: ghz\ntheta: 1.2\ntheta3: pi/8\n"),
+    (["--w", "0.6", "0.64", "0.48"],
+     "family: w\nalpha: 0.6\nbeta: 0.64\ngamma: 0.48\n"),
+])
+def test_state_flags_and_state_files_build_the_same_spec(flags, fields):
+    args = cli.build_parser().parse_args(["analyze", *flags])
+    assert cli._spec_from_args(args) == cli.parse_state_spec(fields)
+
+
+def test_w_errors_name_the_field_from_flags_and_files(tmp_path, capsys):
+    path = tmp_path / "state.txt"
+    path.write_text("family: w\nalpha: 0.6\nbeta: x\ngamma: 0.48\n")
+    for argv in (["--w", "0.6", "x", "0.48"], ["--state", str(path)]):
+        assert cli.main(["analyze", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "input error: cannot parse beta literal 'x'\n")
+
+
 def test_parse_state_spec_raw():
     text = "family: raw\namp0: [0.6, 0]\namp7: [0, 0.8]\n"
     spec = cli.parse_state_spec(text)
@@ -150,6 +169,26 @@ def test_analyze_prints_the_optimality_residual_after_the_maximum(capsys):
 ])
 def test_a_huge_sweep_grid_exits_2_before_any_row_runs(argv, tmp_path,
                                                        capsys, monkeypatch):
+    _assert_rejected_before_any_point(
+        argv, f"[2, {optimize.MAX_GRID_STEPS}]", tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-ghz", "--theta-steps", "10000", "--theta3",
+     ",".join(["0.1"] * 11)],
+    ["sweep-w", "--sum-steps", "10000", "--c12", ",".join(["0.5"] * 11)],
+    ["sweep-ghz", "--theta-steps", "2", "--theta3",
+     ",".join(["0.1"] * 50_001)],
+])
+def test_a_sweep_with_too_many_curves_exits_2_before_any_point_is_built(
+        argv, tmp_path, capsys, monkeypatch):
+    _assert_rejected_before_any_point(
+        argv, f"{optimize.MAX_GRID_POINTS}-point grid bound", tmp_path,
+        capsys, monkeypatch)
+
+
+def _assert_rejected_before_any_point(argv, message, tmp_path, capsys,
+                                      monkeypatch):
     built = []
 
     def no_rows(*args, **kwargs):
@@ -157,12 +196,12 @@ def test_a_huge_sweep_grid_exits_2_before_any_row_runs(argv, tmp_path,
         raise AssertionError("a grid of this size must not be built")
 
     monkeypatch.setattr(cli.np, "linspace", no_rows)
-    monkeypatch.setattr(cli, "_map_rows", no_rows)
+    monkeypatch.setattr(optimize, "_map_rows", no_rows)
     out_path = tmp_path / "grid.csv"
     assert cli.main([*argv, "--out", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
-    assert f"[2, {optimize.MAX_GRID_STEPS}]" in err
+    assert message in err
     assert built == []
     assert not out_path.exists()
 
@@ -487,7 +526,7 @@ def test_nan_fails_the_continuity_and_ceiling_suites(monkeypatch):
         sqrt=lambda x: math.nan))
     continuity = cli._suite_branch_continuity(5)
     assert not continuity.passed and math.isnan(continuity.worst)
-    monkeypatch.setattr(cli, "herm_eigenvalues",
+    monkeypatch.setattr(cli.np.linalg, "eigvalsh",
                         lambda m: np.full(8, math.nan))
     ceiling = cli._suite_ceiling(np.random.default_rng(0), 3)
     assert not ceiling.passed and math.isnan(ceiling.worst)

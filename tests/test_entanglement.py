@@ -127,19 +127,21 @@ def test_bipartition_rejects_bad_label():
 
 
 def test_three_tangle_ghz():
-    assert entanglement.three_tangle(ghz()) == pytest.approx(1.0, abs=1e-10)
+    assert entanglement.entanglement_profile(ghz()).tau == pytest.approx(
+        1.0, abs=1e-10)
 
 
 def test_three_tangle_w_class_vanishes():
     rng = np.random.default_rng(6)
     for _ in range(50):
         s = qcore.w_state(random_w_params(rng))
-        assert entanglement.three_tangle(s) <= 1e-9
+        assert entanglement.entanglement_profile(s).tau <= 1e-9
 
 
 def test_three_tangle_product():
     s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
-    assert entanglement.three_tangle(s) == pytest.approx(0.0, abs=1e-12)
+    assert entanglement.entanglement_profile(s).tau == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_profile_ghz():
@@ -242,7 +244,7 @@ def test_tau_permutation_invariance():
                 p.c2_13 ** 2 - p.c12 ** 2 - p.c23 ** 2,
                 p.c3_12 ** 2 - p.c31 ** 2 - p.c23 ** 2]
         assert max(taus) - min(taus) < 1e-8
-        assert entanglement.three_tangle(s) == max(0.0, taus[0])
+        assert p.tau == max(0.0, taus[0])
 
 
 @pytest.mark.xfail(strict=True, reason=(

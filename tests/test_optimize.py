@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -23,29 +24,28 @@ def random_settings(rng):
 def test_config_validation():
     with pytest.raises(qcore.ValidationError):
         optimize.OptimizationConfig(n_starts=0)
-    with pytest.raises(qcore.ValidationError):
-        optimize.OptimizationConfig(convergence_tol=0.0)
-    assert optimize.OptimizationConfig().convergence_tol == 1e-9
+    assert [field.name for field in dataclasses.fields(
+        optimize.OptimizationConfig)] == ["n_starts", "seed"]
+    assert optimize.CONVERGENCE_TOL == 1e-9
 
 
 def test_seesaw_trace_monotone():
     rng = np.random.default_rng(40)
-    cfg = optimize.OptimizationConfig()
     for _ in range(25):
         s = qcore.haar_random_state(rng)
-        result = optimize.seesaw_maximize(s, random_settings(rng), cfg)
+        result = optimize.seesaw_maximize(s, random_settings(rng))
         # The raw ascent is monotone; flat ridges may exhaust the iteration
         # budget without formally converging, which is not a failure.
         assert np.min(np.diff(result.trace)) >= -1e-13
-        assert result.converged or result.iterations_used == cfg.max_iterations
+        assert (result.converged
+                or result.iterations_used == optimize._MAX_STEPS)
 
 
 def test_seesaw_ghz_reaches_ceiling():
     rng = np.random.default_rng(41)
-    cfg = optimize.OptimizationConfig()
     best = 0.0
     for _ in range(10):
-        result = optimize.seesaw_maximize(ghz(), random_settings(rng), cfg)
+        result = optimize.seesaw_maximize(ghz(), random_settings(rng))
         best = max(best, result.best_value)
     assert best == pytest.approx(4.0 * R2, abs=1e-6)
 
@@ -104,7 +104,7 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
     starts = np.stack([ms.vectors() for ms in inits], axis=1)
     monkeypatch.setattr(optimize, "_random_directions",
                         lambda rng, shape: starts.copy())
-    runs = [optimize.seesaw_maximize(state, ms, cfg) for ms in inits]
+    runs = [optimize.seesaw_maximize(state, ms) for ms in inits]
     single = max(runs, key=lambda r: r.best_value)
     batched = optimize.multistart_maximize(state, cfg)
     assert batched.best_value == pytest.approx(single.best_value, abs=1e-12)
@@ -121,7 +121,7 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     parties = optimize._random_directions(
         np.random.default_rng(cfg.seed), (6, cfg.n_starts)).reshape(3, 2, -1, 3)
     history, steps, residual = optimize._ascend(
-        bell.correlation_tensor(state), parties, cfg)
+        bell.correlation_tensor(state), parties)
     best = int(np.argmax(np.abs(history[-1])))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if history[-1][best] < 0.0:
@@ -129,7 +129,7 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     result = optimize.multistart_maximize(state, cfg)
     # The directions after the last see-saw cycle or Newton step, exactly.
     assert np.array_equal(result.best_settings.vectors(), expected)
-    assert result.residual == residual[best] <= cfg.convergence_tol
+    assert result.residual == residual[best] <= optimize.CONVERGENCE_TOL
     assert len(result.trace) == steps[best] + 1
 
 
@@ -213,9 +213,9 @@ def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
         monkeypatch):
     state = qcore.haar_random_state(np.random.default_rng(51))
     init = random_settings(np.random.default_rng(52))
-    cfg = optimize.OptimizationConfig(max_iterations=40)
-    monkeypatch.setattr(optimize, "_HANDOVER", cfg.max_iterations)
-    cycles_only = optimize.seesaw_maximize(state, init, cfg)
+    monkeypatch.setattr(optimize, "_MAX_STEPS", 40)
+    monkeypatch.setattr(optimize, "_HANDOVER", 40)
+    cycles_only = optimize.seesaw_maximize(state, init)
 
     def downhill(t, parties, grad):
         # After one cycle <S> >= 0, so flipping a party's pair lowers it.
@@ -226,33 +226,34 @@ def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
 
     monkeypatch.setattr(optimize, "_HANDOVER", 1)
     monkeypatch.setattr(optimize, "_newton_step", downhill)
-    guarded = optimize.seesaw_maximize(state, init, cfg)
+    guarded = optimize.seesaw_maximize(state, init)
     assert guarded.trace == cycles_only.trace
     assert np.array_equal(guarded.best_settings.vectors(),
                           cycles_only.best_settings.vectors())
 
 
-def test_a_random_start_is_not_certified():
+def test_a_random_start_is_not_certified(monkeypatch):
     state = qcore.haar_random_state(np.random.default_rng(49))
     init = random_settings(np.random.default_rng(50))
-    cfg = optimize.OptimizationConfig(max_iterations=0)
-    result = optimize.seesaw_maximize(state, init, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_MAX_STEPS", 0)
+        result = optimize.seesaw_maximize(state, init)
     assert result.residual > 1e-3
     assert not result.converged
     assert not result.hessian_nsd
-    polished = optimize.seesaw_maximize(
-        state, init, optimize.OptimizationConfig())
+    polished = optimize.seesaw_maximize(state, init)
     assert polished.converged and polished.hessian_nsd
     assert polished.residual <= 1e-9
 
 
-def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative():
+def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
+        monkeypatch):
     state = ghz(0.6, 1.1)
-    cfg = optimize.OptimizationConfig(max_iterations=0)
+    monkeypatch.setattr(optimize, "_MAX_STEPS", 0)
     signs = set()
     for seed in range(20):
         init = random_settings(np.random.default_rng(seed))
-        result = optimize.seesaw_maximize(state, init, cfg)
+        result = optimize.seesaw_maximize(state, init)
         expected = init.vectors()
         if result.trace[0] < 0.0:
             expected[:2] = -expected[:2]
@@ -268,11 +269,12 @@ def _random_local_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_multistart_local_unitary_invariance():
+def test_multistart_local_unitary_invariance(monkeypatch):
     rng = np.random.default_rng(44)
     # A deep iteration budget so flat-ridge landscapes settle to the same
     # maximum from both presentations of the state.
-    cfg = optimize.OptimizationConfig(seed=5, max_iterations=3000)
+    monkeypatch.setattr(optimize, "_MAX_STEPS", 3000)
+    cfg = optimize.OptimizationConfig(seed=5)
     # Drawing six cases but checking three keeps the flat-ridge landscape
     # at index 5 (the hardest of this stream) in the sample cheaply.
     for index in range(6):
@@ -292,6 +294,18 @@ def test_ghz_grid_points_shape():
     assert points[0] == (0.0, 0.3)
     with pytest.raises(qcore.ValidationError):
         optimize.ghz_grid_points(1, [0.3])
+
+
+def test_a_grid_at_the_point_bound_is_built(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(optimize, "_map_rows",
+                        lambda row, points, *rest: sizes.append(len(points)))
+    curves = optimize.MAX_GRID_POINTS // optimize.MAX_GRID_STEPS
+    optimize.verify_grid_ghz(optimize.MAX_GRID_STEPS, [0.3] * curves)
+    optimize.verify_grid_w([0.5] * curves, optimize.MAX_GRID_STEPS)
+    assert sizes == [optimize.MAX_GRID_POINTS] * 2
+    with pytest.raises(qcore.ValidationError):
+        optimize.ghz_grid_points(optimize.MAX_GRID_STEPS, [0.3] * (curves + 1))
 
 
 def test_verify_grid_ghz_small():

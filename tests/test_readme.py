@@ -3,8 +3,11 @@
 The `python` block is executed, and every `tribell analyze` and
 `tribell simulate` line goes through `cli.main`.  The sweep and `verify`
 lines are left out: the acceptance criteria and the battery tests run them.
+Every constant the README quotes as `module.NAME` = value must equal the
+module attribute, so moving or retuning one cannot leave the text stale.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -20,6 +23,8 @@ COMMANDS = [shlex.split(line, comments=True)
             for lang, body in BLOCKS if not lang
             for line in body.splitlines()
             if re.match(r"tribell (analyze|simulate) ", line)]
+CONSTANTS = re.findall(
+    r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d[\d.]*(?:e[-+]?\d+)?)\b", README)
 
 
 def test_readme_has_the_examples():
@@ -37,3 +42,17 @@ def test_readme_python_block_runs(capsys):
 def test_readme_cli_line_exits_zero(argv, capsys):
     assert cli.main(argv[1:]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quotes_the_tuned_constants():
+    assert {name for _, name, _ in CONSTANTS} >= {
+        "VIOLATION_MARGIN", "SEPARABLE_CONCURRENCE_TOL",
+        "GHZ_CLASS_TAU_THRESHOLD", "MAX_GRID_STEPS", "MAX_GRID_POINTS",
+        "CONVERGENCE_TOL"}
+
+
+@pytest.mark.parametrize("module, name, value", CONSTANTS,
+                         ids=[f"{m}.{n}" for m, n, _ in CONSTANTS])
+def test_readme_constant_matches_the_code(module, name, value):
+    actual = getattr(importlib.import_module(f"tribell.{module}"), name)
+    assert actual == float(value)
