@@ -1,9 +1,10 @@
 """Genuine tripartite nonlocality of three-qubit pure states.
 
 Quantifies entanglement (concurrence, three-tangle, monogamy residual),
-builds and maximizes the Svetlichny and Mermin operators, verifies the
-closed-form maxima of the GHZ-class and W-class families, and simulates
-finite-shot Born-rule experiments.
+maximizes the Svetlichny value <S> over the measurement directions,
+builds the Svetlichny operator and its Mermin halves as an 8x8 oracle,
+verifies the closed-form maxima of the GHZ-class and W-class families,
+and simulates finite-shot Born-rule experiments.
 """
 
 from .qcore import (
@@ -17,6 +18,7 @@ from .qcore import (
     Z_HAT,
     expectation,
     ghz_state,
+    haar_local_unitary,
     haar_random_state,
     herm_eig,
     make_state,

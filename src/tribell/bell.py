@@ -152,8 +152,7 @@ def svetlichny_value(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
 
 def svetlichny_value_direct(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
     """|<S>| via the explicit 8x8 operator; the slow verification oracle."""
-    op, _, _ = bell_operators(ms)
-    return abs(expectation(s, op))
+    return abs(expectation(s, bell_operators(ms)[0]))
 
 
 def _ghz_closed_terms(p: GhzClassParams) -> Tuple[float, float]:
@@ -274,11 +273,7 @@ def settings_from_w_angles(tilde_a: float, tilde_b: float,
     def pair(tilde):
         return (UnitVector(math.cos(tilde), 0.0, math.sin(tilde)),
                 UnitVector(math.cos(tilde), 0.0, -math.sin(tilde)))
-    a, ap = pair(tilde_a)
-    b, bp = pair(tilde_b)
-    c, cp = pair(tilde_c)
-    return MeasurementSettings(a=a, a_prime=ap, b=b, b_prime=bp,
-                               c=c, c_prime=cp)
+    return MeasurementSettings(*pair(tilde_a), *pair(tilde_b), *pair(tilde_c))
 
 
 def smax_w(profile: EntanglementProfile) -> SmaxReport:

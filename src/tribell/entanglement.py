@@ -31,6 +31,9 @@ from .qcore import (
 # Negative values closer to zero than this are treated as roundoff and
 # clamped; anything more negative indicates a genuine bug upstream.
 CLAMP_TOL = 1e-9
+# Eigenvalues of rho (trace 1) up to this are roundoff of a rank-deficient
+# state, read as zeros: their square roots would enter the lambdas at ~1e-8.
+RANK_CUTOFF = 1e-13
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -85,7 +88,7 @@ def concurrence_two_qubit(rho) -> float:
     vals, vecs = herm_eig(rho, tol=1e-10)
     if vals[-1] < -1e-9:
         raise ValidationError("density matrix has a negative eigenvalue")
-    factor = vecs * np.sqrt(np.maximum(vals, 0.0))
+    factor = vecs * np.sqrt(np.where(vals > RANK_CUTOFF, vals, 0.0))
     m = factor.T @ _SPIN_FLIP @ factor
     zero = np.zeros((4, 4), dtype=complex)
     lams = herm_eig(np.block([[zero, m], [m.conj().T, zero]]),

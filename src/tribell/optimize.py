@@ -18,10 +18,7 @@ steps; a seeded multistart makes the search global in practice.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -359,7 +356,7 @@ def _verification_row(index: int, params: Tuple[float, ...],
     A numeric-below flag is retried with four times the starts before it
     sticks; numeric-above rows are findings, not failures.
     """
-    # Each row derives its own seed, so parallel and serial sweeps agree.
+    # The row's own seed keeps its result independent of the rows before it.
     row_cfg = replace(cfg, seed=_derived_seed(cfg.seed, index))
     numeric = multistart_maximize(state, row_cfg).best_value
     flag = _flag_for_gap(numeric - closed, report_tol)
@@ -380,22 +377,6 @@ def ghz_verification_row(index: int, theta: float, theta3: float,
     closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
     return _verification_row(index, (params.theta, params.theta3),
                              ghz_state(params), closed, cfg, report_tol)
-
-
-def _map_rows(row, points: Sequence[tuple], cfg: OptimizationConfig,
-              report_tol: float, jobs: int = 1) -> list:
-    """`row(index, *point, cfg, report_tol)` for each grid point, in order.
-
-    Up to `jobs` worker processes share the rows, bounded by the CPU count
-    and the number of points; one worker runs them in this process.
-    """
-    tasks = [(index, *point, cfg, report_tol)
-             for index, point in enumerate(points)]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, *zip(*tasks), chunksize=1))
-    return list(itertools.starmap(row, tasks))
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -425,11 +406,12 @@ def ghz_grid_points(theta_steps: int,
 
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
                     cfg: Optional[OptimizationConfig] = None,
-                    report_tol: float = 1e-3, jobs: int = 1) -> list:
+                    report_tol: float = 1e-3) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
-    return _map_rows(ghz_verification_row,
-                     ghz_grid_points(theta_steps, theta3_values),
-                     cfg or OptimizationConfig(), report_tol, jobs)
+    cfg = cfg or OptimizationConfig()
+    return [ghz_verification_row(index, theta, theta3, cfg, report_tol)
+            for index, (theta, theta3) in enumerate(
+                ghz_grid_points(theta_steps, theta3_values))]
 
 
 def w_sum_max(c12: float) -> float:
@@ -501,7 +483,9 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
                   cfg: Optional[OptimizationConfig] = None,
-                  report_tol: float = 1e-3, jobs: int = 1) -> list:
+                  report_tol: float = 1e-3) -> list:
     """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
-    return _map_rows(w_verification_row, w_grid_points(c12_values, sum_steps),
-                     cfg or OptimizationConfig(), report_tol, jobs)
+    cfg = cfg or OptimizationConfig()
+    return [w_verification_row(index, c12, sum_c, cfg, report_tol)
+            for index, (c12, sum_c) in enumerate(
+                w_grid_points(c12_values, sum_steps))]

@@ -188,6 +188,14 @@ def haar_random_state(rng: np.random.Generator) -> ThreeQubitPureState:
     return make_state(z, normalize=True)
 
 
+def haar_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    """U1 x U2 x U3, each factor Haar-random on U(2) by a phase-fixed QR."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 2, 2))
+                        + 1j * rng.normal(size=(3, 2, 2)))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return tensor3(*(q * (phases / np.abs(phases))[:, None]))
+
+
 def _derived_seed(seed: int, index: int) -> int:
     """Seed of the index-th independent stream derived from `seed`."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])

@@ -131,11 +131,15 @@ def test_criterion_06_monogamy(capsys):
     rng = np.random.default_rng(2024)
     haar_min = min(_pair_residual(qcore.haar_random_state(rng))
                    for _ in range(10_000))
+    # W states in a random local basis, rotated from a stream of their own.
+    rotations = np.random.default_rng(qcore._derived_seed(2024, 1))
     w_worst = 0.0
     for _ in range(1000):
         amps = np.abs(rng.normal(size=3))
         amps /= np.linalg.norm(amps)
-        res = _pair_residual(qcore.w_state(qcore.WClassParams(*amps)))
+        w = qcore.w_state(qcore.WClassParams(*amps)).amplitudes
+        res = _pair_residual(qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rotations) @ w))
         w_worst = max(w_worst, abs(res))
     ok = haar_min >= -1e-9 and w_worst < 1e-9
     _report(capsys, 6, ok, f"monogamy: min residual over 1e4 Haar={haar_min:.2e} "

@@ -247,11 +247,6 @@ def test_tau_permutation_invariance():
         assert p.tau == max(0.0, taus[0])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the pair concurrences are read from rho, where the roundoff-level "
-    "eigenvalues of the rank-2 reduced state enter through square roots: "
-    "some rotated W states raise 'tangle permutation spread' and tau "
-    "reaches ~1e-8"))
 def test_profile_of_w_states_in_a_rotated_local_basis():
     rng = np.random.default_rng(19)
     failures = []

@@ -297,13 +297,17 @@ def test_ghz_grid_points_shape():
 
 
 def test_a_grid_at_the_point_bound_is_built(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(optimize, "_map_rows",
-                        lambda row, points, *rest: sizes.append(len(points)))
+    def row_index(index, *point_cfg_tol):
+        return index
+
+    monkeypatch.setattr(optimize, "ghz_verification_row", row_index)
+    monkeypatch.setattr(optimize, "w_verification_row", row_index)
     curves = optimize.MAX_GRID_POINTS // optimize.MAX_GRID_STEPS
-    optimize.verify_grid_ghz(optimize.MAX_GRID_STEPS, [0.3] * curves)
-    optimize.verify_grid_w([0.5] * curves, optimize.MAX_GRID_STEPS)
-    assert sizes == [optimize.MAX_GRID_POINTS] * 2
+    rows = list(range(optimize.MAX_GRID_POINTS))
+    assert optimize.verify_grid_ghz(optimize.MAX_GRID_STEPS,
+                                    [0.3] * curves) == rows
+    assert optimize.verify_grid_w([0.5] * curves,
+                                  optimize.MAX_GRID_STEPS) == rows
     with pytest.raises(qcore.ValidationError):
         optimize.ghz_grid_points(optimize.MAX_GRID_STEPS, [0.3] * (curves + 1))
 

@@ -4,9 +4,11 @@ The `python` block is executed, and every `tribell analyze` and
 `tribell simulate` line goes through `cli.main`.  The sweep and `verify`
 lines are left out: the acceptance criteria and the battery tests run them.
 Every constant the README quotes as `module.NAME` = value must equal the
-module attribute, so moving or retuning one cannot leave the text stale.
+module attribute, and every `--flag` it names must be an option of the
+parser, so moving, retuning or dropping one cannot leave the text stale.
 """
 
+import argparse
 import importlib
 import re
 import shlex
@@ -25,6 +27,9 @@ COMMANDS = [shlex.split(line, comments=True)
             if re.match(r"tribell (analyze|simulate) ", line)]
 CONSTANTS = re.findall(
     r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d[\d.]*(?:e[-+]?\d+)?)\b", README)
+# The install line's flags are pip's, not tribell's.
+FLAGS = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                       re.sub(r"^pip install .*$", "", README, flags=re.M)))
 
 
 def test_readme_has_the_examples():
@@ -48,7 +53,7 @@ def test_readme_quotes_the_tuned_constants():
     assert {name for _, name, _ in CONSTANTS} >= {
         "VIOLATION_MARGIN", "SEPARABLE_CONCURRENCE_TOL",
         "GHZ_CLASS_TAU_THRESHOLD", "MAX_GRID_STEPS", "MAX_GRID_POINTS",
-        "CONVERGENCE_TOL"}
+        "CONVERGENCE_TOL", "RANK_CUTOFF"}
 
 
 @pytest.mark.parametrize("module, name, value", CONSTANTS,
@@ -56,3 +61,14 @@ def test_readme_quotes_the_tuned_constants():
 def test_readme_constant_matches_the_code(module, name, value):
     actual = getattr(importlib.import_module(f"tribell.{module}"), name)
     assert actual == float(value)
+
+
+def test_readme_names_only_flags_the_parser_has():
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    options = {option for each in (parser, *sub.choices.values())
+               for action in each._actions
+               for option in action.option_strings}
+    assert FLAGS, "the README names no flag"
+    assert FLAGS <= options, f"not options: {sorted(FLAGS - options)}"
