@@ -21,7 +21,6 @@ from .qcore import (
     haar_local_unitary,
     haar_random_state,
     herm_eig,
-    make_state,
     partial_trace,
     reduced_single,
     spin_observable,

@@ -30,7 +30,6 @@ from .qcore import (
     ghz_state,
     haar_local_unitary,
     haar_random_state,
-    make_state,
     spin_observable,
     tensor3,
     w_state,
@@ -158,7 +157,7 @@ def parse_state_spec(text: str) -> StateSpec:
             if len(parts) != 2:
                 raise ValidationError(f"amp{k} needs [re, im], got {pair!r}")
             amps.append(complex(*parts))
-        return StateSpec("raw", raw=make_state(amps))
+        return StateSpec("raw", raw=ThreeQubitPureState(amps))
     missing = [key for key in _STATE_KEYS[family] if key not in entries]
     if missing:
         raise ValidationError(f"{family} state file missing {missing[0]}")
@@ -301,7 +300,7 @@ def _write_sweep(path: str, header: Sequence[str],
 def cmd_sweep_ghz(args) -> List:
     theta3_values = [parse_angle(v) for v in args.theta3.split(",")]
     rows = verify_grid_ghz(args.theta_steps, theta3_values,
-                           OptimizationConfig(seed=args.seed), args.tol)
+                           OptimizationConfig(seed=args.seed))
     out_rows = []
     for row in rows:
         theta, theta3 = row.params
@@ -318,7 +317,7 @@ def cmd_sweep_ghz(args) -> List:
 def cmd_sweep_w(args) -> List:
     c12_values = [float(eval_fraction(v)) for v in args.c12.split(",")]
     rows = verify_grid_w(c12_values, args.sum_steps,
-                         OptimizationConfig(seed=args.seed), args.tol)
+                         OptimizationConfig(seed=args.seed))
     out_rows = []
     for row in rows:
         c12, c23, c31 = row.params
@@ -535,19 +534,12 @@ def _add_state_flags(parser: argparse.ArgumentParser):
     group.add_argument("--w", nargs=3, metavar=("ALPHA", "BETA", "GAMMA"))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool):
-    # The same flags live on the main parser (with real defaults) and on
-    # every subparser (defaulting to SUPPRESS), so they are accepted on
-    # either side of the subcommand without clobbering each other.
-    default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--seed", type=int, default=default(0),
+def _add_seed_flag(parser: argparse.ArgumentParser, default):
+    # --seed lives on the main parser (default 0) and on every subparser
+    # (default SUPPRESS), so it is accepted on either side of the
+    # subcommand without one side clobbering the other.
+    parser.add_argument("--seed", type=int, default=default,
                         help="seed for every random draw (default 0)")
-    parser.add_argument("--tol", type=float, default=default(1e-3),
-                        help="report tolerance for sweeps (default 1e-3)")
-    parser.add_argument("--jobs", type=int, choices=(1,), default=default(1),
-                        help="sweeps run in one process; only 1 is accepted")
-    parser.add_argument("--out", default=default(None),
-                        help="output path for CSV-producing commands")
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,12 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tribell",
         description="Tripartite nonlocality of three-qubit pure states.")
-    _add_common_flags(parser, suppress=False)
+    _add_seed_flag(parser, 0)
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1,
+                        help="sweeps run in one process; only 1 is "
+                             "accepted, and only before the command")
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="entanglement and S_max report")
     _add_state_flags(analyze)
-    _add_common_flags(analyze, suppress=True)
+    _add_seed_flag(analyze, argparse.SUPPRESS)
 
     sweep_ghz = sub.add_parser("sweep-ghz", help="Fig.-1 style GHZ sweep CSV")
     sweep_ghz.add_argument("--theta-steps", type=int, default=21,
@@ -569,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"{MAX_GRID_STEPS} (default 21)")
     sweep_ghz.add_argument("--theta3", default="pi/8,pi/4,pi/2",
                            help="comma-separated theta3 curve values")
-    _add_common_flags(sweep_ghz, suppress=True)
-    sweep_ghz.set_defaults(default_out="fig1_ghz.csv")
+    sweep_ghz.add_argument("--out", default="fig1_ghz.csv",
+                           help="CSV output path (default fig1_ghz.csv)")
+    _add_seed_flag(sweep_ghz, argparse.SUPPRESS)
 
     sweep_w = sub.add_parser("sweep-w", help="Fig.-2 style W sweep CSV")
     sweep_w.add_argument("--c12", default="0.35,0.45,2/3",
@@ -578,11 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_w.add_argument("--sum-steps", type=int, default=21,
                          help="sums per curve, 2 to "
                               f"{MAX_GRID_STEPS} (default 21)")
-    _add_common_flags(sweep_w, suppress=True)
-    sweep_w.set_defaults(default_out="fig2_w.csv")
+    sweep_w.add_argument("--out", default="fig2_w.csv",
+                         help="CSV output path (default fig2_w.csv)")
+    _add_seed_flag(sweep_w, argparse.SUPPRESS)
 
     verify = sub.add_parser("verify", help="run the invariant battery")
-    _add_common_flags(verify, suppress=True)
+    _add_seed_flag(verify, argparse.SUPPRESS)
 
     simulate = sub.add_parser("simulate", help="finite-shot Born sampling")
     _add_state_flags(simulate)
@@ -591,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--shots", type=int, default=1_000_000,
                           help="shots per correlator, 1 to 2**63 - 1 "
                                "(default 1000000)")
-    _add_common_flags(simulate, suppress=True)
+    _add_seed_flag(simulate, argparse.SUPPRESS)
     return parser
 
 
@@ -600,10 +597,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
-    if not args.tol >= 0:
-        parser.error(f"--tol must be a non-negative number, got {args.tol}")
-    if args.out is None:
-        args.out = getattr(args, "default_out", None)
     try:
         # Looked up per call, so a rebound cmd_* function is the one run.
         result = globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -60,6 +60,9 @@ _DAMPING = (0.0, 1e-3, 1e-2, 1e-1, 1.0)
 # The largest Hessian eigenvalue that still counts as non-positive.  On a
 # continuous family of maxima the flat directions measure up to ~1e-10.
 _NSD_TOL = 1e-7
+# A sweep row matches when its numeric maximum is within this of the
+# closed form; a larger gap flags it numeric-above or numeric-below.
+REPORT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -341,16 +344,15 @@ def multistart_maximize(s: ThreeQubitPureState,
     return _result(t, parties, *_ascend(t, parties))
 
 
-def _flag_for_gap(gap: float, report_tol: float) -> str:
-    if abs(gap) <= report_tol:
+def _flag_for_gap(gap: float) -> str:
+    if abs(gap) <= REPORT_TOL:
         return "match"
     return "numeric-above" if gap > 0 else "numeric-below"
 
 
 def _verification_row(index: int, params: Tuple[float, ...],
                        state: ThreeQubitPureState, closed: float,
-                       cfg: OptimizationConfig,
-                       report_tol: float) -> VerificationRow:
+                       cfg: OptimizationConfig) -> VerificationRow:
     """Closed value vs. escalating multistart numeric at one grid point.
 
     A numeric-below flag is retried with four times the starts before it
@@ -359,24 +361,23 @@ def _verification_row(index: int, params: Tuple[float, ...],
     # The row's own seed keeps its result independent of the rows before it.
     row_cfg = replace(cfg, seed=_derived_seed(cfg.seed, index))
     numeric = multistart_maximize(state, row_cfg).best_value
-    flag = _flag_for_gap(numeric - closed, report_tol)
+    flag = _flag_for_gap(numeric - closed)
     if flag == "numeric-below":
         escalated = replace(row_cfg, n_starts=row_cfg.n_starts * 4)
         numeric = max(numeric, multistart_maximize(state, escalated).best_value)
-        flag = _flag_for_gap(numeric - closed, report_tol)
+        flag = _flag_for_gap(numeric - closed)
     return VerificationRow(params=params, closed_value=closed,
                            numeric_value=numeric, gap=numeric - closed,
                            flag=flag)
 
 
 def ghz_verification_row(index: int, theta: float, theta3: float,
-                         cfg: OptimizationConfig,
-                         report_tol: float = 1e-3) -> VerificationRow:
+                         cfg: OptimizationConfig) -> VerificationRow:
     """One GHZ grid point: closed form vs. escalating multistart numeric."""
     params = GhzClassParams(float(theta), float(theta3))
     closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
     return _verification_row(index, (params.theta, params.theta3),
-                             ghz_state(params), closed, cfg, report_tol)
+                             ghz_state(params), closed, cfg)
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -405,11 +406,10 @@ def ghz_grid_points(theta_steps: int,
 
 
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
-                    cfg: Optional[OptimizationConfig] = None,
-                    report_tol: float = 1e-3) -> list:
+                    cfg: Optional[OptimizationConfig] = None) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
     cfg = cfg or OptimizationConfig()
-    return [ghz_verification_row(index, theta, theta3, cfg, report_tol)
+    return [ghz_verification_row(index, theta, theta3, cfg)
             for index, (theta, theta3) in enumerate(
                 ghz_grid_points(theta_steps, theta3_values))]
 
@@ -459,14 +459,13 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 
 
 def w_verification_row(index: int, c12: float, sum_c: float,
-                       cfg: OptimizationConfig,
-                       report_tol: float = 1e-3) -> VerificationRow:
+                       cfg: OptimizationConfig) -> VerificationRow:
     """One W grid point: reduced W form vs. escalating multistart numeric."""
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
     return _verification_row(index, (profile.c12, profile.c23, profile.c31),
                              w_state(params), smax_w(profile).closed_value,
-                             cfg, report_tol)
+                             cfg)
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
@@ -482,10 +481,9 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
 
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
-                  cfg: Optional[OptimizationConfig] = None,
-                  report_tol: float = 1e-3) -> list:
+                  cfg: Optional[OptimizationConfig] = None) -> list:
     """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
     cfg = cfg or OptimizationConfig()
-    return [w_verification_row(index, c12, sum_c, cfg, report_tol)
+    return [w_verification_row(index, c12, sum_c, cfg)
             for index, (c12, sum_c) in enumerate(
                 w_grid_points(c12_values, sum_steps))]

@@ -151,19 +151,6 @@ class ThreeQubitPureState:
         return f"ThreeQubitPureState({self.amplitudes.tolist()})"
 
 
-def make_state(amplitudes, normalize: bool = False) -> ThreeQubitPureState:
-    """Validate 8 amplitudes into a state, optionally rescaling to unit norm."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (8,):
-        raise ValidationError("state needs exactly 8 amplitudes")
-    norm = float(np.linalg.norm(amps))
-    if norm < 1e-14:
-        raise ValidationError("all-zero amplitude vector")
-    if normalize:
-        amps = amps / norm
-    return ThreeQubitPureState(amps)
-
-
 def ghz_state(p: GhzClassParams) -> ThreeQubitPureState:
     """cos(theta)|000> + sin(theta)cos(theta3)|110> + sin(theta)sin(theta3)|111>."""
     amps = np.zeros(8, dtype=complex)
@@ -185,7 +172,7 @@ def w_state(p: WClassParams) -> ThreeQubitPureState:
 def haar_random_state(rng: np.random.Generator) -> ThreeQubitPureState:
     """Uniform pure state: 8 complex standard normals, then normalized."""
     z = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return make_state(z, normalize=True)
+    return ThreeQubitPureState(z / np.linalg.norm(z))
 
 
 def haar_local_unitary(rng: np.random.Generator) -> np.ndarray:

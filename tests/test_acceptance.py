@@ -109,7 +109,7 @@ def test_criterion_04_fig2_reproduction(capsys, tmp_path):
 
 
 def test_criterion_05_boundary_states(capsys):
-    product = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     tri = optimize.multistart_maximize(
         product, optimize.OptimizationConfig(seed=0)).best_value
     biseparable = qcore.ghz_state(qcore.GhzClassParams(math.pi / 4, 0.0))

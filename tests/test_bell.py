@@ -78,7 +78,8 @@ def test_bell_operators_ghz_high_branch():
 
 
 def test_correlation_tensor_examples():
-    t = bell.correlation_tensor(qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0]))
+    t = bell.correlation_tensor(
+        qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0]))
     assert t.shape == (3, 3, 3) and not t.flags.writeable
     assert t[2, 2, 2] == pytest.approx(1.0)
     assert t[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -102,7 +103,7 @@ def test_correlation_tensor_matches_expectation():
 
 def test_svetlichny_value_examples():
     all_z = bell.MeasurementSettings(*([qcore.Z_HAT] * 6))
-    product = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert bell.svetlichny_value(product, all_z) == pytest.approx(0.0,
                                                                   abs=1e-12)
     params = qcore.GhzClassParams(math.pi / 4, math.pi / 2)

@@ -89,25 +89,20 @@ def test_concurrence_random_full_rank_vs_textbook():
             _textbook_concurrence(rho), abs=1e-10)
 
 
-def _random_local_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(17)
     for _ in range(30):
         s = qcore.haar_random_state(rng)
         rho = qcore.partial_trace(s, (1, 2))
-        u = np.kron(_random_local_unitary(rng), _random_local_unitary(rng))
-        rotated = u @ rho @ u.conj().T
+        # U1 x U2 x U3 on the state is (U1 x U2) rho (U1 x U2)^dagger on rho.
+        rotated = qcore.partial_trace(qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rng) @ s.amplitudes), (1, 2))
         assert entanglement.concurrence_two_qubit(rotated) == pytest.approx(
             entanglement.concurrence_two_qubit(rho), abs=1e-8)
 
 
 def test_bipartition_product():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert entanglement.concurrence_bipartition(s, 1) == pytest.approx(0.0)
 
 
@@ -139,7 +134,7 @@ def test_three_tangle_w_class_vanishes():
 
 
 def test_three_tangle_product():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert entanglement.entanglement_profile(s).tau == pytest.approx(
         0.0, abs=1e-12)
 
@@ -161,7 +156,7 @@ def test_profile_w_symmetric():
 
 def test_profile_product_all_zero():
     p = entanglement.entanglement_profile(
-        qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0]))
+        qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0]))
     assert p.tau == 0.0
     assert p.c12 == p.c23 == p.c31 == 0.0
 
@@ -252,10 +247,8 @@ def test_profile_of_w_states_in_a_rotated_local_basis():
     failures = []
     for k in range(200):
         params = random_w_params(rng)
-        u = np.kron(np.kron(_random_local_unitary(rng),
-                            _random_local_unitary(rng)),
-                    _random_local_unitary(rng))
-        rotated = qcore.make_state(u @ qcore.w_state(params).amplitudes)
+        rotated = qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rng) @ qcore.w_state(params).amplitudes)
         closed = entanglement.w_profile_closed(params)
         try:
             numeric = entanglement.entanglement_profile(rotated)

@@ -35,7 +35,7 @@ def test_svetlichny_terms_match_operator():
 
 
 def test_outcome_distribution_product_state():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     probs = montecarlo.outcome_distribution(s, qcore.Z_HAT, qcore.Z_HAT,
                                             qcore.Z_HAT)
     expected = np.zeros(8)
@@ -97,7 +97,7 @@ def test_outcome_distribution_matches_the_projector_oracle():
 
 
 def test_estimate_correlator_deterministic_outcome():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     est = montecarlo.estimate_correlator(s, qcore.Z_HAT, qcore.Z_HAT,
                                          qcore.Z_HAT, shots=1000, seed=0)
     assert est.mean == 1.0

@@ -51,7 +51,7 @@ def test_seesaw_ghz_reaches_ceiling():
 
 
 def test_multistart_product_state():
-    product = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     result = optimize.multistart_maximize(
         product, optimize.OptimizationConfig(seed=1))
     assert result.best_value == pytest.approx(4.0, abs=1e-6)
@@ -263,12 +263,6 @@ def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
     assert signs == {True, False}
 
 
-def _random_local_unitary(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_multistart_local_unitary_invariance(monkeypatch):
     rng = np.random.default_rng(44)
     # A deep iteration budget so flat-ridge landscapes settle to the same
@@ -279,10 +273,10 @@ def test_multistart_local_unitary_invariance(monkeypatch):
     # at index 5 (the hardest of this stream) in the sample cheaply.
     for index in range(6):
         s = qcore.haar_random_state(rng)
-        u = qcore.tensor3(*(_random_local_unitary(rng) for _ in range(3)))
+        u = qcore.haar_local_unitary(rng)
         if index not in (0, 2, 5):
             continue
-        rotated = qcore.make_state(u @ s.amplitudes)
+        rotated = qcore.ThreeQubitPureState(u @ s.amplitudes)
         assert optimize.multistart_maximize(rotated, cfg).best_value == (
             pytest.approx(optimize.multistart_maximize(s, cfg).best_value,
                           abs=1e-6))
@@ -385,9 +379,9 @@ def test_verify_grid_w_small():
 
 
 def test_verification_row_flags():
-    assert optimize._flag_for_gap(0.0, 1e-3) == "match"
-    assert optimize._flag_for_gap(2e-3, 1e-3) == "numeric-above"
-    assert optimize._flag_for_gap(-2e-3, 1e-3) == "numeric-below"
+    assert optimize._flag_for_gap(0.0) == "match"
+    assert optimize._flag_for_gap(2e-3) == "numeric-above"
+    assert optimize._flag_for_gap(-2e-3) == "numeric-below"
 
 
 @pytest.mark.parametrize("row, point, closed", [

@@ -7,28 +7,23 @@ from tribell import qcore
 
 
 def test_make_state_basis():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
-    assert np.allclose(s.amplitudes, np.eye(8)[0])
-
-
-def test_make_state_normalize():
-    s = qcore.make_state([2, 0, 0, 0, 0, 0, 0, 0], normalize=True)
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert np.allclose(s.amplitudes, np.eye(8)[0])
 
 
 def test_make_state_rejects_zero_vector():
     with pytest.raises(qcore.ValidationError):
-        qcore.make_state(np.zeros(8))
+        qcore.ThreeQubitPureState(np.zeros(8))
 
 
 def test_make_state_rejects_bad_norm():
     with pytest.raises(qcore.ValidationError):
-        qcore.make_state([2, 0, 0, 0, 0, 0, 0, 0])
+        qcore.ThreeQubitPureState([2, 0, 0, 0, 0, 0, 0, 0])
 
 
 def test_make_state_rejects_wrong_shape():
     with pytest.raises(qcore.ValidationError):
-        qcore.make_state([1.0, 0.0])
+        qcore.ThreeQubitPureState([1.0, 0.0])
 
 
 def test_make_state_rejects_nonfinite():
@@ -150,7 +145,7 @@ def test_tensor3_matches_nested_kron_exactly():
 
 
 def test_expectation_eigenstate():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     eye2 = np.eye(2, dtype=complex)
     op = qcore.tensor3(qcore.SIGMA_Z, eye2, eye2)
     assert qcore.expectation(s, op) == pytest.approx(1.0)
@@ -165,7 +160,7 @@ def test_expectation_ghz_cases():
 
 
 def test_expectation_rejects_non_hermitian():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     op = np.zeros((8, 8), dtype=complex)
     op[0, 0] = 1.0j
     with pytest.raises(qcore.ValidationError):
@@ -183,7 +178,7 @@ def test_expectation_bounded_for_spin_products():
 
 
 def test_partial_trace_product_state():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     rho = qcore.partial_trace(s, (1, 2))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -197,7 +192,7 @@ def test_partial_trace_ghz():
 
 
 def test_partial_trace_rejects_bad_pair():
-    s = qcore.make_state([1, 0, 0, 0, 0, 0, 0, 0])
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     with pytest.raises(qcore.ValidationError):
         qcore.partial_trace(s, (1, 4))
 

@@ -1,8 +1,9 @@
 """The README's examples run as written.
 
-The `python` block is executed, and every `tribell analyze` and
-`tribell simulate` line goes through `cli.main`.  The sweep and `verify`
-lines are left out: the acceptance criteria and the battery tests run them.
+The `python` block is executed, every `tribell analyze` and
+`tribell simulate` line goes through `cli.main`, and every `tribell` line
+goes through the parser.  The sweep and `verify` lines are parsed but not
+run: the acceptance criteria and the battery tests run them.
 Every constant the README quotes as `module.NAME` = value must equal the
 module attribute, and every `--flag` it names must be an option of the
 parser, so moving, retuning or dropping one cannot leave the text stale.
@@ -21,10 +22,10 @@ from tribell import cli
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
-COMMANDS = [shlex.split(line, comments=True)
-            for lang, body in BLOCKS if not lang
-            for line in body.splitlines()
-            if re.match(r"tribell (analyze|simulate) ", line)]
+LINES = [shlex.split(line, comments=True)
+         for lang, body in BLOCKS if not lang
+         for line in body.splitlines() if line.startswith("tribell ")]
+COMMANDS = [argv for argv in LINES if argv[1] in ("analyze", "simulate")]
 CONSTANTS = re.findall(
     r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d[\d.]*(?:e[-+]?\d+)?)\b", README)
 # The install line's flags are pip's, not tribell's.
@@ -35,12 +36,19 @@ FLAGS = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
 def test_readme_has_the_examples():
     assert [lang for lang, _ in BLOCKS].count("python") == 1
     assert {argv[1] for argv in COMMANDS} == {"analyze", "simulate"}
+    assert {argv[1] for argv in LINES} == {
+        "analyze", "sweep-ghz", "sweep-w", "verify", "simulate"}
 
 
 def test_readme_python_block_runs(capsys):
     (code,) = [body for lang, body in BLOCKS if lang == "python"]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", LINES, ids=" ".join)
+def test_readme_cli_line_parses(argv):
+    cli.build_parser().parse_args(argv[1:])
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -53,7 +61,7 @@ def test_readme_quotes_the_tuned_constants():
     assert {name for _, name, _ in CONSTANTS} >= {
         "VIOLATION_MARGIN", "SEPARABLE_CONCURRENCE_TOL",
         "GHZ_CLASS_TAU_THRESHOLD", "MAX_GRID_STEPS", "MAX_GRID_POINTS",
-        "CONVERGENCE_TOL", "RANK_CUTOFF"}
+        "CONVERGENCE_TOL", "RANK_CUTOFF", "REPORT_TOL"}
 
 
 @pytest.mark.parametrize("module, name, value", CONSTANTS,
