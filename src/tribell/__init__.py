@@ -54,7 +54,6 @@ from .bell import (
     w_reduced_value,
 )
 from .optimize import (
-    OptimizationConfig,
     OptimizationResult,
     VerificationRow,
     multistart_maximize,

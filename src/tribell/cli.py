@@ -56,7 +56,6 @@ from .bell import (
 )
 from .optimize import (
     MAX_GRID_STEPS,
-    OptimizationConfig,
     _random_directions,
     multistart_maximize,
     verify_grid_ghz,
@@ -237,22 +236,14 @@ def classify(profile) -> str:
     return "GHZ-class" if profile.tau > GHZ_CLASS_TAU_THRESHOLD else "W-class"
 
 
-def cmd_analyze(args) -> dict:
+def cmd_analyze(args) -> int:
     spec = _spec_from_args(args)
     state = spec.state()
     profile = entanglement_profile(state)
     classification = classify(profile)
     closed = _closed_report(spec)
-    cfg = OptimizationConfig(seed=args.seed)
-    numeric = multistart_maximize(state, cfg)
-    report = {
-        "profile": profile,
-        "classification": classification,
-        "smax_closed": closed.closed_value if closed else None,
-        "smax_numeric": numeric.best_value,
-        "violates": numeric.best_value > 4.0 + VIOLATION_MARGIN,
-        "closed_report": closed,
-    }
+    numeric = multistart_maximize(state, args.seed)
+    violates = numeric.best_value > 4.0 + VIOLATION_MARGIN
     print(f"tau:               {profile.tau:.9g}")
     print(f"c12 c23 c31:       {profile.c12:.9g} {profile.c23:.9g} "
           f"{profile.c31:.9g}")
@@ -269,9 +260,8 @@ def cmd_analyze(args) -> dict:
     print(f"optimality residual: {numeric.residual:.3e} "
           f"({'converged' if numeric.converged else 'not converged'})")
     print(f"verdict:           "
-          f"{'violates' if report['violates'] else 'no violation'} "
-          f"(threshold 4)")
-    return report
+          f"{'violates' if violates else 'no violation'} (threshold 4)")
+    return 0
 
 
 def _write_sweep(path: str, header: Sequence[str],
@@ -297,10 +287,9 @@ def _write_sweep(path: str, header: Sequence[str],
         print(f"finding: params={row.params} gap={row.gap:.3e} flag={row.flag}")
 
 
-def cmd_sweep_ghz(args) -> List:
+def cmd_sweep_ghz(args) -> int:
     theta3_values = [parse_angle(v) for v in args.theta3.split(",")]
-    rows = verify_grid_ghz(args.theta_steps, theta3_values,
-                           OptimizationConfig(seed=args.seed))
+    rows = verify_grid_ghz(args.theta_steps, theta3_values, args.seed)
     out_rows = []
     for row in rows:
         theta, theta3 = row.params
@@ -311,13 +300,12 @@ def cmd_sweep_ghz(args) -> List:
                          row.closed_value, row.numeric_value, branch, row.gap])
     _write_sweep(args.out, ["theta", "theta3", "tau", "c12_sq", "smax_closed",
                             "smax_numeric", "branch", "gap"], out_rows, rows)
-    return rows
+    return 0
 
 
-def cmd_sweep_w(args) -> List:
+def cmd_sweep_w(args) -> int:
     c12_values = [float(eval_fraction(v)) for v in args.c12.split(",")]
-    rows = verify_grid_w(c12_values, args.sum_steps,
-                         OptimizationConfig(seed=args.seed))
+    rows = verify_grid_w(c12_values, args.sum_steps, args.seed)
     out_rows = []
     for row in rows:
         c12, c23, c31 = row.params
@@ -325,7 +313,7 @@ def cmd_sweep_w(args) -> List:
                          row.closed_value, row.numeric_value, row.gap])
     _write_sweep(args.out, ["c12", "c23", "c31", "sum_c", "smax_closed",
                             "smax_numeric", "gap"], out_rows, rows)
-    return rows
+    return 0
 
 
 def eval_fraction(text: str) -> float:
@@ -418,15 +406,12 @@ def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
         yield abs(residual), "w", k, residual
 
 
-def _suite_branch_continuity(n: int) -> SuiteResult:
-    worst = 0.0
+def _branch_continuity_cases(n: int):
+    """The two GHZ branches at the boundary 3 tau + c12^2 = 1."""
     for tau in np.linspace(0.0, 1.0 / 3.0, n):
-        c12_sq = 1.0 - 3.0 * tau
         low = 4.0 * math.sqrt(1.0 - tau)
-        high = 4.0 * math.sqrt(c12_sq + 2.0 * tau)
-        # np.maximum keeps a NaN, which then fails the comparison below.
-        worst = float(np.maximum(worst, abs(low - high)))
-    return SuiteResult("branch-continuity", worst < 1e-12, n, worst, "")
+        high = 4.0 * math.sqrt((1.0 - 3.0 * tau) + 2.0 * tau)
+        yield abs(low - high), tau
 
 
 def _mermin_factor_cases(n_side: int):
@@ -440,6 +425,8 @@ def _mermin_factor_cases(n_side: int):
 
 
 def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
+    """|S| <= 4 sqrt 2 and |M| <= 4 on random settings; worst is the |S|
+    spectrum, not an error, so this suite keeps its own loop."""
     worst = 0.0
     detail = ""
     passed = True
@@ -479,7 +466,8 @@ def verification_battery(seed: int = 0) -> List[SuiteResult]:
         _worst_case("monogamy", 1e-9,
                     _monogamy_cases(rng, rotations, 1000, 200),
                     lambda kind, k, r: f"{kind} case {k}: residual {r}"),
-        _suite_branch_continuity(100),
+        _worst_case("branch-continuity", 1e-13, _branch_continuity_cases(100),
+                    lambda tau: f"tau={tau}"),
         _worst_case("mermin-factor", 1e-9, _mermin_factor_cases(10),
                     lambda p: f"params={p}"),
         _suite_ceiling(rng, 200),
@@ -504,11 +492,10 @@ def _optimal_settings_for(spec: StateSpec, seed: int) -> MeasurementSettings:
     closed = _closed_report(spec)
     if closed is not None:
         return closed.achieving_settings
-    return multistart_maximize(spec.state(),
-                               OptimizationConfig(seed=seed)).best_settings
+    return multistart_maximize(spec.state(), seed).best_settings
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     state = spec.state()
     if args.settings == "optimal":
@@ -524,7 +511,7 @@ def cmd_simulate(args) -> dict:
           f"+/- {estimate.stderr:.3e}")
     print(f"exact value:          {exact:.9g}")
     print(f"z-score:              {z_score:.3f}")
-    return {"estimate": estimate, "exact": exact, "z_score": z_score}
+    return 0
 
 
 def _add_state_flags(parser: argparse.ArgumentParser):
@@ -599,15 +586,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         # Looked up per call, so a rebound cmd_* function is the one run.
-        result = globals()["cmd_" + args.command.replace("-", "_")](args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "verify":
-        return int(result)
-    return 0
 
 
 if __name__ == "__main__":

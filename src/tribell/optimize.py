@@ -19,8 +19,8 @@ steps; a seeded multistart makes the search global in practice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -63,22 +63,9 @@ _NSD_TOL = 1e-7
 # A sweep row matches when its numeric maximum is within this of the
 # closed form; a larger gap flags it numeric-above or numeric-below.
 REPORT_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class OptimizationConfig:
-    """Multistart ascent settings: the number of seeded starts and the seed.
-
-    The stopping rule is fixed: a start stops once its residual is within
-    CONVERGENCE_TOL, or after _MAX_STEPS steps.
-    """
-
-    n_starts: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValidationError("n_starts must be at least 1")
+# Seeded starts per multistart ascent; a numeric-below sweep row retries
+# with four times as many.
+N_STARTS = 50
 
 
 @dataclass(frozen=True)
@@ -335,11 +322,13 @@ def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
     ], axis=-1)
 
 
-def multistart_maximize(s: ThreeQubitPureState,
-                        cfg: OptimizationConfig) -> OptimizationResult:
-    """Best of n_starts certified ascents from seeded random settings."""
-    rng = np.random.default_rng(cfg.seed)
-    parties = _random_directions(rng, (6, cfg.n_starts)).reshape(3, 2, -1, 3)
+def multistart_maximize(s: ThreeQubitPureState, seed: int,
+                        n_starts: int = N_STARTS) -> OptimizationResult:
+    """Best of n_starts certified ascents from settings drawn with seed."""
+    if n_starts < 1:
+        raise ValidationError("n_starts must be at least 1")
+    rng = np.random.default_rng(seed)
+    parties = _random_directions(rng, (6, n_starts)).reshape(3, 2, -1, 3)
     t = correlation_tensor(s)
     return _result(t, parties, *_ascend(t, parties))
 
@@ -352,19 +341,19 @@ def _flag_for_gap(gap: float) -> str:
 
 def _verification_row(index: int, params: Tuple[float, ...],
                        state: ThreeQubitPureState, closed: float,
-                       cfg: OptimizationConfig) -> VerificationRow:
+                       seed: int) -> VerificationRow:
     """Closed value vs. escalating multistart numeric at one grid point.
 
     A numeric-below flag is retried with four times the starts before it
     sticks; numeric-above rows are findings, not failures.
     """
     # The row's own seed keeps its result independent of the rows before it.
-    row_cfg = replace(cfg, seed=_derived_seed(cfg.seed, index))
-    numeric = multistart_maximize(state, row_cfg).best_value
+    row_seed = _derived_seed(seed, index)
+    numeric = multistart_maximize(state, row_seed).best_value
     flag = _flag_for_gap(numeric - closed)
     if flag == "numeric-below":
-        escalated = replace(row_cfg, n_starts=row_cfg.n_starts * 4)
-        numeric = max(numeric, multistart_maximize(state, escalated).best_value)
+        numeric = max(numeric, multistart_maximize(
+            state, row_seed, 4 * N_STARTS).best_value)
         flag = _flag_for_gap(numeric - closed)
     return VerificationRow(params=params, closed_value=closed,
                            numeric_value=numeric, gap=numeric - closed,
@@ -372,12 +361,12 @@ def _verification_row(index: int, params: Tuple[float, ...],
 
 
 def ghz_verification_row(index: int, theta: float, theta3: float,
-                         cfg: OptimizationConfig) -> VerificationRow:
+                         seed: int) -> VerificationRow:
     """One GHZ grid point: closed form vs. escalating multistart numeric."""
     params = GhzClassParams(float(theta), float(theta3))
     closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
     return _verification_row(index, (params.theta, params.theta3),
-                             ghz_state(params), closed, cfg)
+                             ghz_state(params), closed, seed)
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -406,10 +395,9 @@ def ghz_grid_points(theta_steps: int,
 
 
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
-                    cfg: Optional[OptimizationConfig] = None) -> list:
+                    seed: int = 0) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
-    cfg = cfg or OptimizationConfig()
-    return [ghz_verification_row(index, theta, theta3, cfg)
+    return [ghz_verification_row(index, theta, theta3, seed)
             for index, (theta, theta3) in enumerate(
                 ghz_grid_points(theta_steps, theta3_values))]
 
@@ -459,13 +447,13 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 
 
 def w_verification_row(index: int, c12: float, sum_c: float,
-                       cfg: OptimizationConfig) -> VerificationRow:
+                       seed: int) -> VerificationRow:
     """One W grid point: reduced W form vs. escalating multistart numeric."""
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
     return _verification_row(index, (profile.c12, profile.c23, profile.c31),
                              w_state(params), smax_w(profile).closed_value,
-                             cfg)
+                             seed)
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
@@ -481,9 +469,8 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 
 
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
-                  cfg: Optional[OptimizationConfig] = None) -> list:
+                  seed: int = 0) -> list:
     """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
-    cfg = cfg or OptimizationConfig()
-    return [w_verification_row(index, c12, sum_c, cfg)
+    return [w_verification_row(index, c12, sum_c, seed)
             for index, (c12, sum_c) in enumerate(
                 w_grid_points(c12_values, sum_steps))]

@@ -4,7 +4,6 @@ Each test prints exactly one `criterion-NN PASS|FAIL ...` line with
 capture suspended so the gate status is always visible, then asserts.
 """
 
-import argparse
 import math
 import sys
 
@@ -25,18 +24,14 @@ def _report(capsys, num: int, ok: bool, detail: str):
         sys.stdout.flush()
 
 
-def _analyze_args(**overrides):
-    base = dict(state=None, ghz=None, w=None, seed=0)
-    base.update(overrides)
-    return argparse.Namespace(**base)
-
-
 def test_criterion_01_symmetric_w_maximum(capsys):
-    report = cli.cmd_analyze(_analyze_args(w=[str(R3)] * 3))
-    closed = report["smax_closed"]
-    numeric = report["smax_numeric"]
-    tilts = [math.degrees(t) for t in report["closed_report"].theta_tilde]
-    ok = (abs(closed - W_SYM_MAX) <= 5e-4
+    code = cli.main(["analyze", "--w", *[str(R3)] * 3])
+    printed = dict(line.split(":", 1)
+                   for line in capsys.readouterr().out.splitlines())
+    closed = float(printed["smax closed"].split()[0])
+    numeric = float(printed["smax numeric"])
+    tilts = [float(t) for t in printed["theta-tilde (deg)"].split()]
+    ok = (code == 0 and abs(closed - W_SYM_MAX) <= 5e-4
           and abs(numeric - W_SYM_MAX) <= 5e-4
           and all(abs(t - 54.736) <= 1e-3 for t in tilts))
     _report(capsys, 1, ok, f"symmetric W: closed={closed:.7f} numeric={numeric:.7f} "
@@ -47,8 +42,7 @@ def test_criterion_01_symmetric_w_maximum(capsys):
 def test_criterion_02_ghz_maximum(capsys):
     params = qcore.GhzClassParams(math.pi / 4, math.pi / 2)
     state = qcore.ghz_state(params)
-    numeric = optimize.multistart_maximize(
-        state, optimize.OptimizationConfig(seed=0)).best_value
+    numeric = optimize.multistart_maximize(state, seed=0).best_value
     at_settings = bell.svetlichny_value_direct(
         state, bell.optimal_settings_ghz(params))
     ok = (abs(numeric - 4.0 * R2) <= 1e-4
@@ -61,8 +55,7 @@ def test_criterion_02_ghz_maximum(capsys):
 
 def test_criterion_03_ghz_grid_and_fig1(capsys, tmp_path):
     rows = optimize.verify_grid_ghz(
-        21, np.linspace(0.0, math.pi / 2, 21),
-        cfg=optimize.OptimizationConfig(seed=0))
+        21, np.linspace(0.0, math.pi / 2, 21), seed=0)
     below = [r for r in rows if r.flag == "numeric-below"]
     unflagged_bad = [r for r in rows
                      if abs(r.gap) > 1e-3 and r.flag == "match"]
@@ -110,11 +103,9 @@ def test_criterion_04_fig2_reproduction(capsys, tmp_path):
 
 def test_criterion_05_boundary_states(capsys):
     product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
-    tri = optimize.multistart_maximize(
-        product, optimize.OptimizationConfig(seed=0)).best_value
+    tri = optimize.multistart_maximize(product, seed=0).best_value
     biseparable = qcore.ghz_state(qcore.GhzClassParams(math.pi / 4, 0.0))
-    bi = optimize.multistart_maximize(
-        biseparable, optimize.OptimizationConfig(seed=0)).best_value
+    bi = optimize.multistart_maximize(biseparable, seed=0).best_value
     ok = abs(tri - 4.0) <= 1e-6 and abs(bi - 4.0) <= 1e-6
     _report(capsys, 5, ok, f"boundary states: tri-separable={tri:.9f} "
             f"bi-separable={bi:.9f} vs 4 (tol 1e-6)")
@@ -202,10 +193,9 @@ def test_criterion_09_ceiling(capsys):
         s_op = bell.bell_operators(bell.settings_from_vectors(vectors))[0]
         worst_spec = max(worst_spec,
                          float(np.max(np.abs(np.linalg.eigvalsh(s_op)))))
-    cfg = optimize.OptimizationConfig(n_starts=10, seed=9)
     worst_opt = max(
-        optimize.multistart_maximize(qcore.haar_random_state(rng),
-                                     cfg).best_value
+        optimize.multistart_maximize(qcore.haar_random_state(rng), seed=9,
+                                     n_starts=10).best_value
         for _ in range(100))
     ok = worst_spec <= ceiling and worst_opt <= ceiling
     _report(capsys, 9, ok, f"ceiling: max spectrum={worst_spec:.9f} "

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import math
 import types
@@ -430,12 +431,13 @@ def test_sweep_w_csv(tmp_path, capsys):
 
 
 def test_default_sweep_w_matches_the_reduced_form_to_1e_9(tmp_path, capsys):
-    args = cli.build_parser().parse_args(
-        ["sweep-w", "--out", str(tmp_path / "fig2.csv")])
-    rows = cli.cmd_sweep_w(args)
+    out_path = tmp_path / "fig2.csv"
+    assert cli.main(["sweep-w", "--out", str(out_path)]) == 0
     capsys.readouterr()
-    assert len(rows) == 63
-    assert max(abs(row.gap) for row in rows) < 1e-9
+    with out_path.open(newline="") as handle:
+        gaps = [float(row["gap"]) for row in csv.DictReader(handle)]
+    assert len(gaps) == 63
+    assert max(abs(gap) for gap in gaps) < 1e-9
 
 
 def test_sweep_unwritable_path_is_io_error(capsys):
@@ -537,8 +539,9 @@ def test_worst_case_reports_the_worst_case_and_its_detail():
 
 def test_nan_fails_the_continuity_and_ceiling_suites(monkeypatch):
     monkeypatch.setattr(cli, "math", types.SimpleNamespace(
-        sqrt=lambda x: math.nan))
-    continuity = cli._suite_branch_continuity(5)
+        sqrt=lambda x: math.nan, isnan=math.isnan))
+    continuity = cli._worst_case("branch-continuity", 1e-13,
+                                 cli._branch_continuity_cases(5), str)
     assert not continuity.passed and math.isnan(continuity.worst)
     monkeypatch.setattr(cli.np.linalg, "eigvalsh",
                         lambda m: np.full(8, math.nan))
@@ -584,3 +587,16 @@ def test_main_builds_the_parser_once_and_runs_the_current_command(
     assert cli.main(["verify"]) == 0
     assert len(ran) == 1 and ran[0].seed == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--ghz", "0", "0"],
+    ["sweep-ghz"],
+    ["sweep-w"],
+    ["verify"],
+    ["simulate", "--ghz", "0", "0"],
+])
+def test_main_returns_the_exit_code_of_every_command(argv, monkeypatch):
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda args: 7)
+    assert cli.main(argv) == 7

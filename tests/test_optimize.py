@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import types
 
@@ -23,9 +22,8 @@ def random_settings(rng):
 
 def test_config_validation():
     with pytest.raises(qcore.ValidationError):
-        optimize.OptimizationConfig(n_starts=0)
-    assert [field.name for field in dataclasses.fields(
-        optimize.OptimizationConfig)] == ["n_starts", "seed"]
+        optimize.multistart_maximize(ghz(), 0, n_starts=0)
+    assert optimize.N_STARTS == 50
     assert optimize.CONVERGENCE_TOL == 1e-9
 
 
@@ -52,31 +50,27 @@ def test_seesaw_ghz_reaches_ceiling():
 
 def test_multistart_product_state():
     product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
-    result = optimize.multistart_maximize(
-        product, optimize.OptimizationConfig(seed=1))
+    result = optimize.multistart_maximize(product, seed=1)
     assert result.best_value == pytest.approx(4.0, abs=1e-6)
 
 
 def test_multistart_w_symmetric():
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
-    result = optimize.multistart_maximize(
-        w, optimize.OptimizationConfig(seed=2))
+    result = optimize.multistart_maximize(w, seed=2)
     assert result.best_value == pytest.approx(4.3546, abs=1e-4)
 
 
 def test_multistart_biseparable_ghz():
     state = qcore.ghz_state(qcore.GhzClassParams(math.pi / 4, 0.0))
-    result = optimize.multistart_maximize(
-        state, optimize.OptimizationConfig(seed=3))
+    result = optimize.multistart_maximize(state, seed=3)
     assert result.best_value == pytest.approx(4.0, abs=1e-6)
 
 
 def test_multistart_deterministic():
     rng = np.random.default_rng(42)
     s = qcore.haar_random_state(rng)
-    cfg = optimize.OptimizationConfig(seed=7)
-    first = optimize.multistart_maximize(s, cfg)
-    second = optimize.multistart_maximize(s, cfg)
+    first = optimize.multistart_maximize(s, seed=7)
+    second = optimize.multistart_maximize(s, seed=7)
     assert first.best_value == second.best_value
     assert first.iterations_used == second.iterations_used
     assert np.array_equal(first.best_settings.vectors(),
@@ -86,10 +80,9 @@ def test_multistart_deterministic():
 
 def test_multistart_never_exceeds_ceiling():
     rng = np.random.default_rng(43)
-    cfg = optimize.OptimizationConfig(n_starts=10, seed=4)
     for _ in range(20):
         s = qcore.haar_random_state(rng)
-        result = optimize.multistart_maximize(s, cfg)
+        result = optimize.multistart_maximize(s, seed=4, n_starts=10)
         assert 0.0 <= result.best_value <= bell.ALGEBRAIC_CEILING + 1e-9
 
 
@@ -98,7 +91,6 @@ def test_multistart_never_exceeds_ceiling():
     ghz(0.6, 1.1),
 ])
 def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
-    cfg = optimize.OptimizationConfig(n_starts=8, seed=9)
     inits = [random_settings(np.random.default_rng(seed)) for seed in range(8)]
     # Hand the batch exactly the directions each single run starts from.
     starts = np.stack([ms.vectors() for ms in inits], axis=1)
@@ -106,7 +98,7 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
                         lambda rng, shape: starts.copy())
     runs = [optimize.seesaw_maximize(state, ms) for ms in inits]
     single = max(runs, key=lambda r: r.best_value)
-    batched = optimize.multistart_maximize(state, cfg)
+    batched = optimize.multistart_maximize(state, seed=9, n_starts=8)
     assert batched.best_value == pytest.approx(single.best_value, abs=1e-12)
     # Sums run in a fixed order, so the paths agree to the last bit.
     assert batched.trace == single.trace
@@ -117,16 +109,15 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
 
 def test_best_settings_are_the_final_directions_of_the_ascent():
     state = qcore.haar_random_state(np.random.default_rng(46))
-    cfg = optimize.OptimizationConfig(n_starts=6, seed=4)
     parties = optimize._random_directions(
-        np.random.default_rng(cfg.seed), (6, cfg.n_starts)).reshape(3, 2, -1, 3)
+        np.random.default_rng(4), (6, 6)).reshape(3, 2, -1, 3)
     history, steps, residual = optimize._ascend(
         bell.correlation_tensor(state), parties)
     best = int(np.argmax(np.abs(history[-1])))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if history[-1][best] < 0.0:
         expected[:2] = -expected[:2]
-    result = optimize.multistart_maximize(state, cfg)
+    result = optimize.multistart_maximize(state, seed=4, n_starts=6)
     # The directions after the last see-saw cycle or Newton step, exactly.
     assert np.array_equal(result.best_settings.vectors(), expected)
     assert result.residual == residual[best] <= optimize.CONVERGENCE_TOL
@@ -161,16 +152,14 @@ def _plain_seesaw(tensors, parties, cycles):
 def test_certified_ascent_reaches_a_long_plain_seesaw():
     rng = np.random.default_rng(47)
     states = [qcore.haar_random_state(rng) for _ in range(200)]
-    configs = [optimize.OptimizationConfig(n_starts=8, seed=k)
-               for k in range(len(states))]
     starts = np.stack([
-        optimize._random_directions(np.random.default_rng(cfg.seed),
-                                    (6, cfg.n_starts)).reshape(3, 2, -1, 3)
-        for cfg in configs], axis=2)
+        optimize._random_directions(np.random.default_rng(seed),
+                                    (6, 8)).reshape(3, 2, -1, 3)
+        for seed in range(len(states))], axis=2)
     tensors = np.stack([bell.correlation_tensor(s) for s in states])
     reference = _plain_seesaw(tensors, starts, 3000).max(axis=1)
-    for state, cfg, plain in zip(states, configs, reference):
-        result = optimize.multistart_maximize(state, cfg)
+    for seed, (state, plain) in enumerate(zip(states, reference)):
+        result = optimize.multistart_maximize(state, seed=seed, n_starts=8)
         assert result.best_value >= plain - 1e-12
         assert result.residual <= 1e-9 and result.converged
         assert result.hessian_nsd
@@ -263,12 +252,8 @@ def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
     assert signs == {True, False}
 
 
-def test_multistart_local_unitary_invariance(monkeypatch):
+def test_multistart_local_unitary_invariance():
     rng = np.random.default_rng(44)
-    # A deep iteration budget so flat-ridge landscapes settle to the same
-    # maximum from both presentations of the state.
-    monkeypatch.setattr(optimize, "_MAX_STEPS", 3000)
-    cfg = optimize.OptimizationConfig(seed=5)
     # Drawing six cases but checking three keeps the flat-ridge landscape
     # at index 5 (the hardest of this stream) in the sample cheaply.
     for index in range(6):
@@ -277,8 +262,8 @@ def test_multistart_local_unitary_invariance(monkeypatch):
         if index not in (0, 2, 5):
             continue
         rotated = qcore.ThreeQubitPureState(u @ s.amplitudes)
-        assert optimize.multistart_maximize(rotated, cfg).best_value == (
-            pytest.approx(optimize.multistart_maximize(s, cfg).best_value,
+        assert optimize.multistart_maximize(rotated, seed=5).best_value == (
+            pytest.approx(optimize.multistart_maximize(s, seed=5).best_value,
                           abs=1e-6))
 
 
@@ -291,7 +276,7 @@ def test_ghz_grid_points_shape():
 
 
 def test_a_grid_at_the_point_bound_is_built(monkeypatch):
-    def row_index(index, *point_cfg_tol):
+    def row_index(index, *point_and_seed):
         return index
 
     monkeypatch.setattr(optimize, "ghz_verification_row", row_index)
@@ -307,8 +292,7 @@ def test_a_grid_at_the_point_bound_is_built(monkeypatch):
 
 
 def test_verify_grid_ghz_small():
-    rows = optimize.verify_grid_ghz(
-        5, [math.pi / 2], cfg=optimize.OptimizationConfig(seed=6))
+    rows = optimize.verify_grid_ghz(5, [math.pi / 2], seed=6)
     assert len(rows) == 5
     for row in rows:
         assert row.flag == "match"
@@ -363,8 +347,7 @@ def test_w_params_for_sum_symmetric_endpoint():
 
 
 def test_verify_grid_w_small():
-    rows = optimize.verify_grid_w(
-        [2.0 / 3.0], 6, cfg=optimize.OptimizationConfig(seed=8))
+    rows = optimize.verify_grid_w([2.0 / 3.0], 6, seed=8)
     assert len(rows) == 6
     for row in rows:
         assert row.flag != "numeric-below"
@@ -395,15 +378,18 @@ def test_verification_row_flags():
 def test_numeric_below_row_retries_with_four_times_the_starts(
         row, point, closed, monkeypatch):
     target = closed()
-    starts = []
+    calls = []
 
-    def below_then_matching(state, cfg):
-        starts.append(cfg.n_starts)
-        value = target - 1e-2 if len(starts) == 1 else target
+    def below_then_matching(state, seed, n_starts=optimize.N_STARTS):
+        calls.append((seed, n_starts))
+        value = target - 1e-2 if len(calls) == 1 else target
         return types.SimpleNamespace(best_value=value)
 
     monkeypatch.setattr(optimize, "multistart_maximize", below_then_matching)
-    result = row(4, *point, optimize.OptimizationConfig(n_starts=7))
-    assert starts == [7, 28]
+    result = row(4, *point, 7)
+    seeds, starts = zip(*calls)
+    assert starts == (optimize.N_STARTS, 4 * optimize.N_STARTS)
+    # Both runs draw from the row's own seed.
+    assert seeds == (qcore._derived_seed(7, 4),) * 2
     assert result.flag == "match"
     assert result.numeric_value == target and result.gap == 0.0
