@@ -14,7 +14,6 @@ from .qcore import (
     ValidationError,
     WClassParams,
     X_HAT,
-    Y_HAT,
     Z_HAT,
     expectation,
     ghz_state,
@@ -43,7 +42,6 @@ from .bell import (
     correlation_tensor,
     ghz_correlator_closed,
     optimal_settings_ghz,
-    optimal_settings_w_symmetric,
     settings_from_vectors,
     settings_from_w_angles,
     smax_ghz_closed,
@@ -57,7 +55,6 @@ from .optimize import (
     OptimizationResult,
     VerificationRow,
     multistart_maximize,
-    seesaw_maximize,
     verify_grid_ghz,
     verify_grid_w,
     w_params_for_sum,

@@ -310,12 +310,3 @@ def smax_w(profile: EntanglementProfile) -> SmaxReport:
     return SmaxReport(closed_value=best_value, branch="w-class",
                       achieving_settings=settings_from_w_angles(*best_angles),
                       theta_tilde=best_angles)
-
-
-W_SYMMETRIC_TILT = math.acos(1.0 / math.sqrt(3.0))
-
-
-def optimal_settings_w_symmetric() -> MeasurementSettings:
-    """The symmetric-W directions x cos(t) +/- z sin(t) at t = arccos(1/sqrt 3)."""
-    return settings_from_w_angles(W_SYMMETRIC_TILT, W_SYMMETRIC_TILT,
-                                  W_SYMMETRIC_TILT)

@@ -298,14 +298,6 @@ def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
     )
 
 
-def seesaw_maximize(s: ThreeQubitPureState,
-                    init: MeasurementSettings) -> OptimizationResult:
-    """Certified ascent of <S> from one initial settings choice."""
-    parties = init.vectors().reshape(3, 2, 1, 3)
-    t = correlation_tensor(s)
-    return _result(t, parties, *_ascend(t, parties))
-
-
 def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform directions on the sphere: an array of shape `shape + (3,)`.
 

@@ -105,15 +105,6 @@ class UnitVector:
         return azimuth if azimuth < 2 * math.pi else 0.0
 
     @classmethod
-    def from_cartesian(cls, v) -> "UnitVector":
-        """The direction of any nonzero 3-vector."""
-        v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm < 1e-14:
-            raise ValidationError("cannot normalize a zero vector")
-        return cls(*(v / norm))
-
-    @classmethod
     def from_angles(cls, polar: float, azimuth: float) -> "UnitVector":
         """The direction at polar angle in [0, pi] and azimuth, in radians."""
         if not (math.isfinite(polar) and math.isfinite(azimuth)):
@@ -126,7 +117,6 @@ class UnitVector:
 
 
 X_HAT = UnitVector.from_angles(math.pi / 2, 0.0)
-Y_HAT = UnitVector.from_angles(math.pi / 2, math.pi / 2)
 Z_HAT = UnitVector.from_angles(0.0, 0.0)
 
 

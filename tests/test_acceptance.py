@@ -143,8 +143,8 @@ def test_criterion_07_oracle_equivalence(capsys):
     worst12 = worst24 = worst_red = 0.0
     for _ in range(1000):
         params = qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
-        dirs = [qcore.UnitVector.from_cartesian(rng.normal(size=3))
-                for _ in range(3)]
+        dirs = [qcore.UnitVector(*(v / np.linalg.norm(v)))
+                for v in rng.normal(size=(3, 3))]
         op = qcore.tensor3(*(qcore.spin_observable(d) for d in dirs))
         worst12 = max(worst12, abs(
             bell.ghz_correlator_closed(params, *dirs)
@@ -208,7 +208,8 @@ def test_criterion_10_monte_carlo(capsys):
     ghz = qcore.ghz_state(ghz_params)
     ghz_ms = bell.optimal_settings_ghz(ghz_params)
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
-    w_ms = bell.optimal_settings_w_symmetric()
+    tilt = math.acos(1 / math.sqrt(3))
+    w_ms = bell.settings_from_w_angles(tilt, tilt, tilt)
     cases = [("ghz", ghz, ghz_ms, 4.0 * R2),
              ("w", w, w_ms, bell.svetlichny_value(w, w_ms))]
     hits = {}

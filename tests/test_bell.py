@@ -9,6 +9,7 @@ from tribell import bell, entanglement, optimize, qcore
 R2 = math.sqrt(2.0)
 R3 = 1 / math.sqrt(3)
 W_SYM_MAX = (16.0 / 3.0) * math.sqrt(2.0 / 3.0)
+W_SYM_TILT = math.acos(1 / math.sqrt(3))
 
 
 def ghz(theta=math.pi / 4, theta3=math.pi / 2):
@@ -19,8 +20,13 @@ def w_sym_profile():
     return entanglement.w_profile_closed(qcore.WClassParams(R3, R3, R3))
 
 
+def w_sym_settings():
+    return bell.settings_from_w_angles(W_SYM_TILT, W_SYM_TILT, W_SYM_TILT)
+
+
 def random_unit(rng):
-    return qcore.UnitVector.from_cartesian(rng.normal(size=3))
+    v = rng.normal(size=3)
+    return qcore.UnitVector(*(v / np.linalg.norm(v)))
 
 
 def random_settings(rng):
@@ -110,7 +116,7 @@ def test_svetlichny_value_examples():
     settings = bell.optimal_settings_ghz(params)
     assert bell.svetlichny_value(ghz(), settings) == pytest.approx(4.0 * R2)
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
-    value = bell.svetlichny_value(w, bell.optimal_settings_w_symmetric())
+    value = bell.svetlichny_value(w, w_sym_settings())
     assert value == pytest.approx(4.3546, abs=5e-4)
 
 
@@ -233,7 +239,7 @@ def test_w_correlator_closed_oracle():
 
 def test_w_reduced_value_symmetric_formula():
     profile = w_sym_profile()
-    for tilde in (0.2, 0.7, bell.W_SYMMETRIC_TILT, 1.3):
+    for tilde in (0.2, 0.7, W_SYM_TILT, 1.3):
         expected = math.sin(3 * tilde) + 5 * math.sin(tilde)
         assert bell.w_reduced_value(profile, tilde, tilde,
                                     tilde) == pytest.approx(expected,
@@ -293,17 +299,16 @@ def test_smax_w_violation_threshold():
 
 
 def test_optimal_settings_w_symmetric_structure():
-    ms = bell.optimal_settings_w_symmetric()
-    tilt = bell.W_SYMMETRIC_TILT
-    expected = [math.cos(tilt), 0.0, math.sin(tilt)]
+    ms = w_sym_settings()
+    expected = [math.cos(W_SYM_TILT), 0.0, math.sin(W_SYM_TILT)]
     for v in (ms.a, ms.b, ms.c):
         assert np.allclose(v.cartesian, expected, atol=1e-12)
-    expected_prime = [math.cos(tilt), 0.0, -math.sin(tilt)]
+    expected_prime = [math.cos(W_SYM_TILT), 0.0, -math.sin(W_SYM_TILT)]
     for v in (ms.a_prime, ms.b_prime, ms.c_prime):
         assert np.allclose(v.cartesian, expected_prime, atol=1e-12)
 
 
 def test_w_symmetric_mermin_below_svetlichny():
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
-    s_op, m_op, _ = bell.bell_operators(bell.optimal_settings_w_symmetric())
+    s_op, m_op, _ = bell.bell_operators(w_sym_settings())
     assert abs(qcore.expectation(w, m_op)) < abs(qcore.expectation(w, s_op))

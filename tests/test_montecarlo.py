@@ -8,14 +8,20 @@ from tribell import bell, montecarlo, qcore
 
 R2 = math.sqrt(2.0)
 R3 = 1 / math.sqrt(3)
+W_SYM_TILT = math.acos(1 / math.sqrt(3))
 
 
 def ghz():
     return qcore.ghz_state(qcore.GhzClassParams(math.pi / 4, math.pi / 2))
 
 
+def w_sym_settings():
+    return bell.settings_from_w_angles(W_SYM_TILT, W_SYM_TILT, W_SYM_TILT)
+
+
 def random_unit(rng):
-    return qcore.UnitVector.from_cartesian(rng.normal(size=3))
+    v = rng.normal(size=3)
+    return qcore.UnitVector(*(v / np.linalg.norm(v)))
 
 
 def test_svetlichny_terms_match_operator():
@@ -196,7 +202,7 @@ def test_estimate_svetlichny_ghz():
 
 def test_estimate_svetlichny_w_symmetric():
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
-    ms = bell.optimal_settings_w_symmetric()
+    ms = w_sym_settings()
     exact = bell.svetlichny_value(w, ms)
     est = montecarlo.estimate_svetlichny(w, ms,
                                          shots_per_correlator=100_000, seed=4)
@@ -204,7 +210,7 @@ def test_estimate_svetlichny_w_symmetric():
 
 
 def test_estimate_svetlichny_deterministic():
-    ms = bell.optimal_settings_w_symmetric()
+    ms = w_sym_settings()
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
     first = montecarlo.estimate_svetlichny(w, ms, 2000, seed=5)
     second = montecarlo.estimate_svetlichny(w, ms, 2000, seed=5)
@@ -212,7 +218,7 @@ def test_estimate_svetlichny_deterministic():
 
 
 def test_estimate_svetlichny_single_shot_well_formed():
-    ms = bell.optimal_settings_w_symmetric()
+    ms = w_sym_settings()
     w = qcore.w_state(qcore.WClassParams(R3, R3, R3))
     est = montecarlo.estimate_svetlichny(w, ms, 1, seed=6)
     # Eight +-1 outcomes combined with unit signs give an even integer.

@@ -77,14 +77,15 @@ def test_w_params_validation():
 def test_spin_observable_pauli_axes():
     assert np.allclose(qcore.spin_observable(qcore.Z_HAT), qcore.SIGMA_Z)
     assert np.allclose(qcore.spin_observable(qcore.X_HAT), qcore.SIGMA_X)
-    assert np.allclose(qcore.spin_observable(qcore.Y_HAT), qcore.SIGMA_Y)
+    assert np.allclose(qcore.spin_observable(qcore.UnitVector(0.0, 1.0, 0.0)),
+                       qcore.SIGMA_Y)
 
 
 def test_spin_observable_unit_eigenvalues():
     rng = np.random.default_rng(11)
     for _ in range(50):
         v = rng.normal(size=3)
-        n = qcore.UnitVector.from_cartesian(v)
+        n = qcore.UnitVector(*(v / np.linalg.norm(v)))
         vals = qcore.herm_eig(qcore.spin_observable(n))[0]
         assert np.allclose(vals, [1.0, -1.0], atol=1e-12)
 
@@ -94,19 +95,20 @@ def test_unit_vector_round_trip():
     for _ in range(100):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        n = qcore.UnitVector.from_cartesian(v)
-        assert np.allclose(n.cartesian, v, atol=1e-12)
-        assert np.allclose(qcore.UnitVector.from_cartesian(2.5 * v).cartesian,
-                           v, atol=1e-12)
+        n = qcore.UnitVector(*v)
+        assert np.array_equal(n.cartesian, v)
         assert 0.0 <= n.polar <= math.pi
         assert 0.0 <= n.azimuth < 2 * math.pi
+        assert np.allclose(
+            qcore.UnitVector.from_angles(n.polar, n.azimuth).cartesian, v,
+            atol=1e-12)
     # atan2 gives -1e-17 here, which the modulo alone rounds up to 2 pi.
-    assert qcore.UnitVector.from_cartesian([1.0, -1e-17, 0.0]).azimuth == 0.0
+    assert qcore.UnitVector(1.0, -1e-17, 0.0).azimuth == 0.0
 
 
 def test_unit_vector_rejects_zero():
     with pytest.raises(qcore.ValidationError):
-        qcore.UnitVector.from_cartesian([0.0, 0.0, 0.0])
+        qcore.UnitVector(0.0, 0.0, 0.0)
 
 
 def test_unit_vector_rejects_bad_polar():
@@ -171,8 +173,8 @@ def test_expectation_bounded_for_spin_products():
     rng = np.random.default_rng(2)
     for _ in range(200):
         s = qcore.haar_random_state(rng)
-        ops = [qcore.spin_observable(qcore.UnitVector.from_cartesian(
-            rng.normal(size=3))) for _ in range(3)]
+        ops = [qcore.spin_observable(qcore.UnitVector(*(v / np.linalg.norm(v))))
+               for v in rng.normal(size=(3, 3))]
         value = qcore.expectation(s, qcore.tensor3(*ops))
         assert -1.0 - 1e-10 <= value <= 1.0 + 1e-10
 

@@ -5,8 +5,9 @@ The `python` block is executed, every `tribell analyze` and
 goes through the parser.  The sweep and `verify` lines are parsed but not
 run: the acceptance criteria and the battery tests run them.
 Every constant the README quotes as `module.NAME` = value must equal the
-module attribute, and every `--flag` it names must be an option of the
-parser, so moving, retuning or dropping one cannot leave the text stale.
+module attribute, every `layer.name` it cites must exist, and every
+`--flag` it names must be an option of the parser, so moving, retuning or
+dropping one cannot leave the text stale.
 """
 
 import argparse
@@ -28,6 +29,11 @@ LINES = [shlex.split(line, comments=True)
 COMMANDS = [argv for argv in LINES if argv[1] in ("analyze", "simulate")]
 CONSTANTS = re.findall(
     r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d[\d.]*(?:e[-+]?\d+)?)\b", README)
+# `tribell.optimize.w_sum_max`, `optimize.w_sum_max(C12)` and the like:
+# (layer, ".w_sum_max") with any call arguments dropped.
+NAMES = re.findall(
+    r"`(?:tribell\.)?(qcore|entanglement|bell|optimize|montecarlo|cli)"
+    r"((?:\.\w+)+)(?:\([^`]*\))?`", README)
 # The install line's flags are pip's, not tribell's.
 FLAGS = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
                        re.sub(r"^pip install .*$", "", README, flags=re.M)))
@@ -69,6 +75,22 @@ def test_readme_quotes_the_tuned_constants():
 def test_readme_constant_matches_the_code(module, name, value):
     actual = getattr(importlib.import_module(f"tribell.{module}"), name)
     assert actual == float(value)
+
+
+def _resolves(layer, attributes):
+    obj = importlib.import_module(f"tribell.{layer}")
+    for attribute in attributes.split(".")[1:]:
+        if not hasattr(obj, attribute):
+            return False
+        obj = getattr(obj, attribute)
+    return True
+
+
+def test_readme_cites_only_names_the_code_has():
+    assert NAMES, "the README cites no library name"
+    missing = [layer + attributes for layer, attributes in NAMES
+               if not _resolves(layer, attributes)]
+    assert not missing, f"not in the library: {missing}"
 
 
 def test_readme_names_only_flags_the_parser_has():
