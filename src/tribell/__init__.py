@@ -45,6 +45,7 @@ from .bell import (
     settings_from_vectors,
     settings_from_w_angles,
     smax_ghz_closed,
+    smax_upper_bound,
     smax_w,
     svetlichny_value,
     svetlichny_value_direct,

@@ -7,7 +7,9 @@ is a party's unprimed direction, 1 its primed one, and G is the sign tensor
 SVETLICHNY_SIGNS.  Every correlator is a contraction of the 3x3x3
 correlation tensor, which is the fast path used by the optimizer; the
 explicit 8x8 operators of `bell_operators` are kept as the slow oracle, and
-the GHZ and W families also have closed forms.
+the GHZ and W families also have closed forms.  The flattenings of the
+correlation tensor bound <S> over all settings (`smax_upper_bound`); on the
+GHZ family the bound is the closed-form maximum itself.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ _W_SEED = 0
 # the primed direction of each party.
 SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
                              [[1.0, -1.0], [-1.0, -1.0]]])
+# SVETLICHNY_SIGNS with party k's axis first, for each k: views of the
+# same +-1 values.
+_SIGNS_BY_PARTY = tuple(np.moveaxis(SVETLICHNY_SIGNS, k, 0) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,7 @@ def _party_coefficients(t: np.ndarray, parties: np.ndarray,
     """
     p, q = (j for j in range(3) if j != k)
     # Folding the +-1 signs into party q is exact in any summation order.
-    signed = np.einsum("xyz,znl->xynl", np.moveaxis(SVETLICHNY_SIGNS, k, 0),
-                       parties[q])
+    signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[k], parties[q])
     # terms[i, j, y, n, l] = t[i, j, l] P[y, n, j] for the other party p.
     terms = (np.moveaxis(t, k, 0)[:, :, None, None, :]
              * parties[p].transpose(2, 0, 1)[None, :, :, :, None])
@@ -141,6 +145,28 @@ def _party_coefficients(t: np.ndarray, parties: np.ndarray,
     terms = partial * signed[:, None]
     coeff = terms[:, :, 0] + terms[:, :, 1]
     return (coeff[..., 0] + coeff[..., 1] + coeff[..., 2]).transpose(0, 2, 1)
+
+
+def smax_upper_bound(t: np.ndarray) -> float:
+    """4 min_k sigma_max(T_(k)), an upper bound on |<S>| over all settings.
+
+    T_(k) is the 3x9 flattening of the correlation tensor `t` on party k.
+    SVETLICHNY_SIGNS is symmetric under any permutation of the parties, so
+    contracting it with the other two parties' unit directions p, p', q, q'
+    leaves one 9-vector per direction x of party k:
+    w_0 = p (x) (q + q') + p' (x) (q - q') and w_1 = p (x) (q - q') -
+    p' (x) (q + q').  Since |q + q'|^2 + |q - q'|^2 = 4 and
+    (q + q') . (q - q') = 0, |w_0| = |w_1| = 2, so with u_0, u_1 party k's
+    own directions,
+    <S> = u_0 . T_(k) w_0 + u_1 . T_(k) w_1 <= |T_(k) w_0| + |T_(k) w_1|
+    <= 4 sigma_max(T_(k)).  The bound holds for each k, so for their
+    minimum.  On the GHZ family it equals Eq. (19)'s maximum; compare Li,
+    Shen, Jing, Fei and Li-Jost, PRA 96, 042323 (2017).
+    """
+    flattenings = np.stack([np.moveaxis(t, k, 0).reshape(3, 9)
+                            for k in range(3)])
+    return 4.0 * float(np.min(
+        np.linalg.svd(flattenings, compute_uv=False)[:, 0]))
 
 
 def svetlichny_value(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:

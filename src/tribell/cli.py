@@ -259,6 +259,9 @@ def cmd_analyze(args) -> int:
     print(f"smax numeric:      {numeric.best_value:.9g}")
     print(f"optimality residual: {numeric.residual:.3e} "
           f"({'converged' if numeric.converged else 'not converged'})")
+    print(f"upper bound:       {numeric.upper_bound:.9g}")
+    print(f"global maximum:    "
+          f"{'certified' if numeric.global_maximum else 'not certified'}")
     print(f"verdict:           "
           f"{'violates' if violates else 'no violation'} (threshold 4)")
     return 0

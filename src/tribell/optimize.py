@@ -14,6 +14,13 @@ step that would lower <S> is replaced by a see-saw cycle, so the ascent
 stays monotone.  A start stops when its residual, the norm of the
 Riemannian gradient, is within CONVERGENCE_TOL, or after _MAX_STEPS
 steps; a seeded multistart makes the search global in practice.
+
+The whole batch stops as soon as one start is certified within BOUND_TOL
+of `bell.smax_upper_bound`, the correlation-tensor bound on every
+setting's |<S>|: that start is provably the global maximum, so no other
+start can beat it.  The bound is tight on the GHZ family, so there the
+certificate is global; elsewhere it is loose and the batch runs until
+every start stops.
 """
 
 from __future__ import annotations
@@ -40,12 +47,16 @@ from .bell import (
     correlation_tensor,
     settings_from_vectors,
     smax_ghz_closed,
+    smax_upper_bound,
     smax_w,
 )
 from .entanglement import ghz_profile_closed, w_profile_closed
 
 # A start is certified, and stops, once its residual is within this.
 CONVERGENCE_TOL = 1e-9
+# A certified start within this of the upper bound is a global maximum,
+# and stops the whole batch.
+BOUND_TOL = 1e-12
 # The most steps a start runs, see-saw cycles and Newton steps together.
 _MAX_STEPS = 500
 # See-saw cycles each start runs before it may take Newton steps.
@@ -72,14 +83,17 @@ N_STARTS = 50
 class OptimizationResult:
     """Best |<S>| over the starts and the settings that reach it.
 
-    `iterations_used` counts the steps the batch ran: _HANDOVER see-saw
-    cycles, then safeguarded Newton steps, each of which may have given
-    way to a see-saw cycle.  `trace` is the best start's signed <S> before
-    its first step and after each step it ran; it never decreases beyond
-    roundoff.  The certificate: `residual` is the best start's Riemannian
-    gradient norm, `converged` says it is within CONVERGENCE_TOL, and
-    `hessian_nsd` says the projected Hessian at the reported settings is
-    negative semidefinite, as at a local maximum.
+    `iterations_used` counts the steps the batch ran until it stopped:
+    _HANDOVER see-saw cycles, then safeguarded Newton steps, each of which
+    may have given way to a see-saw cycle.  `trace` is the best start's
+    signed <S> before its first step and after each step it ran; it never
+    decreases beyond roundoff.  The certificate: `residual` is the best
+    start's Riemannian gradient norm, `converged` says it is within
+    CONVERGENCE_TOL, and `hessian_nsd` says the projected Hessian at the
+    reported settings is negative semidefinite, as at a local maximum.
+    `upper_bound` is `bell.smax_upper_bound` of the state, and
+    `global_maximum` says the best value is certified within BOUND_TOL of
+    it, so no settings do better.
     """
 
     best_value: float
@@ -89,6 +103,12 @@ class OptimizationResult:
     trace: Tuple[float, ...]
     residual: float
     hessian_nsd: bool
+    upper_bound: float
+
+    @property
+    def global_maximum(self) -> bool:
+        return bool(_at_bound(self.best_value, self.residual,
+                              self.upper_bound))
 
 
 @dataclass(frozen=True)
@@ -230,17 +250,23 @@ def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
     return coeff
 
 
-def _ascend(t: np.ndarray, parties: np.ndarray):
+def _at_bound(value, residual, bound):
+    """Which starts are certified within BOUND_TOL of the upper bound."""
+    return (residual <= CONVERGENCE_TOL) & (np.abs(value) >= bound - BOUND_TOL)
+
+
+def _ascend(t: np.ndarray, parties: np.ndarray, bound: float):
     """Run the ascent in place on a (3, 2, n, 3) batch of starts.
 
     Each step of a start is a see-saw cycle for the first _HANDOVER steps
     and a Newton step after that, replaced by a see-saw cycle whenever it
     would lower <S>.  A start is frozen once its residual is within
-    CONVERGENCE_TOL.  Every sum runs in a fixed order, so batched and
-    one-at-a-time execution follow the same paths.  Returns (history,
-    steps, residual): history[c] holds <S> of every start after c steps,
-    steps[i] is the number of steps start i ran, and residual[i] its final
-    Riemannian gradient norm.
+    CONVERGENCE_TOL, and the whole batch stops once a start is certified
+    at the upper bound `bound`.  Every sum runs in a fixed order, so
+    batched and one-at-a-time execution follow the same paths.  Returns
+    (history, steps, residual): history[c] holds <S> of every start after
+    c steps, steps[i] is the number of steps start i ran, and residual[i]
+    its final Riemannian gradient norm.
     """
     grad = _gradients(t, parties)
     value = _value(grad[2], parties[2])
@@ -249,7 +275,7 @@ def _ascend(t: np.ndarray, parties: np.ndarray):
     history = [value.copy()]
     for step in range(_MAX_STEPS):
         live = np.flatnonzero(residual > CONVERGENCE_TOL)
-        if live.size == 0:
+        if live.size == 0 or _at_bound(value, residual, bound).any():
             break
         batch = parties[:, :, live]
         seesaw = np.ones(live.size, dtype=bool)
@@ -275,11 +301,20 @@ def _ascend(t: np.ndarray, parties: np.ndarray):
     return np.array(history), steps, residual
 
 
-def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
-            steps: np.ndarray, residual: np.ndarray) -> OptimizationResult:
-    """The best start's |<S>|, its settings, trace and certificate."""
+def _result(t: np.ndarray, bound: float, parties: np.ndarray,
+            history: np.ndarray, steps: np.ndarray,
+            residual: np.ndarray) -> OptimizationResult:
+    """The best start's |<S>|, its settings, trace and certificate.
+
+    When starts are certified at the bound, the best of those is reported:
+    a start still moving may sit a few ulps higher, uncertified.
+    """
     final = history[-1]
-    best = int(np.argmax(np.abs(final)))
+    magnitude = np.abs(final)
+    at_bound = _at_bound(final, residual, bound)
+    if at_bound.any():
+        magnitude = np.where(at_bound, magnitude, -1.0)
+    best = int(np.argmax(magnitude))
     vectors = parties[:, :, best].reshape(6, 3).copy()
     if final[best] < 0.0:
         # Flipping one party's directions flips the sign, so report |<S>|.
@@ -295,6 +330,7 @@ def _result(t: np.ndarray, parties: np.ndarray, history: np.ndarray,
         trace=tuple(float(v) for v in history[:steps[best] + 1, best]),
         residual=float(residual[best]),
         hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1] <= _NSD_TOL),
+        upper_bound=bound,
     )
 
 
@@ -322,7 +358,8 @@ def multistart_maximize(s: ThreeQubitPureState, seed: int,
     rng = np.random.default_rng(seed)
     parties = _random_directions(rng, (6, n_starts)).reshape(3, 2, -1, 3)
     t = correlation_tensor(s)
-    return _result(t, parties, *_ascend(t, parties))
+    bound = smax_upper_bound(t)
+    return _result(t, bound, parties, *_ascend(t, parties, bound))
 
 
 def _flag_for_gap(gap: float) -> str:

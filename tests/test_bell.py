@@ -181,6 +181,22 @@ def test_smax_ghz_closed_rejects_w_profile():
         bell.smax_ghz_closed(w_sym_profile())
 
 
+def test_smax_upper_bound_equals_eq_19_on_the_ghz_family():
+    rng = np.random.default_rng(54)
+    branches = set()
+    for _ in range(200):
+        params = qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
+        report = bell.smax_ghz_closed(entanglement.ghz_profile_closed(params))
+        branches.add(report.branch)
+        state = ghz(params.theta, params.theta3)
+        rotated = qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rng) @ state.amplitudes)
+        for s in (state, rotated):
+            bound = bell.smax_upper_bound(bell.correlation_tensor(s))
+            assert bound == pytest.approx(report.closed_value, abs=1e-12)
+    assert branches == {"low-branch", "high-branch"}
+
+
 def test_optimal_settings_ghz_achieves_closed_value():
     rng = np.random.default_rng(25)
     for _ in range(40):

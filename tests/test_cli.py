@@ -184,6 +184,36 @@ def test_analyze_prints_the_optimality_residual_after_the_maximum(capsys):
     assert status == "(converged)"
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["--ghz", "1.2", "0.2"], "certified"),
+    (["--w", "0.6", "0.64", "0.48"], "not certified"),
+])
+def test_analyze_states_the_global_certificate_after_the_residual(
+        argv, status, capsys):
+    assert cli.main(["analyze", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = [k for k, line in enumerate(lines)
+          if line.startswith("optimality residual:")][0]
+    label, bound = lines[at + 1].split(":")
+    assert label == "upper bound"
+    numeric = float(lines[at - 1].split(":")[1])
+    assert numeric <= float(bound) + 1e-8
+    assert lines[at + 2] == f"global maximum:    {status}"
+
+
+def test_analyze_claims_no_global_maximum_without_convergence(
+        monkeypatch, capsys):
+    def uncertified(state, seed):
+        result = optimize.multistart_maximize(state, seed)
+        return dataclasses.replace(result, converged=False, residual=1e-3)
+
+    monkeypatch.setattr(cli, "multistart_maximize", uncertified)
+    assert cli.main(["analyze", "--ghz", "1.2", "0.2"]) == 0
+    out = capsys.readouterr().out
+    assert "optimality residual: 1.000e-03 (not converged)\n" in out
+    assert "global maximum:    not certified\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-ghz", "--theta-steps", str(10 ** 12)],
     ["sweep-w", "--sum-steps", str(10 ** 12)],

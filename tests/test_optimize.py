@@ -91,11 +91,11 @@ def test_multistart_never_exceeds_ceiling():
         assert 0.0 <= result.best_value <= bell.ALGEBRAIC_CEILING + 1e-9
 
 
-@pytest.mark.parametrize("state", [
-    qcore.haar_random_state(np.random.default_rng(45)),
-    ghz(0.6, 1.1),
-])
-def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
+@pytest.mark.parametrize("state, tight", [
+    (qcore.haar_random_state(np.random.default_rng(45)), False),
+    (ghz(0.6, 1.1), True),
+], ids=["state0", "state1"])
+def test_multistart_matches_the_best_single_seesaw(state, tight, monkeypatch):
     inits = [random_settings(np.random.default_rng(seed)) for seed in range(8)]
     # Hand the batch exactly the directions each single run starts from.
     starts = np.stack([ms.vectors() for ms in inits], axis=1)
@@ -105,19 +105,33 @@ def test_multistart_matches_the_best_single_seesaw(state, monkeypatch):
     single = max(runs, key=lambda r: r.best_value)
     batched = optimize.multistart_maximize(state, seed=9, n_starts=8)
     assert batched.best_value == pytest.approx(single.best_value, abs=1e-12)
+    certified = [r for r in runs if r.global_maximum]
+    # The bound is tight on the GHZ family only.
+    assert bool(certified) == tight
+    if certified:
+        # The batch stops at the first step a start is certified at the
+        # bound, and reports the best start certified at that step.
+        first = min(r.iterations_used for r in certified)
+        reported = max((r for r in certified if r.iterations_used == first),
+                       key=lambda r: r.best_value)
+        assert batched.global_maximum
+    else:
+        reported = single
+        first = max(r.iterations_used for r in runs)
     # Sums run in a fixed order, so the paths agree to the last bit.
-    assert batched.trace == single.trace
+    assert batched.trace == reported.trace
     assert np.array_equal(batched.best_settings.vectors(),
-                          single.best_settings.vectors())
-    assert batched.iterations_used == max(r.iterations_used for r in runs)
+                          reported.best_settings.vectors())
+    assert batched.iterations_used == first
 
 
 def test_best_settings_are_the_final_directions_of_the_ascent():
     state = qcore.haar_random_state(np.random.default_rng(46))
     parties = optimize._random_directions(
         np.random.default_rng(4), (6, 6)).reshape(3, 2, -1, 3)
+    t = bell.correlation_tensor(state)
     history, steps, residual = optimize._ascend(
-        bell.correlation_tensor(state), parties)
+        t, parties, bell.smax_upper_bound(t))
     best = int(np.argmax(np.abs(history[-1])))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if history[-1][best] < 0.0:
@@ -127,6 +141,46 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     assert np.array_equal(result.best_settings.vectors(), expected)
     assert result.residual == residual[best] <= optimize.CONVERGENCE_TOL
     assert len(result.trace) == steps[best] + 1
+
+
+def haar_and_w_states():
+    rng = np.random.default_rng(53)
+    w = qcore.w_state(qcore.WClassParams(0.6, 0.64, 0.48))
+    states = [qcore.haar_random_state(rng) for _ in range(3)] + [w]
+    return states + [qcore.ThreeQubitPureState(
+        qcore.haar_local_unitary(rng) @ s.amplitudes) for s in states]
+
+
+@pytest.mark.parametrize("state", haar_and_w_states())
+def test_the_bound_caps_the_maximum_and_stops_no_loose_batch(
+        state, monkeypatch):
+    result = optimize.multistart_maximize(state, seed=10, n_starts=10)
+    assert result.best_value <= result.upper_bound + 1e-12
+    assert result.upper_bound == bell.smax_upper_bound(
+        bell.correlation_tensor(state))
+    assert not result.global_maximum
+    monkeypatch.setattr(optimize, "smax_upper_bound", lambda t: math.inf)
+    unbounded = optimize.multistart_maximize(state, seed=10, n_starts=10)
+    assert unbounded.trace == result.trace
+    assert np.array_equal(unbounded.best_settings.vectors(),
+                          result.best_settings.vectors())
+    assert unbounded.iterations_used == result.iterations_used
+
+
+def test_a_ghz_batch_stops_at_a_start_certified_at_the_bound(monkeypatch):
+    # Row 24 of the default sweep-ghz grid, where one start's slow escape
+    # from a saddle kept the whole batch running.
+    state = ghz(3 * math.pi / 40, math.pi / 4)
+    seed = qcore._derived_seed(0, 24)
+    stopped = optimize.multistart_maximize(state, seed)
+    assert stopped.converged and stopped.hessian_nsd
+    assert stopped.global_maximum
+    assert stopped.best_value >= stopped.upper_bound - optimize.BOUND_TOL
+    monkeypatch.setattr(optimize, "smax_upper_bound", lambda t: math.inf)
+    unstopped = optimize.multistart_maximize(state, seed)
+    assert stopped.iterations_used < unstopped.iterations_used
+    assert stopped.best_value == pytest.approx(unstopped.best_value,
+                                               abs=1e-12)
 
 
 def _plain_seesaw(tensors, parties, cycles):

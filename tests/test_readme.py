@@ -67,7 +67,8 @@ def test_readme_quotes_the_tuned_constants():
     assert {name for _, name, _ in CONSTANTS} >= {
         "VIOLATION_MARGIN", "SEPARABLE_CONCURRENCE_TOL",
         "GHZ_CLASS_TAU_THRESHOLD", "MAX_GRID_STEPS", "MAX_GRID_POINTS",
-        "CONVERGENCE_TOL", "RANK_CUTOFF", "REPORT_TOL", "N_STARTS"}
+        "CONVERGENCE_TOL", "RANK_CUTOFF", "REPORT_TOL", "N_STARTS",
+        "BOUND_TOL"}
 
 
 @pytest.mark.parametrize("module, name, value", CONSTANTS,
