@@ -5,11 +5,12 @@ and D' = B - B'; the two halves are the Mermin operators M and M'.
 Expanded, <S> = sum over x, y, z of G[x, y, z] <A_x B_y C_z>, where index 0
 is a party's unprimed direction, 1 its primed one, and G is the sign tensor
 SVETLICHNY_SIGNS.  Every correlator is a contraction of the 3x3x3
-correlation tensor, which is the fast path used by the optimizer; the
-explicit 8x8 operators of `bell_operators` are kept as the slow oracle, and
-the GHZ and W families also have closed forms.  The flattenings of the
-correlation tensor bound <S> over all settings (`smax_upper_bound`); on the
-GHZ family the bound is the closed-form maximum itself.
+correlation tensor, the fast path used by the optimizer; the signs meet
+the tensor in one place, `_block`.  The explicit 8x8 operators of
+`bell_operators` are kept as the slow oracle, and the GHZ and W families
+also have closed forms.  The flattenings of the correlation tensor bound
+<S> over all settings (`smax_upper_bound`); on the GHZ family the bound
+is the closed-form maximum itself.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ _W_SEED = 0
 # the primed direction of each party.
 SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
                              [[1.0, -1.0], [-1.0, -1.0]]])
-# SVETLICHNY_SIGNS with party k's axis first, for each k: views of the
+# SVETLICHNY_SIGNS with party r's axis last, for each r: views of the
 # same +-1 values.
-_SIGNS_BY_PARTY = tuple(np.moveaxis(SVETLICHNY_SIGNS, k, 0) for k in range(3))
+_SIGNS_BY_PARTY = tuple(np.moveaxis(SVETLICHNY_SIGNS, r, 2) for r in range(3))
 
 
 @dataclass(frozen=True)
@@ -124,27 +125,48 @@ def correlation_tensor(s: ThreeQubitPureState) -> np.ndarray:
     return t
 
 
+def _block(t: np.ndarray, parties: np.ndarray, r: int) -> np.ndarray:
+    """<S> with party r held at its pair, a bilinear form in the others.
+
+    `t` is the 3x3x3 correlation tensor and `parties` a (3, 2, n, 3) stack
+    (party, unprimed/primed, start, axis).  With p < q the other parties,
+    B[x, y, n, i, j] = d^2 <S> / dP_x[i] dQ_y[j], of shape (2, 2, n, 3, 3).
+    Every <S> value, coefficient vector and Hessian block is read from it.
+    Every sum is in a fixed order, so a start's block does not depend on
+    how many starts share the batch.
+    """
+    # Folding the +-1 signs into party r's pair is exact in any order.
+    signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[r], parties[r])
+    # t with party r's axis fixed at l is a (p, q) matrix.
+    terms = [signed[..., l, None, None] * t[(slice(None),) * r + (l,)]
+             for l in range(3)]
+    return terms[0] + terms[1] + terms[2]
+
+
+def _contract(block: np.ndarray, pair: np.ndarray,
+              q_side: bool) -> np.ndarray:
+    """Party p's coefficient vectors (2, n, 3) in a `_block`, from party
+    q's `pair`; with `q_side`, party q's from party p's."""
+    if q_side:
+        block = block.transpose(1, 0, 2, 4, 3)
+    terms = block * pair[:, :, None, :]
+    terms = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    return terms[:, 0] + terms[:, 1]
+
+
 def _party_coefficients(t: np.ndarray, parties: np.ndarray,
                         k: int) -> np.ndarray:
     """Coefficient vectors of <S> in both directions of party k.
 
-    `t` is the 3x3x3 correlation tensor and `parties` a (3, 2, n, 3) stack
-    (party, unprimed/primed, start, axis).  <S> is linear in each
-    direction, so row x of the (2, n, 3) result dotted with direction x of
-    party k, summed over x, gives <S> for each of the n starts.  Every sum
-    is an explicit elementwise addition in a fixed order, so a start's
-    coefficients do not depend on how many starts share the batch.
+    `parties` is a (3, 2, n, 3) stack as in `_block`.  <S> is linear in
+    each direction, so row x of the (2, n, 3) result dotted with direction
+    x of party k, summed over x, gives <S> for each of the n starts.  It
+    is the `_block` of another party applied to the third party's pair.
     """
-    p, q = (j for j in range(3) if j != k)
-    # Folding the +-1 signs into party q is exact in any summation order.
-    signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[k], parties[q])
-    # terms[i, j, y, n, l] = t[i, j, l] P[y, n, j] for the other party p.
-    terms = (np.moveaxis(t, k, 0)[:, :, None, None, :]
-             * parties[p].transpose(2, 0, 1)[None, :, :, :, None])
-    partial = terms[:, 0] + terms[:, 1] + terms[:, 2]
-    terms = partial * signed[:, None]
-    coeff = terms[:, :, 0] + terms[:, :, 1]
-    return (coeff[..., 0] + coeff[..., 1] + coeff[..., 2]).transpose(0, 2, 1)
+    # Party 0 is side p of party 2's block, at party 1's pair; parties 1
+    # and 2 are side q of the blocks of 2 and 1, at party 0's pair.
+    block = _block(t, parties, 1 if k == 2 else 2)
+    return _contract(block, parties[0 if k else 1], k > 0)
 
 
 def smax_upper_bound(t: np.ndarray) -> float:
@@ -204,6 +226,13 @@ def ghz_correlator_closed(p: GhzClassParams, a: UnitVector, d: UnitVector,
     return first + second
 
 
+def _ghz_branches(tau: float, c12_sq: float) -> Tuple[bool, float, float]:
+    """Eq. (19): whether 3 tau + C12^2 <= 1 (the low branch), then the low
+    branch 4 sqrt(1 - tau) and the high branch 4 sqrt(C12^2 + 2 tau)."""
+    return (3.0 * tau + c12_sq <= 1.0, 4.0 * math.sqrt(max(0.0, 1.0 - tau)),
+            4.0 * math.sqrt(max(0.0, c12_sq + 2.0 * tau)))
+
+
 def _ghz_params_from_profile(profile: EntanglementProfile) -> GhzClassParams:
     sin_two_theta = math.sqrt(min(1.0, profile.tau + profile.c12 ** 2))
     theta = 0.5 * math.asin(sin_two_theta)
@@ -222,7 +251,7 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
     """
     tau = math.sin(2.0 * p.theta) ** 2 * math.sin(p.theta3) ** 2
     c12_sq = math.sin(2.0 * p.theta) ** 2 * math.cos(p.theta3) ** 2
-    if 3.0 * tau + c12_sq <= 1.0:
+    if _ghz_branches(tau, c12_sq)[0]:
         P, Q = _ghz_closed_terms(p)
         theta_c = math.atan2(Q, P)
         c = UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
@@ -249,15 +278,9 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
-    tau = profile.tau
-    c12_sq = profile.c12 ** 2
-    if 3.0 * tau + c12_sq <= 1.0:
-        branch = "low-branch"
-        value = 4.0 * math.sqrt(max(0.0, 1.0 - tau))
-    else:
-        branch = "high-branch"
-        value = 4.0 * math.sqrt(c12_sq + 2.0 * tau)
-    return SmaxReport(closed_value=value, branch=branch,
+    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
+    return SmaxReport(closed_value=low_value if low else high_value,
+                      branch="low-branch" if low else "high-branch",
                       achieving_settings=optimal_settings_ghz(
                           _ghz_params_from_profile(profile)))
 

@@ -42,6 +42,7 @@ from .entanglement import (
 from .bell import (
     ALGEBRAIC_CEILING,
     MeasurementSettings,
+    _ghz_branches,
     bell_operators,
     ghz_correlator_closed,
     optimal_settings_ghz,
@@ -412,8 +413,7 @@ def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
 def _branch_continuity_cases(n: int):
     """The two GHZ branches at the boundary 3 tau + c12^2 = 1."""
     for tau in np.linspace(0.0, 1.0 / 3.0, n):
-        low = 4.0 * math.sqrt(1.0 - tau)
-        high = 4.0 * math.sqrt((1.0 - 3.0 * tau) + 2.0 * tau)
+        _, low, high = _ghz_branches(tau, 1.0 - 3.0 * tau)
         yield abs(low - high), tau
 
 

@@ -8,12 +8,12 @@ maximum very slowly.  So each start runs _HANDOVER see-saw cycles and
 then takes Riemannian Newton steps on the product of the six unit
 spheres (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008).  <S> is multilinear, so its gradient and Hessian there
-have closed forms: the coefficient vectors, and the correlation tensor
-contracted with the third party's directions.  The safeguard: a Newton
-step that would lower <S> is replaced by a see-saw cycle, so the ascent
-stays monotone.  A start stops when its residual, the norm of the
-Riemannian gradient, is within CONVERGENCE_TOL, or after _MAX_STEPS
-steps; a seeded multistart makes the search global in practice.
+have closed forms, both read from `bell._block`, the one place the signs
+meet the correlation tensor.  The safeguard: a Newton step that would
+lower <S> is replaced by a see-saw cycle, so the ascent stays monotone.
+A start stops when its residual, the norm of the Riemannian gradient, is
+within CONVERGENCE_TOL, or after _MAX_STEPS steps; a seeded multistart
+makes the search global in practice.
 
 The whole batch stops as soon as one start is certified within BOUND_TOL
 of `bell.smax_upper_bound`, the correlation-tensor bound on every
@@ -42,7 +42,8 @@ from .qcore import (
 )
 from .bell import (
     MeasurementSettings,
-    SVETLICHNY_SIGNS,
+    _block,
+    _contract,
     _party_coefficients,
     correlation_tensor,
     settings_from_vectors,
@@ -129,8 +130,13 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _gradients(t: np.ndarray, parties: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of <S> in each of the six directions: (3, 2, n, 3)."""
-    return np.stack([_party_coefficients(t, parties, k) for k in range(3)])
+    """Euclidean gradient of <S> in each of the six directions: (3, 2, n, 3).
+
+    Parties 0 and 1 read theirs from one block, at party 2's pair."""
+    block = _block(t, parties, 2)
+    return np.stack([_contract(block, parties[1], False),
+                     _contract(block, parties[0], True),
+                     _party_coefficients(t, parties, 2)])
 
 
 def _value(coeff: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -166,22 +172,16 @@ def _hessian(t: np.ndarray, parties: np.ndarray, grad: np.ndarray,
 
     Coordinates run over (party, direction, basis vector).  <S> is linear
     in each party, so the Euclidean Hessian has blocks only between the
-    directions of different parties: the correlation tensor contracted
-    with the third party's directions through SVETLICHNY_SIGNS.  On a
-    sphere each direction v also gains -(v . g) I from its curvature.
+    directions of different parties, each a `bell._block` at the third
+    party's pair.  On a sphere each direction v also gains -(v . g) I from
+    its curvature.
     """
     n = parties.shape[2]
     hess = np.zeros((n, 3, 2, 2, 3, 2, 2))
     for r in range(3):
         p, q = (j for j in range(3) if j != r)
-        signs = np.moveaxis(SVETLICHNY_SIGNS, r, -1)
-        # contracted[z, n, i, j] = sum_k t[i, j, k] R[z, n, k], axes (p, q, r).
-        contracted = _dot(np.moveaxis(t, r, -1),
-                          parties[r][:, :, None, None, :])
-        # block[x, y, n, i, j]: d^2 <S> / dP_x[i] dQ_y[j].  The signs are
-        # +-1, so each product is exact and the sum of two terms is too.
-        block = (signs[..., 0, None, None, None] * contracted[0]
-                 + signs[..., 1, None, None, None] * contracted[1])
+        # block[x, y, n, i, j]: d^2 <S> / dP_x[i] dQ_y[j].
+        block = _block(t, parties, r)
         left = _dot(bases[p][:, None, :, :, None, :],
                     np.swapaxes(block, -1, -2)[:, :, :, None, :, :])
         projected = _dot(left[:, :, :, :, None, :],
@@ -231,14 +231,12 @@ def _newton_step(t: np.ndarray, parties: np.ndarray,
 
 
 def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
-                  coeff: np.ndarray) -> np.ndarray:
+                  coeff: np.ndarray) -> None:
     """One see-saw cycle in place on the starts in `moving`: each party in
     turn takes its normalized coefficient vectors as its pair.
 
     `coeff` holds the first party's coefficients at the current directions
-    of the moving starts.  Returns the last party's coefficients after the
-    cycle, which do not depend on that party's own pair, so they hold for
-    every start.
+    of the moving starts.
     """
     for k in range(3):
         if k:
@@ -247,7 +245,6 @@ def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
         # Degenerate coefficient vectors keep their previous direction.
         usable = moving & (norms > 1e-14)
         parties[k][usable] = coeff[usable] / norms[usable, None]
-    return coeff
 
 
 def _at_bound(value, residual, bound):
@@ -287,14 +284,11 @@ def _ascend(t: np.ndarray, parties: np.ndarray, bound: float):
             batch[:, :, gains] = moved[:, :, gains]
             seesaw = ~gains
         if seesaw.any():
-            last = _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
-        else:
-            last = _party_coefficients(t, batch, 2)
-        fresh = np.stack([_party_coefficients(t, batch, 0),
-                          _party_coefficients(t, batch, 1), last])
+            _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
+        fresh = _gradients(t, batch)
         parties[:, :, live] = batch
         grad[:, :, live] = fresh
-        value[live] = _value(last, batch[2])
+        value[live] = _value(fresh[2], batch[2])
         residual[live] = _residual(fresh, batch)
         steps[live] += 1
         history.append(value.copy())

@@ -64,9 +64,9 @@ def test_criterion_03_ghz_grid_and_fig1(capsys, tmp_path):
     lines = out.read_text().splitlines() if out.exists() else []
     csv_ok = csv_ok and len(lines) == 1 + 3 * 21
     boundary_worst = max(
-        abs(4.0 * math.sqrt(1.0 - tau)
-            - 4.0 * math.sqrt((1.0 - 3.0 * tau) + 2.0 * tau))
-        for tau in np.linspace(0.0, 1.0 / 3.0, 100))
+        abs(low - high) for _, low, high in (
+            bell._ghz_branches(tau, 1.0 - 3.0 * tau)
+            for tau in np.linspace(0.0, 1.0 / 3.0, 100)))
     ok = (not below and not unflagged_bad and csv_ok
           and boundary_worst <= 1e-12)
     worst_gap = max(abs(r.gap) for r in rows)

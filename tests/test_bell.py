@@ -127,6 +127,14 @@ def test_svetlichny_tensor_vs_direct():
         ms = random_settings(rng)
         assert bell.svetlichny_value(s, ms) == pytest.approx(
             bell.svetlichny_value_direct(s, ms), abs=1e-10)
+    for _ in range(50):
+        ghz_family = qcore.ghz_state(
+            qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2)))
+        w_family = qcore.w_state(random_w_params(rng))
+        for s in (ghz_family, w_family):
+            ms = random_settings(rng)
+            assert bell.svetlichny_value(s, ms) == pytest.approx(
+                bell.svetlichny_value_direct(s, ms), abs=1e-10)
 
 
 def test_ghz_correlator_closed_product_limit():
@@ -169,11 +177,11 @@ def test_smax_ghz_closed_examples():
 
 
 def test_smax_ghz_closed_branch_boundary():
-    tau = 1.0 / 3.0
-    low = 4.0 * math.sqrt(1.0 - tau)
-    high = 4.0 * math.sqrt(0.0 + 2.0 * tau)
+    is_low, low, high = bell._ghz_branches(1.0 / 3.0, 0.0)
+    assert is_low
     assert low == pytest.approx(high, abs=1e-12)
     assert low == pytest.approx(4.0 * math.sqrt(2.0 / 3.0))
+    assert not bell._ghz_branches(1.0 / 3.0, 1e-9)[0]
 
 
 def test_smax_ghz_closed_rejects_w_profile():

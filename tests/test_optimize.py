@@ -94,7 +94,9 @@ def test_multistart_never_exceeds_ceiling():
 @pytest.mark.parametrize("state, tight", [
     (qcore.haar_random_state(np.random.default_rng(45)), False),
     (ghz(0.6, 1.1), True),
-], ids=["state0", "state1"])
+    # Exact zeros in the tensor, and a bound that never stops the batch.
+    (qcore.w_state(qcore.WClassParams(0.6, 0.64, 0.48)), False),
+], ids=["state0", "state1", "state2"])
 def test_multistart_matches_the_best_single_seesaw(state, tight, monkeypatch):
     inits = [random_settings(np.random.default_rng(seed)) for seed in range(8)]
     # Hand the batch exactly the directions each single run starts from.
@@ -141,6 +143,29 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     assert np.array_equal(result.best_settings.vectors(), expected)
     assert result.residual == residual[best] <= optimize.CONVERGENCE_TOL
     assert len(result.trace) == steps[best] + 1
+
+
+def test_the_ascent_moves_no_axis_per_step(monkeypatch):
+    state = qcore.haar_random_state(np.random.default_rng(55))
+    moveaxis = np.moveaxis
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return moveaxis(*args, **kwargs)
+
+    counts = []
+    for max_steps in (1, 40):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "_MAX_STEPS", max_steps)
+            patch.setattr(np, "moveaxis", counted)
+            result = optimize.multistart_maximize(state, seed=11, n_starts=4)
+        counts.append(len(calls))
+    # The longer run takes Newton steps too; only the bound moves axes,
+    # once per call, never once per step.
+    assert result.iterations_used > optimize._HANDOVER
+    assert counts[0] == counts[1]
 
 
 def haar_and_w_states():
