@@ -297,8 +297,7 @@ def cmd_sweep_ghz(args) -> int:
     out_rows = []
     for row in rows:
         theta, theta3 = row.params
-        params = GhzClassParams(theta, theta3)
-        profile = ghz_profile_closed(params)
+        profile = ghz_profile_closed(GhzClassParams(theta, theta3))
         branch = smax_ghz_closed(profile).branch
         out_rows.append([theta, theta3, profile.tau, profile.c12 ** 2,
                          row.closed_value, row.numeric_value, branch, row.gap])

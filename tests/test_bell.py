@@ -322,6 +322,84 @@ def test_smax_w_violation_threshold():
         assert (report.closed_value > 4.0) == (reduced > 4.0)
 
 
+def record_minimize(monkeypatch):
+    """Route bell.minimize through a wrapper that records each call."""
+    calls = []
+    real = bell.minimize
+
+    def recording(fun, x0, **kwargs):
+        calls.append((fun, np.array(x0)))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(bell, "minimize", recording)
+    return calls
+
+
+def test_smax_w_makes_one_minimize_call_from_the_seeded_starts(monkeypatch):
+    calls = record_minimize(monkeypatch)
+    bell.smax_w(w_sym_profile())
+    assert len(calls) == 1
+    # Start k is one draw of the seeded stream, ascended for each sign.
+    blocks = calls[0][1].reshape(-1, 2, 3)
+    assert blocks.shape[0] == bell._W_STARTS
+    starts = np.random.default_rng(bell._W_SEED).uniform(
+        0.0, math.pi, size=(bell._W_STARTS, 3))
+    assert np.array_equal(blocks[:, 0], starts)
+    assert np.array_equal(blocks[:, 1], starts)
+
+
+def test_smax_w_batched_gradient_matches_central_differences(monkeypatch):
+    calls = record_minimize(monkeypatch)
+    rng = np.random.default_rng(37)
+    profile = entanglement.w_profile_closed(random_w_params(rng))
+    bell.smax_w(profile)
+    objective = calls[0][0]
+
+    def reduced(x):
+        return bell.w_reduced_value(profile, *x)
+
+    h = 1e-6
+    for _ in range(5):
+        x = rng.uniform(0.0, math.pi, size=6 * bell._W_STARTS)
+        value, grad = objective(x)
+        # Block 2k ascends <S> and block 2k + 1 ascends -<S>; the objective
+        # is the negated sum.
+        signs = np.tile([1.0, -1.0], bell._W_STARTS)
+        blocks = x.reshape(-1, 3)
+        assert value == pytest.approx(
+            -sum(s * reduced(b) for s, b in zip(signs, blocks)), abs=1e-12)
+        for s, b, g in zip(signs, blocks, grad.reshape(-1, 3)):
+            central = [(reduced(b + h * e) - reduced(b - h * e)) / (2 * h)
+                       for e in np.eye(3)]
+            assert np.allclose(g, -s * np.array(central), rtol=0, atol=1e-7)
+
+
+def test_smax_w_settings_reach_the_reported_value(monkeypatch):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        params = random_w_params(rng)
+        profile = entanglement.w_profile_closed(params)
+        report = bell.smax_w(profile)
+        assert bell.svetlichny_value(
+            qcore.w_state(params), report.achieving_settings) == (
+                pytest.approx(report.closed_value, abs=1e-12))
+    # On a W profile the +<S> half wins.  sigma_y on party A negates <S>
+    # at every setting in the x-z plane, so that state's reduced value has
+    # the negated weights.  With them the -<S> half wins, and its settings
+    # give that state the signed value <S> = -closed_value.
+    weights = bell._w_weights(profile)
+    monkeypatch.setattr(bell, "_w_weights", lambda _: -weights)
+    flipped = bell.smax_w(profile)
+    amps = np.einsum("ij,jkl->ikl", qcore.SIGMA_Y,
+                     qcore.w_state(params).amplitudes.reshape(2, 2, 2))
+    signed = qcore.expectation(
+        qcore.ThreeQubitPureState(amps.ravel()),
+        bell.bell_operators(flipped.achieving_settings)[0])
+    assert flipped.closed_value == pytest.approx(report.closed_value,
+                                                 abs=1e-12)
+    assert signed == pytest.approx(-flipped.closed_value, abs=1e-12)
+
+
 def test_optimal_settings_w_symmetric_structure():
     ms = w_sym_settings()
     expected = [math.cos(W_SYM_TILT), 0.0, math.sin(W_SYM_TILT)]
