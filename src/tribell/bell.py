@@ -34,7 +34,7 @@ from .qcore import (
     spin_observable,
     tensor3,
 )
-from .entanglement import EntanglementProfile
+from .entanglement import EntanglementProfile, ghz_profile_closed
 
 ALGEBRAIC_CEILING = 4.0 * math.sqrt(2.0)
 
@@ -254,9 +254,8 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
     splits the third party symmetrically about the x-z plane with
     tan(theta_c) = sqrt(2) tan(theta3).  Both sets satisfy <S> = 2 <M>.
     """
-    tau = math.sin(2.0 * p.theta) ** 2 * math.sin(p.theta3) ** 2
-    c12_sq = math.sin(2.0 * p.theta) ** 2 * math.cos(p.theta3) ** 2
-    if _ghz_branches(tau, c12_sq)[0]:
+    profile = ghz_profile_closed(p)
+    if _ghz_branches(profile.tau, profile.c12 ** 2)[0]:
         P, Q = _ghz_closed_terms(p)
         theta_c = math.atan2(Q, P)
         c = UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))

@@ -42,6 +42,7 @@ from .entanglement import (
 from .bell import (
     ALGEBRAIC_CEILING,
     MeasurementSettings,
+    SmaxReport,
     _ghz_branches,
     bell_operators,
     ghz_correlator_closed,
@@ -96,19 +97,11 @@ def _parse_number(text: str, what: str) -> float:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One of the three input variants: a family or raw amplitudes."""
+    """An input state and, for the GHZ and W families, a thunk computing
+    the family's closed-form report; raw amplitudes have none."""
 
-    kind: str
-    ghz: Optional[GhzClassParams] = None
-    w: Optional[WClassParams] = None
-    raw: Optional[ThreeQubitPureState] = None
-
-    def state(self) -> ThreeQubitPureState:
-        if self.kind == "ghz":
-            return ghz_state(self.ghz)
-        if self.kind == "w":
-            return w_state(self.w)
-        return self.raw
+    state: ThreeQubitPureState
+    closed: Optional[Callable[[], SmaxReport]] = None
 
 
 _SETTINGS_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
@@ -157,7 +150,7 @@ def parse_state_spec(text: str) -> StateSpec:
             if len(parts) != 2:
                 raise ValidationError(f"amp{k} needs [re, im], got {pair!r}")
             amps.append(complex(*parts))
-        return StateSpec("raw", raw=ThreeQubitPureState(amps))
+        return StateSpec(ThreeQubitPureState(amps))
     missing = [key for key in _STATE_KEYS[family] if key not in entries]
     if missing:
         raise ValidationError(f"{family} state file missing {missing[0]}")
@@ -168,11 +161,12 @@ def _family_spec(family: str, values: Sequence[str]) -> StateSpec:
     """A GHZ spec from theta and theta3 angle literals, or a W spec from
     alpha, beta and gamma number literals."""
     if family == "ghz":
-        return StateSpec("ghz", ghz=GhzClassParams(
-            *(parse_angle(value) for value in values)))
-    return StateSpec("w", w=WClassParams(
-        *(_parse_number(value, key)
-          for key, value in zip(_STATE_KEYS["w"], values))))
+        ghz = GhzClassParams(*(parse_angle(value) for value in values))
+        return StateSpec(ghz_state(ghz),
+                         lambda: smax_ghz_closed(ghz_profile_closed(ghz)))
+    w = WClassParams(*(_parse_number(value, key)
+                       for key, value in zip(_STATE_KEYS["w"], values)))
+    return StateSpec(w_state(w), lambda: smax_w(w_profile_closed(w)))
 
 
 def parse_settings_file(text: str) -> MeasurementSettings:
@@ -213,14 +207,6 @@ def _spec_from_args(args) -> StateSpec:
     raise ValidationError("provide one of --state, --ghz or --w")
 
 
-def _closed_report(spec: StateSpec):
-    if spec.kind == "ghz":
-        return smax_ghz_closed(ghz_profile_closed(spec.ghz))
-    if spec.kind == "w":
-        return smax_w(w_profile_closed(spec.w))
-    return None
-
-
 def classify(profile) -> str:
     """The SLOCC class of a profile (Dur, Vidal and Cirac, PRA 62, 062314).
 
@@ -239,11 +225,10 @@ def classify(profile) -> str:
 
 def cmd_analyze(args) -> int:
     spec = _spec_from_args(args)
-    state = spec.state()
-    profile = entanglement_profile(state)
+    profile = entanglement_profile(spec.state)
     classification = classify(profile)
-    closed = _closed_report(spec)
-    numeric = multistart_maximize(state, args.seed)
+    closed = spec.closed() if spec.closed is not None else None
+    numeric = multistart_maximize(spec.state, args.seed)
     violates = numeric.best_value > 4.0 + VIOLATION_MARGIN
     print(f"tau:               {profile.tau:.9g}")
     print(f"c12 c23 c31:       {profile.c12:.9g} {profile.c23:.9g} "
@@ -490,22 +475,16 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _optimal_settings_for(spec: StateSpec, seed: int) -> MeasurementSettings:
-    closed = _closed_report(spec)
-    if closed is not None:
-        return closed.achieving_settings
-    return multistart_maximize(spec.state(), seed).best_settings
-
-
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    state = spec.state()
-    if args.settings == "optimal":
-        settings = _optimal_settings_for(spec, args.seed)
-    else:
+    if args.settings != "optimal":
         settings = parse_settings_file(_read_input(args.settings, "settings"))
-    exact = svetlichny_value(state, settings)
-    estimate = estimate_svetlichny(state, settings, args.shots, args.seed)
+    elif spec.closed is not None:
+        settings = spec.closed().achieving_settings
+    else:
+        settings = multistart_maximize(spec.state, args.seed).best_settings
+    exact = svetlichny_value(spec.state, settings)
+    estimate = estimate_svetlichny(spec.state, settings, args.shots, args.seed)
     z_score = ((abs(estimate.mean) - exact) / estimate.stderr
                if estimate.stderr > 0 else 0.0)
     print(f"shots per correlator: {estimate.shots}")

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from tribell import bell, cli, optimize, qcore
+from tribell import bell, cli, entanglement, optimize, qcore
 
 
 R3 = 1 / math.sqrt(3)
@@ -34,15 +34,20 @@ def test_eval_fraction():
 
 def test_parse_state_spec_ghz():
     spec = cli.parse_state_spec("family: ghz\ntheta: pi/4\ntheta3: pi/2\n")
-    assert spec.kind == "ghz"
-    assert spec.ghz.theta == pytest.approx(math.pi / 4)
+    params = qcore.GhzClassParams(math.pi / 4, math.pi / 2)
+    assert np.array_equal(spec.state.amplitudes,
+                          qcore.ghz_state(params).amplitudes)
+    assert spec.closed() == bell.smax_ghz_closed(
+        entanglement.ghz_profile_closed(params))
 
 
 def test_parse_state_spec_w():
     text = f"family: w\nalpha: {R3}\nbeta: {R3}\ngamma: {R3}\n"
     spec = cli.parse_state_spec(text)
-    assert spec.kind == "w"
-    assert spec.w.alpha == pytest.approx(R3)
+    params = qcore.WClassParams(R3, R3, R3)
+    assert np.array_equal(spec.state.amplitudes,
+                          qcore.w_state(params).amplitudes)
+    assert spec.closed() == bell.smax_w(entanglement.w_profile_closed(params))
 
 
 @pytest.mark.parametrize("flags, fields", [
@@ -52,7 +57,11 @@ def test_parse_state_spec_w():
 ])
 def test_state_flags_and_state_files_build_the_same_spec(flags, fields):
     args = cli.build_parser().parse_args(["analyze", *flags])
-    assert cli._spec_from_args(args) == cli.parse_state_spec(fields)
+    from_flags = cli._spec_from_args(args)
+    from_file = cli.parse_state_spec(fields)
+    assert np.array_equal(from_flags.state.amplitudes,
+                          from_file.state.amplitudes)
+    assert from_flags.closed() == from_file.closed()
 
 
 def test_w_errors_name_the_field_from_flags_and_files(tmp_path, capsys):
@@ -67,9 +76,10 @@ def test_w_errors_name_the_field_from_flags_and_files(tmp_path, capsys):
 def test_parse_state_spec_raw():
     text = "family: raw\namp0: [0.6, 0]\namp7: [0, 0.8]\n"
     spec = cli.parse_state_spec(text)
-    amps = spec.state().amplitudes
+    amps = spec.state.amplitudes
     assert amps[0] == pytest.approx(0.6)
     assert amps[7] == pytest.approx(0.8j)
+    assert spec.closed is None
 
 
 def test_parse_state_spec_rejects_unknown_family():
@@ -497,6 +507,21 @@ def test_simulate_settings_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "shots per correlator: 100" in out
+
+
+def test_simulate_with_a_settings_file_never_computes_the_closed_form(
+        tmp_path, monkeypatch, capsys):
+    # The W closed form is an L-BFGS-B run; a settings file makes it moot.
+    def fail(profile):
+        raise AssertionError("smax_w ran")
+
+    monkeypatch.setattr(cli, "smax_w", fail)
+    path = tmp_path / "settings.txt"
+    path.write_text("".join(f"{name}: pi/2 0\n" for name in
+                            ("a", "a_prime", "b", "b_prime", "c", "c_prime")))
+    assert cli.main(["simulate", "--w", "0.6", "0.64", "0.48",
+                     "--shots", "100", "--settings", str(path)]) == 0
+    assert "shots per correlator: 100" in capsys.readouterr().out
 
 
 def test_simulate_rejects_a_shot_count_past_int64(capsys):
