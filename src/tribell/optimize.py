@@ -86,12 +86,10 @@ class OptimizationResult:
 
     `iterations_used` counts the steps the batch ran until it stopped:
     _HANDOVER see-saw cycles, then safeguarded Newton steps, each of which
-    may have given way to a see-saw cycle.  `trace` is the best start's
-    signed <S> before its first step and after each step it ran; it never
-    decreases beyond roundoff.  The certificate: `residual` is the best
-    start's Riemannian gradient norm, `converged` says it is within
-    CONVERGENCE_TOL, and `hessian_nsd` says the projected Hessian at the
-    reported settings is negative semidefinite, as at a local maximum.
+    may have given way to a see-saw cycle.  The certificate: `residual` is
+    the best start's Riemannian gradient norm, `converged` says it is
+    within CONVERGENCE_TOL, and `hessian_nsd` says the projected Hessian at
+    the reported settings is negative semidefinite, as at a local maximum.
     `upper_bound` is `bell.smax_upper_bound` of the state, and
     `global_maximum` says the best value is certified within BOUND_TOL of
     it, so no settings do better.
@@ -101,7 +99,6 @@ class OptimizationResult:
     best_settings: MeasurementSettings
     iterations_used: int
     converged: bool
-    trace: Tuple[float, ...]
     residual: float
     hessian_nsd: bool
     upper_bound: float
@@ -261,22 +258,20 @@ def _ascend(t: np.ndarray, parties: np.ndarray, bound: float):
     CONVERGENCE_TOL, and the whole batch stops once a start is certified
     at the upper bound `bound`.  Every sum runs in a fixed order, so
     batched and one-at-a-time execution follow the same paths.  Returns
-    (history, steps, residual): history[c] holds <S> of every start after
-    c steps, steps[i] is the number of steps start i ran, and residual[i]
-    its final Riemannian gradient norm.
+    (value, residual, steps): each start's final <S> and Riemannian
+    gradient norm, and the number of steps the batch ran.
     """
     grad = _gradients(t, parties)
     value = _value(grad[2], parties[2])
     residual = _residual(grad, parties)
-    steps = np.zeros(parties.shape[2], dtype=int)
-    history = [value.copy()]
-    for step in range(_MAX_STEPS):
+    steps = 0
+    while steps < _MAX_STEPS:
         live = np.flatnonzero(residual > CONVERGENCE_TOL)
         if live.size == 0 or _at_bound(value, residual, bound).any():
             break
         batch = parties[:, :, live]
         seesaw = np.ones(live.size, dtype=bool)
-        if step >= _HANDOVER:
+        if steps >= _HANDOVER:
             moved, moved_value = _newton_step(t, batch, grad[:, :, live])
             # The safeguard: a step that would lower <S> (or is NaN) gives
             # way to a see-saw cycle.
@@ -290,38 +285,35 @@ def _ascend(t: np.ndarray, parties: np.ndarray, bound: float):
         grad[:, :, live] = fresh
         value[live] = _value(fresh[2], batch[2])
         residual[live] = _residual(fresh, batch)
-        steps[live] += 1
-        history.append(value.copy())
-    return np.array(history), steps, residual
+        steps += 1
+    return value, residual, steps
 
 
 def _result(t: np.ndarray, bound: float, parties: np.ndarray,
-            history: np.ndarray, steps: np.ndarray,
-            residual: np.ndarray) -> OptimizationResult:
-    """The best start's |<S>|, its settings, trace and certificate.
+            value: np.ndarray, residual: np.ndarray,
+            steps: int) -> OptimizationResult:
+    """The best start's |<S>|, its settings and certificate.
 
     When starts are certified at the bound, the best of those is reported:
     a start still moving may sit a few ulps higher, uncertified.
     """
-    final = history[-1]
-    magnitude = np.abs(final)
-    at_bound = _at_bound(final, residual, bound)
+    magnitude = np.abs(value)
+    at_bound = _at_bound(value, residual, bound)
     if at_bound.any():
         magnitude = np.where(at_bound, magnitude, -1.0)
     best = int(np.argmax(magnitude))
     vectors = parties[:, :, best].reshape(6, 3).copy()
-    if final[best] < 0.0:
+    if value[best] < 0.0:
         # Flipping one party's directions flips the sign, so report |<S>|.
         vectors[:2] = -vectors[:2]
     reported = vectors.reshape(3, 2, 1, 3)
     hessian = _hessian(t, reported, _gradients(t, reported),
                        _tangent_bases(reported))
     return OptimizationResult(
-        best_value=abs(float(final[best])),
+        best_value=abs(float(value[best])),
         best_settings=settings_from_vectors(vectors),
-        iterations_used=len(history) - 1,
+        iterations_used=steps,
         converged=bool(residual[best] <= CONVERGENCE_TOL),
-        trace=tuple(float(v) for v in history[:steps[best] + 1, best]),
         residual=float(residual[best]),
         hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1] <= _NSD_TOL),
         upper_bound=bound,
@@ -411,10 +403,14 @@ def _check_grid(name: str, steps: int, curves: int) -> None:
 
 def ghz_grid_points(theta_steps: int,
                     theta3_values: Sequence[float]) -> list:
+    """Fig.-1 grid, every point validated before any row runs its ascent."""
     _check_grid("theta_steps", theta_steps, len(theta3_values))
-    return [(float(theta), float(theta3))
-            for theta3 in theta3_values
-            for theta in np.linspace(0.0, math.pi / 2, theta_steps)]
+    points = [(float(theta), float(theta3))
+              for theta3 in theta3_values
+              for theta in np.linspace(0.0, math.pi / 2, theta_steps)]
+    for theta, theta3 in points:
+        GhzClassParams(theta, theta3)
+    return points
 
 
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],

@@ -184,6 +184,47 @@ def test_smax_ghz_closed_branch_boundary():
     assert not bell._ghz_branches(1.0 / 3.0, 1e-9)[0]
 
 
+def ghz_margin(theta, theta3):
+    """sin^2 2theta (1 + sin^2 theta3) - 1, which is C12^2 + 2 tau - 1."""
+    return math.sin(2.0 * theta) ** 2 * (1.0 + math.sin(theta3) ** 2) - 1.0
+
+
+def ghz_report(theta, theta3):
+    return bell.smax_ghz_closed(entanglement.ghz_profile_closed(
+        qcore.GhzClassParams(theta, theta3)))
+
+
+def test_a_ghz_family_state_violates_exactly_above_the_high_branch_margin():
+    # The abstract's "large number of states don't violate": on the high
+    # branch 4 sqrt(C12^2 + 2 tau) > 4 exactly when the margin is positive,
+    # and the low branch 4 sqrt(1 - tau) never exceeds 4.
+    grid = np.linspace(0.0, math.pi / 2, 41)
+    outcomes = set()
+    for theta in grid:
+        for theta3 in grid:
+            report = ghz_report(theta, theta3)
+            margin = ghz_margin(theta, theta3)
+            if report.branch == "low-branch":
+                assert report.closed_value <= 4.0
+            if abs(margin) <= 1e-12:
+                assert report.closed_value == pytest.approx(4.0, abs=1e-11)
+            else:
+                assert (report.closed_value > 4.0) == (margin > 0.0)
+                outcomes.add(margin > 0.0)
+    assert outcomes == {True, False}
+    # On the boundary the maximum is 4; just off it, on either side of
+    # each of its two arcs, the margin's sign decides.
+    for theta3 in np.linspace(0.05, math.pi / 2, 12):
+        edge = 0.5 * math.asin(math.sqrt(1.0 / (1.0 + math.sin(theta3) ** 2)))
+        for theta, inward in ((edge, 1.0), (math.pi / 2 - edge, -1.0)):
+            assert abs(ghz_margin(theta, theta3)) < 1e-14
+            assert ghz_report(theta, theta3).closed_value == pytest.approx(
+                4.0, abs=1e-12)
+            assert ghz_report(theta + inward * 1e-6, theta3).closed_value > 4.0
+            assert ghz_report(theta - inward * 1e-6,
+                              theta3).closed_value < 4.0
+
+
 def test_smax_ghz_closed_rejects_w_profile():
     with pytest.raises(qcore.ValidationError):
         bell.smax_ghz_closed(w_sym_profile())
@@ -320,6 +361,40 @@ def test_smax_w_violation_threshold():
         report = bell.smax_w(profile)
         reduced = bell.w_reduced_value(profile, *report.theta_tilde)
         assert (report.closed_value > 4.0) == (reduced > 4.0)
+
+
+def w_margin(profile):
+    """w0 (1/w1 + 1/w2 + 1/w3) - 1, the W family's violation margin.
+
+    At p = q = r = pi/2 the reduced value is 4 and its Hessian is
+    w0 J - diag(w1, w2, w3), which turns indefinite at a zero margin."""
+    w = bell._w_weights(profile)
+    return w[0] * (1.0 / w[1] + 1.0 / w[2] + 1.0 / w[3]) - 1.0
+
+
+def test_a_w_family_state_violates_exactly_at_a_positive_margin():
+    rng = np.random.default_rng(32)
+    outcomes = set()
+    for _ in range(100):
+        profile = entanglement.w_profile_closed(random_w_params(rng))
+        margin = w_margin(profile)
+        if abs(margin) > 1e-6:
+            violates = bell.smax_w(profile).closed_value > 4.0 + 1e-9
+            assert violates == (margin > 0.0)
+            outcomes.add(violates)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("c12, crossing", [
+    (0.35, 1.4020614250), (0.45, 1.4470529402), (2 / 3, 1.4714201762)])
+def test_each_fig_2_curve_crosses_4_at_its_zero_margin(c12, crossing):
+    def profile(sum_c):
+        return entanglement.w_profile_closed(
+            optimize.w_params_for_sum(c12, sum_c))
+
+    assert abs(w_margin(profile(crossing))) < 1e-9
+    assert bell.smax_w(profile(crossing - 1e-3)).closed_value - 4.0 <= 1e-12
+    assert bell.smax_w(profile(crossing + 1e-3)).closed_value - 4.0 > 1e-7
 
 
 def record_minimize(monkeypatch):

@@ -409,6 +409,20 @@ def test_sweep_w_with_no_realizable_point_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_ghz_rejects_a_bad_theta3_before_any_row_runs(
+        tmp_path, capsys, monkeypatch):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("no row may run before every point is checked")
+
+    monkeypatch.setattr(optimize, "multistart_maximize", no_ascent)
+    out_path = tmp_path / "fig1.csv"
+    args = ["sweep-ghz", "--theta-steps", "200", "--theta3", "pi/8,pi/4,2",
+            "--out", str(out_path)]
+    assert cli.main(args) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_sweep_w_writes_the_sums_past_the_turn_of_a_low_c12_curve(
         tmp_path, capsys):
     # Below c12 = 1/3, c23 + c31 peaks before beta and gamma stop being

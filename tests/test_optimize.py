@@ -35,13 +35,27 @@ def test_config_validation():
     assert optimize.CONVERGENCE_TOL == 1e-9
 
 
-def test_seesaw_trace_monotone():
+def test_the_ascent_never_lowers_a_start(monkeypatch):
+    # The ascent is deterministic, so rerunning it from the same starts
+    # with a cap of k steps, for k = 0, 1, 2, ..., reads each start's <S>
+    # after every step.  With no bound only convergence stops the batch.
     rng = np.random.default_rng(40)
-    for _ in range(25):
-        s = qcore.haar_random_state(rng)
-        result = single_ascent(s, random_settings(rng))
-        assert np.min(np.diff(result.trace)) >= -1e-13
-        assert result.converged
+    max_steps = optimize._MAX_STEPS
+    for _ in range(8):
+        t = bell.correlation_tensor(qcore.haar_random_state(rng))
+        starts = optimize._random_directions(rng, (6, 8)).reshape(3, 2, -1, 3)
+        previous = None
+        for k in range(max_steps + 1):
+            monkeypatch.setattr(optimize, "_MAX_STEPS", k)
+            value, residual, steps = optimize._ascend(t, starts.copy(),
+                                                      math.inf)
+            if previous is not None:
+                assert np.min(value - previous) >= -1e-13
+                assert np.min(np.abs(value) - np.abs(previous)) >= -1e-13
+            if steps < k:
+                break
+            previous = value
+        assert np.all(residual <= optimize.CONVERGENCE_TOL)
 
 
 def test_seesaw_ghz_reaches_ceiling():
@@ -80,7 +94,7 @@ def test_multistart_deterministic():
     assert first.iterations_used == second.iterations_used
     assert np.array_equal(first.best_settings.vectors(),
                           second.best_settings.vectors())
-    assert first.trace == second.trace
+    assert first.residual == second.residual
 
 
 def test_multistart_never_exceeds_ceiling():
@@ -121,7 +135,8 @@ def test_multistart_matches_the_best_single_seesaw(state, tight, monkeypatch):
         reported = single
         first = max(r.iterations_used for r in runs)
     # Sums run in a fixed order, so the paths agree to the last bit.
-    assert batched.trace == reported.trace
+    assert batched.best_value == reported.best_value
+    assert batched.residual == reported.residual
     assert np.array_equal(batched.best_settings.vectors(),
                           reported.best_settings.vectors())
     assert batched.iterations_used == first
@@ -132,17 +147,18 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     parties = optimize._random_directions(
         np.random.default_rng(4), (6, 6)).reshape(3, 2, -1, 3)
     t = bell.correlation_tensor(state)
-    history, steps, residual = optimize._ascend(
+    value, residual, steps = optimize._ascend(
         t, parties, bell.smax_upper_bound(t))
-    best = int(np.argmax(np.abs(history[-1])))
+    best = int(np.argmax(np.abs(value)))
     expected = parties[:, :, best].reshape(6, 3).copy()
-    if history[-1][best] < 0.0:
+    if value[best] < 0.0:
         expected[:2] = -expected[:2]
     result = optimize.multistart_maximize(state, seed=4, n_starts=6)
     # The directions after the last see-saw cycle or Newton step, exactly.
     assert np.array_equal(result.best_settings.vectors(), expected)
+    assert result.best_value == abs(value[best])
     assert result.residual == residual[best] <= optimize.CONVERGENCE_TOL
-    assert len(result.trace) == steps[best] + 1
+    assert result.iterations_used == steps
 
 
 def test_the_ascent_moves_no_axis_per_step(monkeypatch):
@@ -186,7 +202,8 @@ def test_the_bound_caps_the_maximum_and_stops_no_loose_batch(
     assert not result.global_maximum
     monkeypatch.setattr(optimize, "smax_upper_bound", lambda t: math.inf)
     unbounded = optimize.multistart_maximize(state, seed=10, n_starts=10)
-    assert unbounded.trace == result.trace
+    assert unbounded.best_value == result.best_value
+    assert unbounded.residual == result.residual
     assert np.array_equal(unbounded.best_settings.vectors(),
                           result.best_settings.vectors())
     assert unbounded.iterations_used == result.iterations_used
@@ -300,7 +317,9 @@ def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
     monkeypatch.setattr(optimize, "_HANDOVER", 1)
     monkeypatch.setattr(optimize, "_newton_step", downhill)
     guarded = single_ascent(state, init)
-    assert guarded.trace == cycles_only.trace
+    assert guarded.best_value == cycles_only.best_value
+    assert guarded.residual == cycles_only.residual
+    assert guarded.iterations_used == cycles_only.iterations_used == 40
     assert np.array_equal(guarded.best_settings.vectors(),
                           cycles_only.best_settings.vectors())
 
@@ -322,18 +341,34 @@ def test_a_random_start_is_not_certified(monkeypatch):
 def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
         monkeypatch):
     state = ghz(0.6, 1.1)
+    t = bell.correlation_tensor(state)
     monkeypatch.setattr(optimize, "_MAX_STEPS", 0)
     signs = set()
     for seed in range(20):
         init = random_settings(np.random.default_rng(seed))
+        parties = init.vectors().reshape(3, 2, 1, 3)
+        start = optimize._value(bell._party_coefficients(t, parties, 2),
+                                parties[2])[0]
         result = single_ascent(state, init)
         expected = init.vectors()
-        if result.trace[0] < 0.0:
+        if start < 0.0:
             expected[:2] = -expected[:2]
-        signs.add(result.trace[0] < 0.0)
+        signs.add(start < 0.0)
         assert np.array_equal(result.best_settings.vectors(), expected)
-        assert result.best_value == abs(result.trace[0])
+        assert result.best_value == abs(start)
+        assert result.iterations_used == 0
     assert signs == {True, False}
+
+
+def test_iterations_used_counts_the_steps_up_to_the_cap(monkeypatch):
+    state = qcore.haar_random_state(np.random.default_rng(56))
+    uncapped = optimize.multistart_maximize(state, seed=12, n_starts=4)
+    for cap in (0, 1, optimize._HANDOVER, optimize._HANDOVER + 3):
+        assert cap < uncapped.iterations_used
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "_MAX_STEPS", cap)
+            result = optimize.multistart_maximize(state, seed=12, n_starts=4)
+        assert result.iterations_used == cap
 
 
 def test_multistart_local_unitary_invariance():
