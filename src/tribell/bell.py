@@ -10,7 +10,8 @@ the tensor in one place, `_block`.  The explicit 8x8 operators of
 `bell_operators` are kept as the slow oracle, and the GHZ and W families
 also have closed forms.  The flattenings of the correlation tensor bound
 <S> over all settings (`smax_upper_bound`); on the GHZ family the bound
-is the closed-form maximum itself.
+is the closed-form maximum itself.  scipy is imported on the first
+`smax_w` call, its only user, so no other path loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import (
     GhzClassParams,
@@ -46,6 +46,8 @@ _W_SEED = 0
 # of the three angles in the i-th sine, whose weight is _w_weights(...)[i].
 _W_MIX = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
                    [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+# smax_w's bound on a profile's |tau| and on its W-family identity residual.
+_W_PROFILE_TOL = 1e-8
 
 # G[x, y, z]: the sign of <A_x B_y C_z> in <S>, with 0 the unprimed and 1
 # the primed direction of each party.
@@ -238,6 +240,12 @@ def _ghz_branches(tau: float, c12_sq: float) -> Tuple[bool, float, float]:
             4.0 * math.sqrt(max(0.0, c12_sq + 2.0 * tau)))
 
 
+def _ghz_branch(profile: EntanglementProfile) -> Tuple[str, float]:
+    """Eq. (19) at a GHZ-class profile: its branch's name and maximum."""
+    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
+    return ("low-branch", low_value) if low else ("high-branch", high_value)
+
+
 def _ghz_params_from_profile(profile: EntanglementProfile) -> GhzClassParams:
     sin_two_theta = math.sqrt(min(1.0, profile.tau + profile.c12 ** 2))
     theta = 0.5 * math.asin(sin_two_theta)
@@ -282,9 +290,8 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
-    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
-    return SmaxReport(closed_value=low_value if low else high_value,
-                      branch="low-branch" if low else "high-branch",
+    branch, value = _ghz_branch(profile)
+    return SmaxReport(closed_value=value, branch=branch,
                       achieving_settings=optimal_settings_ghz(
                           _ghz_params_from_profile(profile)))
 
@@ -333,8 +340,19 @@ def settings_from_w_angles(tilde_a: float, tilde_b: float,
     return MeasurementSettings(*pair(tilde_a), *pair(tilde_b), *pair(tilde_c))
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def smax_w(profile: EntanglementProfile) -> SmaxReport:
     """Numeric maximum of the reduced W-class expression over theta-tilde.
+
+    The profile must be of the d = 0 W family: tau = 0 and C23^2 C31^2 +
+    C12^2 C23^2 + C12^2 C31^2 = 2 C12 C23 C31, both within _W_PROFILE_TOL,
+    else ValidationError.  A d > 0 state breaks the identity, and the
+    reduced form would overstate its maximum.
 
     Multistart local ascent on the smooth 3-angle objective, which depends
     on the profile's C12, C23 and C31 alone; each start is ascended for
@@ -346,6 +364,11 @@ def smax_w(profile: EntanglementProfile) -> SmaxReport:
     carries the maximizing angles and their `settings_from_w_angles`
     directions.
     """
+    c12, c23, c31 = profile.c12, profile.c23, profile.c31
+    identity = ((c23 * c31) ** 2 + (c12 * c23) ** 2 + (c12 * c31) ** 2
+                - 2.0 * c12 * c23 * c31)
+    if abs(profile.tau) > _W_PROFILE_TOL or abs(identity) > _W_PROFILE_TOL:
+        raise ValidationError("smax_w requires a d = 0 W-family profile")
     weights = _w_weights(profile)
     # Block 2k is start k ascending <S>, block 2k + 1 the same start
     # ascending -<S>.

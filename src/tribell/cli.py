@@ -43,6 +43,7 @@ from .bell import (
     ALGEBRAIC_CEILING,
     MeasurementSettings,
     SmaxReport,
+    _ghz_branch,
     _ghz_branches,
     bell_operators,
     ghz_correlator_closed,
@@ -283,7 +284,7 @@ def cmd_sweep_ghz(args) -> int:
     for row in rows:
         theta, theta3 = row.params
         profile = ghz_profile_closed(GhzClassParams(theta, theta3))
-        branch = smax_ghz_closed(profile).branch
+        branch = _ghz_branch(profile)[0]
         out_rows.append([theta, theta3, profile.tau, profile.c12 ** 2,
                          row.closed_value, row.numeric_value, branch, row.gap])
     _write_sweep(args.out, ["theta", "theta3", "tau", "c12_sq", "smax_closed",

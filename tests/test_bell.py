@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +452,59 @@ def test_smax_w_batched_gradient_matches_central_differences(monkeypatch):
             central = [(reduced(b + h * e) - reduced(b - h * e)) / (2 * h)
                        for e in np.eye(3)]
             assert np.allclose(g, -s * np.array(central), rtol=0, atol=1e-7)
+
+
+def test_the_cli_loads_scipy_only_when_smax_w_runs():
+    # A fresh interpreter: this one has already imported scipy.
+    code = """
+import json, sys
+import tribell, tribell.cli
+tribell.cli.build_parser()
+def scipy_modules():
+    return sum(name.split(".")[0] == "scipy" for name in sys.modules)
+before = scipy_modules()
+from tribell import bell, entanglement, qcore
+r3 = 3 ** -0.5
+value = bell.smax_w(entanglement.w_profile_closed(
+    qcore.WClassParams(r3, r3, r3))).closed_value
+print(json.dumps([before, scipy_modules(), value]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    before, after, value = json.loads(out)
+    assert before == 0
+    assert after > 0
+    assert value == pytest.approx(W_SYM_MAX, abs=1e-9)
+
+
+def test_smax_w_rejects_a_profile_off_the_d_0_w_family():
+    rng = np.random.default_rng(43)
+
+    def rotated_profile(d):
+        # The canonical W-class state sqrt(d)|000> + sqrt(a)|001> +
+        # sqrt(b)|010> + sqrt(c)|100> at a = b = 0.3, c = 0.4 - d.
+        amps = np.zeros(8)
+        amps[[0, 1, 2, 4]] = np.sqrt([d, 0.3, 0.3, 0.4 - d])
+        return entanglement.entanglement_profile(qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rng) @ amps))
+
+    # d = 0: the numeric profile of a rotated W-family state is accepted.
+    family = qcore.WClassParams(*np.sqrt([0.3, 0.3, 0.4]))
+    assert bell.smax_w(rotated_profile(0.0)).closed_value == pytest.approx(
+        bell.smax_w(entanglement.w_profile_closed(family)).closed_value,
+        abs=1e-9)
+    # d = 0.1: tau is still 0, but the concurrence identity fails.
+    profile = rotated_profile(0.1)
+    assert abs(profile.tau) < 1e-12
+    with pytest.raises(qcore.ValidationError, match="d = 0"):
+        bell.smax_w(profile)
+    # A nonzero tangle is rejected too.
+    with pytest.raises(qcore.ValidationError, match="d = 0"):
+        bell.smax_w(entanglement.ghz_profile_closed(
+            qcore.GhzClassParams(math.pi / 4, math.pi / 2)))
 
 
 def test_smax_w_settings_reach_the_reported_value(monkeypatch):
