@@ -58,7 +58,7 @@ SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
 _SIGNS_BY_PARTY = tuple(np.moveaxis(SVETLICHNY_SIGNS, r, 2) for r in range(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementSettings:
     """The six measurement directions (a, a', b, b', c, c')."""
 
@@ -83,7 +83,7 @@ def settings_from_vectors(vectors) -> MeasurementSettings:
     return MeasurementSettings(*(UnitVector(*v) for v in vectors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmaxReport:
     """Closed-form maximum with the settings that achieve it.
 
@@ -240,12 +240,6 @@ def _ghz_branches(tau: float, c12_sq: float) -> Tuple[bool, float, float]:
             4.0 * math.sqrt(max(0.0, c12_sq + 2.0 * tau)))
 
 
-def _ghz_branch(profile: EntanglementProfile) -> Tuple[str, float]:
-    """Eq. (19) at a GHZ-class profile: its branch's name and maximum."""
-    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
-    return ("low-branch", low_value) if low else ("high-branch", high_value)
-
-
 def _ghz_params_from_profile(profile: EntanglementProfile) -> GhzClassParams:
     sin_two_theta = math.sqrt(min(1.0, profile.tau + profile.c12 ** 2))
     theta = 0.5 * math.asin(sin_two_theta)
@@ -290,7 +284,9 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
-    branch, value = _ghz_branch(profile)
+    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
+    branch, value = (("low-branch", low_value) if low
+                     else ("high-branch", high_value))
     return SmaxReport(closed_value=value, branch=branch,
                       achieving_settings=optimal_settings_ghz(
                           _ghz_params_from_profile(profile)))

@@ -43,7 +43,6 @@ from .bell import (
     ALGEBRAIC_CEILING,
     MeasurementSettings,
     SmaxReport,
-    _ghz_branch,
     _ghz_branches,
     bell_operators,
     ghz_correlator_closed,
@@ -77,23 +76,25 @@ _PI_PATTERN = re.compile(
     r"^\s*(-)?\s*(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
 
-def parse_angle(text: str) -> float:
-    """Parse a radian literal, accepting pi fractions like 'pi/4' or '3pi/8'."""
+def parse_number(text: str, what: str) -> float:
+    """Parse every number the CLI reads: a float literal, a pi multiple
+    '[-][N][*]pi[/D]' such as 'pi/4' or '3pi/8', or a fraction 'N/D' of
+    float literals such as '2/3'.  `what` names the field in errors."""
     match = _PI_PATTERN.match(text)
-    if not match:
-        return _parse_number(text, "angle")
-    sign = -1.0 if match.group(1) else 1.0
-    den = float(match.group(3) or 1.0)
-    if den == 0.0:
-        raise ValidationError(f"zero denominator in angle {text!r}")
-    return sign * math.pi * float(match.group(2) or 1.0) / den
-
-
-def _parse_number(text: str, what: str) -> float:
     try:
-        return float(text)
+        if match:
+            sign, num, den = match.groups()
+            value = (-math.pi if sign else math.pi) * float(num or 1.0)
+        else:
+            num, sep, den = text.partition("/")
+            value = float(num)
+            den = den if sep else None
+        den_value = 1.0 if den is None else float(den)
     except ValueError:
         raise ValidationError(f"cannot parse {what} literal {text!r}")
+    if den_value == 0.0:
+        raise ValidationError(f"zero denominator in {what} literal {text!r}")
+    return value / den_value
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def parse_state_spec(text: str) -> StateSpec:
         amps = []
         for k in range(8):
             pair = entries.get(f"amp{k}", "[0, 0]").strip().strip("[]")
-            parts = [_parse_number(v, f"amp{k}") for v in pair.split(",")]
+            parts = [parse_number(v, f"amp{k}") for v in pair.split(",")]
             if len(parts) != 2:
                 raise ValidationError(f"amp{k} needs [re, im], got {pair!r}")
             amps.append(complex(*parts))
@@ -159,14 +160,15 @@ def parse_state_spec(text: str) -> StateSpec:
 
 
 def _family_spec(family: str, values: Sequence[str]) -> StateSpec:
-    """A GHZ spec from theta and theta3 angle literals, or a W spec from
-    alpha, beta and gamma number literals."""
+    """A GHZ spec from theta and theta3 literals, or a W spec from alpha,
+    beta and gamma literals."""
+    numbers = [parse_number(value, key)
+               for key, value in zip(_STATE_KEYS[family], values)]
     if family == "ghz":
-        ghz = GhzClassParams(*(parse_angle(value) for value in values))
+        ghz = GhzClassParams(*numbers)
         return StateSpec(ghz_state(ghz),
                          lambda: smax_ghz_closed(ghz_profile_closed(ghz)))
-    w = WClassParams(*(_parse_number(value, key)
-                       for key, value in zip(_STATE_KEYS["w"], values)))
+    w = WClassParams(*numbers)
     return StateSpec(w_state(w), lambda: smax_w(w_profile_closed(w)))
 
 
@@ -182,7 +184,8 @@ def parse_settings_file(text: str) -> MeasurementSettings:
         if len(parts) != 2:
             raise ValidationError(f"vector {name} needs 'polar azimuth'")
         vectors[name] = UnitVector.from_angles(
-            parse_angle(parts[0]), parse_angle(parts[1]))
+            parse_number(parts[0], f"{name} polar"),
+            parse_number(parts[1], f"{name} azimuth"))
     return MeasurementSettings(**vectors)
 
 
@@ -278,40 +281,24 @@ def _write_sweep(path: str, header: Sequence[str],
 
 
 def cmd_sweep_ghz(args) -> int:
-    theta3_values = [parse_angle(v) for v in args.theta3.split(",")]
+    theta3_values = [parse_number(v, "theta3") for v in args.theta3.split(",")]
     rows = verify_grid_ghz(args.theta_steps, theta3_values, args.seed)
-    out_rows = []
-    for row in rows:
-        theta, theta3 = row.params
-        profile = ghz_profile_closed(GhzClassParams(theta, theta3))
-        branch = _ghz_branch(profile)[0]
-        out_rows.append([theta, theta3, profile.tau, profile.c12 ** 2,
-                         row.closed_value, row.numeric_value, branch, row.gap])
+    out_rows = [[*row.params, row.profile.tau, row.profile.c12 ** 2,
+                 row.closed.closed_value, row.numeric_value, row.closed.branch,
+                 row.gap] for row in rows]
     _write_sweep(args.out, ["theta", "theta3", "tau", "c12_sq", "smax_closed",
                             "smax_numeric", "branch", "gap"], out_rows, rows)
     return 0
 
 
 def cmd_sweep_w(args) -> int:
-    c12_values = [float(eval_fraction(v)) for v in args.c12.split(",")]
+    c12_values = [parse_number(v, "c12") for v in args.c12.split(",")]
     rows = verify_grid_w(c12_values, args.sum_steps, args.seed)
-    out_rows = []
-    for row in rows:
-        c12, c23, c31 = row.params
-        out_rows.append([c12, c23, c31, c12 + c23 + c31,
-                         row.closed_value, row.numeric_value, row.gap])
+    out_rows = [[*row.params, sum(row.params), row.closed.closed_value,
+                 row.numeric_value, row.gap] for row in rows]
     _write_sweep(args.out, ["c12", "c23", "c31", "sum_c", "smax_closed",
                             "smax_numeric", "gap"], out_rows, rows)
     return 0
-
-
-def eval_fraction(text: str) -> float:
-    """Parse a plain float or a simple fraction like '2/3'."""
-    num, sep, den = text.partition("/")
-    den_value = _parse_number(den, "fraction") if sep else 1.0
-    if den_value == 0.0:
-        raise ValidationError(f"zero denominator in {text!r}")
-    return _parse_number(num, "fraction") / den_value
 
 
 @dataclass(frozen=True)
@@ -412,22 +399,15 @@ def _mermin_factor_cases(n_side: int):
                params)
 
 
-def _suite_ceiling(rng: np.random.Generator, n: int) -> SuiteResult:
-    """|S| <= 4 sqrt 2 and |M| <= 4 on random settings; worst is the |S|
-    spectrum, not an error, so this suite keeps its own loop."""
-    worst = 0.0
-    detail = ""
-    passed = True
+def _ceiling_cases(rng: np.random.Generator, n: int):
+    """|S| <= 4 sqrt 2 and |M| <= 4 on random settings.  The error is the
+    |S| spectrum, made infinite when |M| is not within 4 (also when it is
+    NaN), so either bound fails the suite."""
     for k in range(n):
         s_op, m_op, _ = bell_operators(_random_settings(rng))
         s_top = float(np.max(np.abs(np.linalg.eigvalsh(s_op))))
         m_top = float(np.max(np.abs(np.linalg.eigvalsh(m_op))))
-        worst = float(np.maximum(worst, s_top))
-        # Written as "not within" so that a NaN spectrum fails.
-        if not (s_top <= ALGEBRAIC_CEILING + 1e-9 and m_top <= 4.0 + 1e-9):
-            passed = False
-            detail = f"case {k}: |S|={s_top} |M|={m_top}"
-    return SuiteResult("ceiling", passed, n, worst, detail)
+        yield s_top if m_top <= 4.0 + 1e-9 else math.inf, k, s_top, m_top
 
 
 def verification_battery(seed: int = 0) -> List[SuiteResult]:
@@ -458,7 +438,9 @@ def verification_battery(seed: int = 0) -> List[SuiteResult]:
                     lambda tau: f"tau={tau}"),
         _worst_case("mermin-factor", 1e-9, _mermin_factor_cases(10),
                     lambda p: f"params={p}"),
-        _suite_ceiling(rng, 200),
+        _worst_case("ceiling", ALGEBRAIC_CEILING + 1e-9,
+                    _ceiling_cases(rng, 200),
+                    lambda k, s, m: f"case {k}: |S|={s} |M|={m}"),
     ]
 
 

@@ -38,7 +38,7 @@ RANK_CUTOFF = 1e-13
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntanglementProfile:
     """Tangle, pairwise concurrences and bipartition concurrences of a state.
 
@@ -85,14 +85,13 @@ def concurrence_two_qubit(rho) -> float:
     roundoff.
     """
     rho = _check_density(rho)
-    vals, vecs = herm_eig(rho, tol=1e-10)
+    vals, vecs = herm_eig(rho)
     if vals[-1] < -1e-9:
         raise ValidationError("density matrix has a negative eigenvalue")
     factor = vecs * np.sqrt(np.where(vals > RANK_CUTOFF, vals, 0.0))
     m = factor.T @ _SPIN_FLIP @ factor
     zero = np.zeros((4, 4), dtype=complex)
-    lams = herm_eig(np.block([[zero, m], [m.conj().T, zero]]),
-                    tol=1e-10)[0][:4]
+    lams = herm_eig(np.block([[zero, m], [m.conj().T, zero]]))[0][:4]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 

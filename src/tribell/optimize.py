@@ -42,6 +42,7 @@ from .qcore import (
 )
 from .bell import (
     MeasurementSettings,
+    SmaxReport,
     _block,
     _contract,
     _party_coefficients,
@@ -51,7 +52,11 @@ from .bell import (
     smax_upper_bound,
     smax_w,
 )
-from .entanglement import ghz_profile_closed, w_profile_closed
+from .entanglement import (
+    EntanglementProfile,
+    ghz_profile_closed,
+    w_profile_closed,
+)
 
 # A start is certified, and stops, once its residual is within this.
 CONVERGENCE_TOL = 1e-9
@@ -109,12 +114,17 @@ class OptimizationResult:
                               self.upper_bound))
 
 
-@dataclass(frozen=True)
+# Slotted, as are the profile, report and directions it holds: a sweep
+# keeps every row, and its report, until the CSV is written.
+@dataclass(frozen=True, slots=True)
 class VerificationRow:
-    """One grid point of a closed-form vs. numeric comparison."""
+    """One grid point of a closed-form vs. numeric comparison: the point's
+    family profile and its closed-form report, against the numeric
+    maximum."""
 
     params: Tuple[float, ...]
-    closed_value: float
+    profile: EntanglementProfile
+    closed: SmaxReport
     numeric_value: float
     gap: float
     flag: str
@@ -355,7 +365,8 @@ def _flag_for_gap(gap: float) -> str:
 
 
 def _verification_row(index: int, params: Tuple[float, ...],
-                       state: ThreeQubitPureState, closed: float,
+                       state: ThreeQubitPureState,
+                       profile: EntanglementProfile, closed: SmaxReport,
                        seed: int) -> VerificationRow:
     """Closed value vs. escalating multistart numeric at one grid point.
 
@@ -364,14 +375,15 @@ def _verification_row(index: int, params: Tuple[float, ...],
     """
     # The row's own seed keeps its result independent of the rows before it.
     row_seed = _derived_seed(seed, index)
+    value = closed.closed_value
     numeric = multistart_maximize(state, row_seed).best_value
-    flag = _flag_for_gap(numeric - closed)
+    flag = _flag_for_gap(numeric - value)
     if flag == "numeric-below":
         numeric = max(numeric, multistart_maximize(
             state, row_seed, 4 * N_STARTS).best_value)
-        flag = _flag_for_gap(numeric - closed)
-    return VerificationRow(params=params, closed_value=closed,
-                           numeric_value=numeric, gap=numeric - closed,
+        flag = _flag_for_gap(numeric - value)
+    return VerificationRow(params=params, profile=profile, closed=closed,
+                           numeric_value=numeric, gap=numeric - value,
                            flag=flag)
 
 
@@ -379,9 +391,10 @@ def ghz_verification_row(index: int, theta: float, theta3: float,
                          seed: int) -> VerificationRow:
     """One GHZ grid point: closed form vs. escalating multistart numeric."""
     params = GhzClassParams(float(theta), float(theta3))
-    closed = smax_ghz_closed(ghz_profile_closed(params)).closed_value
+    profile = ghz_profile_closed(params)
     return _verification_row(index, (params.theta, params.theta3),
-                             ghz_state(params), closed, seed)
+                             ghz_state(params), profile,
+                             smax_ghz_closed(profile), seed)
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -471,8 +484,7 @@ def w_verification_row(index: int, c12: float, sum_c: float,
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
     return _verification_row(index, (profile.c12, profile.c23, profile.c31),
-                             w_state(params), smax_w(profile).closed_value,
-                             seed)
+                             w_state(params), profile, smax_w(profile), seed)
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:

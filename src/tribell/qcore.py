@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_TOL = 1e-9
-HERM_TOL = 1e-12
+HERM_TOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -67,7 +67,7 @@ class WClassParams:
             raise ValidationError(f"alpha^2+beta^2+gamma^2 = {norm_sq}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitVector:
     """Measurement direction stored as its Cartesian components (x, y, z).
 
@@ -224,18 +224,16 @@ def reduced_single(s: ThreeQubitPureState, qubit: int) -> np.ndarray:
     return np.einsum(spec, psi, psi.conj())
 
 
-def _check_hermitian(m: np.ndarray, tol: float):
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > 8:
-        raise ValidationError("expected a square matrix of size at most 8")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-
-
-def herm_eig(m: np.ndarray, tol: float = HERM_TOL):
+def herm_eig(m: np.ndarray):
     """Eigen-decomposition of a small Hermitian matrix by LAPACK (eigh).
 
-    Returns (values, vectors) with values descending and vectors as columns.
+    Raises unless `m` is square, of size at most 8 and Hermitian within
+    HERM_TOL.  Returns (values, vectors) with values descending and
+    vectors as columns.
     """
-    _check_hermitian(m, tol)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > 8:
+        raise ValidationError("expected a square matrix of size at most 8")
+    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        raise ValidationError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], vecs[:, ::-1]

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -13,23 +14,43 @@ from tribell import bell, cli, entanglement, optimize, qcore
 R3 = 1 / math.sqrt(3)
 
 
+def _assert_parse_number(accepted, rejected):
+    """A reject names its field and the whole literal."""
+    for text, what, value in accepted:
+        assert cli.parse_number(text, what) == value, text
+    for text, what in rejected:
+        with pytest.raises(qcore.ValidationError,
+                           match=re.escape(f"{what} literal {text!r}")):
+            cli.parse_number(text, what)
+
+
 def test_parse_angle_fractions():
-    assert cli.parse_angle("pi/4") == pytest.approx(math.pi / 4)
-    assert cli.parse_angle("3pi/8") == pytest.approx(3 * math.pi / 8)
-    assert cli.parse_angle("2*pi") == pytest.approx(2 * math.pi)
-    assert cli.parse_angle("-pi/2") == pytest.approx(-math.pi / 2)
-    assert cli.parse_angle("pi") == pytest.approx(math.pi)
-    assert cli.parse_angle("0.75") == pytest.approx(0.75)
-    with pytest.raises(qcore.ValidationError):
-        cli.parse_angle("four")
+    """Angle flags read multiples and fractions of pi."""
+    _assert_parse_number(
+        accepted=[
+            ("pi/4", "theta", math.pi / 4),
+            ("3pi/8", "theta", 3 * math.pi / 8),
+            ("2*pi", "theta", 2 * math.pi),
+            ("-pi/2", "theta", -math.pi / 2),
+            ("pi", "theta", math.pi),
+            ("0.75", "theta", 0.75),
+            ("2/3", "theta", 2.0 / 3.0),
+        ],
+        rejected=[("four", "theta"), ("pi/0", "theta3")])
 
 
 def test_eval_fraction():
-    assert cli.eval_fraction("2/3") == pytest.approx(2.0 / 3.0)
-    assert cli.eval_fraction("0.45") == pytest.approx(0.45)
-    for text in ("abc", "1/0", "2/", "1/2/3"):
-        with pytest.raises(qcore.ValidationError):
-            cli.eval_fraction(text)
+    """Every other number flag and file field reads the same literals."""
+    _assert_parse_number(
+        accepted=[
+            ("2/3", "c12", 2.0 / 3.0),
+            ("0.45", "c12", 0.45),
+            ("pi/8", "c12", math.pi / 8),
+            ("1e-3", "alpha", 1e-3),
+            ("-2/3", "amp0", -2.0 / 3.0),
+        ],
+        rejected=[("abc", "c12"), ("1/0", "c12"), ("2/", "c12"),
+                  ("1/2/3", "c12")])
 
 
 def test_parse_state_spec_ghz():
@@ -614,8 +635,27 @@ def test_nan_fails_the_continuity_and_ceiling_suites(monkeypatch):
     assert not continuity.passed and math.isnan(continuity.worst)
     monkeypatch.setattr(cli.np.linalg, "eigvalsh",
                         lambda m: np.full(8, math.nan))
-    ceiling = cli._suite_ceiling(np.random.default_rng(0), 3)
-    assert not ceiling.passed and math.isnan(ceiling.worst)
+    ceiling = cli._worst_case("ceiling", cli.ALGEBRAIC_CEILING + 1e-9,
+                              cli._ceiling_cases(np.random.default_rng(0), 3),
+                              lambda k, s_top, m_top: f"case {k}")
+    assert not ceiling.passed and ceiling.count == 3
+    assert ceiling.worst == math.inf
+
+
+def test_an_m_spectrum_above_4_fails_the_ceiling_suite(monkeypatch):
+    """|M| <= 4 is checked on its own: shifting M by 4.5 (M is traceless,
+    so its top eigenvalue passes 4.5) fails the suite while |S| stays
+    within 4 sqrt 2."""
+    operators = cli.bell_operators
+
+    def shifted(settings):
+        s_op, m_op, m_prime_op = operators(settings)
+        return s_op, m_op + 4.5 * np.eye(8), m_prime_op
+
+    monkeypatch.setattr(cli, "bell_operators", shifted)
+    ceiling, = [result for result in cli.verification_battery(0)
+                if result.name == "ceiling"]
+    assert not ceiling.passed and "|M|=" in ceiling.detail
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,10 +38,11 @@ def _parses_or_rejects(parse, text):
 
 @FUZZ
 @given(st.one_of(st.text(max_size=20),
-                 st.from_regex(r"-?\d{0,3}(\.\d{1,3})?\*?pi(/\d{0,3})?",
+                 st.from_regex(r"-?\d{0,3}(\.\d{1,3})?(\*?pi)?(/\d{0,3})?",
                                fullmatch=True)))
-def test_parse_angle_parses_or_rejects(text):
-    _parses_or_rejects(cli.parse_angle, text)
+def test_parse_number_parses_or_rejects(text):
+    _parses_or_rejects(lambda literal: cli.parse_number(literal, "theta"),
+                       text)
 
 
 @FUZZ

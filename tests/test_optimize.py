@@ -416,8 +416,13 @@ def test_verify_grid_ghz_small():
     for row in rows:
         assert row.flag == "match"
         assert abs(row.gap) <= 1e-3
+    # Each row carries its point's profile and closed-form report.
+    for row in rows:
+        params = qcore.GhzClassParams(*row.params)
+        assert row.profile == entanglement.ghz_profile_closed(params)
+        assert row.closed == bell.smax_ghz_closed(row.profile)
     # The theta = 0 product row sits at the separable value 4.
-    assert rows[0].closed_value == pytest.approx(4.0)
+    assert rows[0].closed.closed_value == pytest.approx(4.0)
     assert rows[0].numeric_value == pytest.approx(4.0, abs=1e-6)
 
 
@@ -470,13 +475,16 @@ def test_verify_grid_w_small():
     assert len(rows) == 6
     for row in rows:
         assert row.flag != "numeric-below"
-        assert row.numeric_value >= row.closed_value - 1e-6
+        assert row.numeric_value >= row.closed.closed_value - 1e-6
+        assert row.params == (row.profile.c12, row.profile.c23,
+                              row.profile.c31)
+        assert row.closed.branch == "w-class"
         assert abs(row.gap) <= 1e-3
     # The curve runs from sum = c12, where S = 4, to the symmetric state.
     assert all(row.params[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
                for row in rows)
     assert sum(rows[0].params) == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert rows[0].closed_value == pytest.approx(4.0, abs=1e-6)
+    assert rows[0].closed.closed_value == pytest.approx(4.0, abs=1e-6)
     assert sum(rows[-1].params) == pytest.approx(2.0, abs=1e-9)
 
 

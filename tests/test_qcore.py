@@ -206,7 +206,7 @@ def test_partial_trace_density_properties():
         for keep in ((1, 2), (2, 3), (1, 3)):
             rho = qcore.partial_trace(s, keep)
             assert abs(np.trace(rho).real - 1.0) < 1e-10
-            assert np.min(qcore.herm_eig(rho, tol=1e-10)[0]) >= -1e-10
+            assert np.min(qcore.herm_eig(rho)[0]) >= -1e-10
 
 
 def test_index_convention_coherence():
