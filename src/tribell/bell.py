@@ -135,19 +135,23 @@ def correlation_tensor(s: ThreeQubitPureState) -> np.ndarray:
 def _block(t: np.ndarray, parties: np.ndarray, r: int) -> np.ndarray:
     """<S> with party r held at its pair, a bilinear form in the others.
 
-    `t` is the 3x3x3 correlation tensor and `parties` a (3, 2, n, 3) stack
-    (party, unprimed/primed, start, axis).  With p < q the other parties,
-    B[x, y, n, i, j] = d^2 <S> / dP_x[i] dQ_y[j], of shape (2, 2, n, 3, 3).
-    Every <S> value, coefficient vector and Hessian block is read from it.
-    Every sum is in a fixed order, so a start's block does not depend on
-    how many starts share the batch.
+    `t` is the 3x3x3 correlation tensor shared by every start, or an
+    (n, 3, 3, 3) stack of one tensor per start, and `parties` a
+    (3, 2, n, 3) stack (party, unprimed/primed, start, axis).  With p < q
+    the other parties, B[x, y, n, i, j] = d^2 <S> / dP_x[i] dQ_y[j], of
+    shape (2, 2, n, 3, 3).  Every <S> value, coefficient vector and Hessian
+    block is read from it.  Every sum is in a fixed order, so a start's
+    block does not depend on how many starts share the batch.
     """
     # Folding the +-1 signs into party r's pair is exact in any order.
     signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[r], parties[r])
-    # t with party r's axis fixed at l is a (p, q) matrix.
-    terms = [signed[..., l, None, None] * t[(slice(None),) * r + (l,)]
-             for l in range(3)]
-    return terms[0] + terms[1] + terms[2]
+    # t with party r's axis, counted from the end, fixed at l is a (p, q)
+    # matrix, or one per start.
+    fixed = (slice(None),) * (2 - r)
+    block = signed[..., 0, None, None] * t[(Ellipsis, 0) + fixed]
+    for l in (1, 2):
+        block += signed[..., l, None, None] * t[(Ellipsis, l) + fixed]
+    return block
 
 
 def _contract(block: np.ndarray, pair: np.ndarray,
@@ -156,8 +160,10 @@ def _contract(block: np.ndarray, pair: np.ndarray,
     q's `pair`; with `q_side`, party q's from party p's."""
     if q_side:
         block = block.transpose(1, 0, 2, 4, 3)
-    terms = block * pair[:, :, None, :]
-    terms = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    pair = pair[:, :, None, :]
+    terms = block[..., 0] * pair[..., 0]
+    for j in (1, 2):
+        terms += block[..., j] * pair[..., j]
     return terms[:, 0] + terms[:, 1]
 
 

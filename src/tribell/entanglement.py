@@ -90,8 +90,10 @@ def concurrence_two_qubit(rho) -> float:
         raise ValidationError("density matrix has a negative eigenvalue")
     factor = vecs * np.sqrt(np.where(vals > RANK_CUTOFF, vals, 0.0))
     m = factor.T @ _SPIN_FLIP @ factor
-    zero = np.zeros((4, 4), dtype=complex)
-    lams = herm_eig(np.block([[zero, m], [m.conj().T, zero]]))[0][:4]
+    dilation = np.zeros((8, 8), dtype=complex)
+    dilation[:4, 4:] = m
+    dilation[4:, :4] = m.conj().T
+    lams = herm_eig(dilation)[0][:4]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 

@@ -15,12 +15,18 @@ A start stops when its residual, the norm of the Riemannian gradient, is
 within CONVERGENCE_TOL, or after _MAX_STEPS steps; a seeded multistart
 makes the search global in practice.
 
-The whole batch stops as soon as one start is certified within BOUND_TOL
-of `bell.smax_upper_bound`, the correlation-tensor bound on every
-setting's |<S>|: that start is provably the global maximum, so no other
-start can beat it.  The bound is tight on the GHZ family, so there the
-certificate is global; elsewhere it is loose and the batch runs until
-every start stops.
+A state's starts all stop as soon as one of them is certified within
+BOUND_TOL of `bell.smax_upper_bound`, the correlation-tensor bound on
+every setting's |<S>|: that start is provably the global maximum, so no
+other start can beat it.  The bound is tight on the GHZ family, so there
+the certificate is global; elsewhere it is loose and the starts run until
+each one stops.
+
+One ascent loop serves every caller.  A batch holds the starts of one or
+more rows, one state each, and each row stops at its own certificate and
+counts its own steps.  `multistart_maximize` is a batch of one row; a
+grid ascends its rows in batches of BATCH_ROWS, with per-start sums in a
+fixed order, so each row's result is bit-identical to its result alone.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ REPORT_TOL = 1e-3
 # Seeded starts per multistart ascent; a numeric-below sweep row retries
 # with four times as many.
 N_STARTS = 50
+# The most grid rows that ascend as one batch, so a grid of any size
+# needs bounded memory.
+BATCH_ROWS = 8
+# The most starts whose damped Newton trials are evaluated together.
+_NEWTON_SLICE = 50
 
 
 @dataclass(frozen=True)
@@ -136,14 +147,18 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             + u[..., 2] * v[..., 2])
 
 
-def _gradients(t: np.ndarray, parties: np.ndarray) -> np.ndarray:
+def _gradients(t: np.ndarray, parties: np.ndarray,
+               third=None) -> np.ndarray:
     """Euclidean gradient of <S> in each of the six directions: (3, 2, n, 3).
 
-    Parties 0 and 1 read theirs from one block, at party 2's pair."""
+    Parties 0 and 1 read theirs from one block, at party 2's pair.  Party
+    2's are its coefficient vectors, computed here unless given as `third`.
+    """
+    if third is None:
+        third = _party_coefficients(t, parties, 2)
     block = _block(t, parties, 2)
     return np.stack([_contract(block, parties[1], False),
-                     _contract(block, parties[0], True),
-                     _party_coefficients(t, parties, 2)])
+                     _contract(block, parties[0], True), third])
 
 
 def _value(coeff: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -206,6 +221,22 @@ def _newton_step(t: np.ndarray, parties: np.ndarray,
                  grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each start's best Newton trial and its <S>, without the safeguard.
 
+    `t` holds one correlation tensor per start.  The starts run in slices
+    of _NEWTON_SLICE, which bounds the memory of their damped trials.
+    """
+    moved = np.empty_like(parties)
+    values = np.empty(parties.shape[2])
+    for lo in range(0, parties.shape[2], _NEWTON_SLICE):
+        part = slice(lo, lo + _NEWTON_SLICE)
+        moved[:, :, part], values[part] = _damped_trials(
+            t[part], parties[:, :, part], grad[:, :, part])
+    return moved, values
+
+
+def _damped_trials(t: np.ndarray, parties: np.ndarray,
+                   grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The best of each start's Newton trials and its <S>.
+
     There is one trial per damping mu in _DAMPING.  Along each eigenvector
     of the Hessian a trial steps by the gradient's component over
     |eigenvalue| + mu.  Undamped, that is the Newton step -H^-1 g where H
@@ -229,7 +260,8 @@ def _newton_step(t: np.ndarray, parties: np.ndarray,
               + bases[..., 1, :] * step[..., 1, None])
     trials = trials / np.sqrt(_dot(trials, trials))[..., None]
     stacked = np.concatenate(trials, axis=2)
-    values = _value(_party_coefficients(t, stacked, 2), stacked[2])
+    values = _value(_party_coefficients(
+        np.concatenate([t] * len(_DAMPING)), stacked, 2), stacked[2])
     values = values.reshape(len(_DAMPING), n)
     pick = np.argmax(values, axis=0)
     index = np.arange(n)
@@ -238,12 +270,14 @@ def _newton_step(t: np.ndarray, parties: np.ndarray,
 
 
 def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
-                  coeff: np.ndarray) -> None:
+                  coeff: np.ndarray) -> np.ndarray:
     """One see-saw cycle in place on the starts in `moving`: each party in
     turn takes its normalized coefficient vectors as its pair.
 
     `coeff` holds the first party's coefficients at the current directions
-    of the moving starts.
+    of the moving starts.  Returns the last party's coefficient vectors:
+    they do not depend on its own pair, so they hold at every start's
+    directions after the cycle.
     """
     for k in range(3):
         if k:
@@ -252,6 +286,7 @@ def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
         # Degenerate coefficient vectors keep their previous direction.
         usable = moving & (norms > 1e-14)
         parties[k][usable] = coeff[usable] / norms[usable, None]
+    return coeff
 
 
 def _at_bound(value, residual, bound):
@@ -259,43 +294,51 @@ def _at_bound(value, residual, bound):
     return (residual <= CONVERGENCE_TOL) & (np.abs(value) >= bound - BOUND_TOL)
 
 
-def _ascend(t: np.ndarray, parties: np.ndarray, bound: float):
+def _ascend(tensors: np.ndarray, bounds: np.ndarray, rows: np.ndarray,
+            parties: np.ndarray):
     """Run the ascent in place on a (3, 2, n, 3) batch of starts.
 
-    Each step of a start is a see-saw cycle for the first _HANDOVER steps
-    and a Newton step after that, replaced by a see-saw cycle whenever it
-    would lower <S>.  A start is frozen once its residual is within
-    CONVERGENCE_TOL, and the whole batch stops once a start is certified
-    at the upper bound `bound`.  Every sum runs in a fixed order, so
-    batched and one-at-a-time execution follow the same paths.  Returns
-    (value, residual, steps): each start's final <S> and Riemannian
-    gradient norm, and the number of steps the batch ran.
+    Start i belongs to row rows[i]: it ascends the correlation tensor
+    tensors[rows[i]] under the upper bound bounds[rows[i]].  Each step of a
+    start is a see-saw cycle for the first _HANDOVER steps and a Newton
+    step after that, replaced by a see-saw cycle whenever it would lower
+    <S>.  A start is frozen once its residual is within CONVERGENCE_TOL,
+    and all the starts of a row once one of them is certified at the row's
+    bound.  Every sum runs in a fixed order, so a row follows the same
+    paths alone as in a batch of rows.  Returns (value, residual, steps):
+    each start's final <S> and Riemannian gradient norm, and the number of
+    steps each row ran.
     """
-    grad = _gradients(t, parties)
+    start_bounds = bounds[rows]
+    grad = _gradients(tensors[rows], parties)
     value = _value(grad[2], parties[2])
     residual = _residual(grad, parties)
-    steps = 0
-    while steps < _MAX_STEPS:
-        live = np.flatnonzero(residual > CONVERGENCE_TOL)
-        if live.size == 0 or _at_bound(value, residual, bound).any():
+    steps = np.zeros(len(bounds), dtype=int)
+    for step in range(_MAX_STEPS):
+        certified = np.zeros(len(bounds), dtype=bool)
+        certified[rows[_at_bound(value, residual, start_bounds)]] = True
+        live = np.flatnonzero((residual > CONVERGENCE_TOL) & ~certified[rows])
+        if live.size == 0:
             break
+        t = tensors[rows[live]]
         batch = parties[:, :, live]
         seesaw = np.ones(live.size, dtype=bool)
-        if steps >= _HANDOVER:
+        if step >= _HANDOVER:
             moved, moved_value = _newton_step(t, batch, grad[:, :, live])
             # The safeguard: a step that would lower <S> (or is NaN) gives
             # way to a see-saw cycle.
             gains = moved_value >= value[live]
             batch[:, :, gains] = moved[:, :, gains]
             seesaw = ~gains
+        third = None
         if seesaw.any():
-            _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
-        fresh = _gradients(t, batch)
+            third = _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
+        fresh = _gradients(t, batch, third)
         parties[:, :, live] = batch
         grad[:, :, live] = fresh
         value[live] = _value(fresh[2], batch[2])
         residual[live] = _residual(fresh, batch)
-        steps += 1
+        steps[rows[live]] = step + 1
     return value, residual, steps
 
 
@@ -346,16 +389,34 @@ def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
     ], axis=-1)
 
 
+def _maximize_rows(tensors: np.ndarray, seeds: Sequence[int],
+                   n_starts: int) -> list:
+    """One certified ascent for several states at once: row i, of
+    correlation tensor tensors[i], takes n_starts starts drawn with
+    seeds[i] and stops at its own certificate.  One OptimizationResult per
+    row, each the one the row would give alone."""
+    bounds = np.array([smax_upper_bound(t) for t in tensors])
+    parties = np.concatenate([
+        _random_directions(np.random.default_rng(seed),
+                           (6, n_starts)).reshape(3, 2, -1, 3)
+        for seed in seeds], axis=2)
+    value, residual, steps = _ascend(
+        tensors, bounds, np.repeat(np.arange(len(seeds)), n_starts), parties)
+    results = []
+    for row, bound in enumerate(bounds):
+        part = slice(row * n_starts, (row + 1) * n_starts)
+        results.append(_result(tensors[row], float(bound), parties[:, :, part],
+                               value[part], residual[part], int(steps[row])))
+    return results
+
+
 def multistart_maximize(s: ThreeQubitPureState, seed: int,
                         n_starts: int = N_STARTS) -> OptimizationResult:
-    """Best of n_starts certified ascents from settings drawn with seed."""
+    """Best of n_starts certified ascents from settings drawn with seed:
+    the batched ascent on a batch of one row."""
     if n_starts < 1:
         raise ValidationError("n_starts must be at least 1")
-    rng = np.random.default_rng(seed)
-    parties = _random_directions(rng, (6, n_starts)).reshape(3, 2, -1, 3)
-    t = correlation_tensor(s)
-    bound = smax_upper_bound(t)
-    return _result(t, bound, parties, *_ascend(t, parties, bound))
+    return _maximize_rows(correlation_tensor(s)[None], [seed], n_starts)[0]
 
 
 def _flag_for_gap(gap: float) -> str:
@@ -364,37 +425,59 @@ def _flag_for_gap(gap: float) -> str:
     return "numeric-above" if gap > 0 else "numeric-below"
 
 
-def _verification_row(index: int, params: Tuple[float, ...],
-                       state: ThreeQubitPureState,
-                       profile: EntanglementProfile, closed: SmaxReport,
-                       seed: int) -> VerificationRow:
-    """Closed value vs. escalating multistart numeric at one grid point.
+def _verification_rows(points: Sequence[tuple], first: int,
+                        seed: int) -> list:
+    """Closed value vs. escalating multistart numeric at a batch of grid
+    points, rows first, first + 1, ... of a grid.
 
-    A numeric-below flag is retried with four times the starts before it
-    sticks; numeric-above rows are findings, not failures.
+    Each point is its (params, state, profile, closed-form report), and
+    the points' ascents run as one batch.  A numeric-below flag is retried
+    by itself with four times the starts before it sticks; numeric-above
+    rows are findings, not failures.
     """
-    # The row's own seed keeps its result independent of the rows before it.
-    row_seed = _derived_seed(seed, index)
-    value = closed.closed_value
-    numeric = multistart_maximize(state, row_seed).best_value
-    flag = _flag_for_gap(numeric - value)
-    if flag == "numeric-below":
-        numeric = max(numeric, multistart_maximize(
-            state, row_seed, 4 * N_STARTS).best_value)
+    # A row's own seed keeps its result independent of the rows around it.
+    seeds = [_derived_seed(seed, first + i) for i in range(len(points))]
+    results = _maximize_rows(
+        np.stack([correlation_tensor(state) for _, state, _, _ in points]),
+        seeds, N_STARTS)
+    rows = []
+    for (params, state, profile, closed), row_seed, result in zip(
+            points, seeds, results):
+        value = closed.closed_value
+        numeric = result.best_value
         flag = _flag_for_gap(numeric - value)
-    return VerificationRow(params=params, profile=profile, closed=closed,
-                           numeric_value=numeric, gap=numeric - value,
-                           flag=flag)
+        if flag == "numeric-below":
+            numeric = max(numeric, multistart_maximize(
+                state, row_seed, 4 * N_STARTS).best_value)
+            flag = _flag_for_gap(numeric - value)
+        rows.append(VerificationRow(
+            params=params, profile=profile, closed=closed,
+            numeric_value=numeric, gap=numeric - value, flag=flag))
+    return rows
+
+
+def _verify_grid(point, grid: Sequence[tuple], seed: int) -> list:
+    """One row per grid point, each point built by `point`.  The rows run
+    in batches of BATCH_ROWS, so the memory a grid needs beyond its rows
+    does not grow with its size."""
+    rows = []
+    for first in range(0, len(grid), BATCH_ROWS):
+        rows += _verification_rows(
+            [point(*p) for p in grid[first:first + BATCH_ROWS]], first, seed)
+    return rows
+
+
+def _ghz_point(theta: float, theta3: float) -> tuple:
+    params = GhzClassParams(float(theta), float(theta3))
+    profile = ghz_profile_closed(params)
+    return ((params.theta, params.theta3), ghz_state(params), profile,
+            smax_ghz_closed(profile))
 
 
 def ghz_verification_row(index: int, theta: float, theta3: float,
                          seed: int) -> VerificationRow:
     """One GHZ grid point: closed form vs. escalating multistart numeric."""
-    params = GhzClassParams(float(theta), float(theta3))
-    profile = ghz_profile_closed(params)
-    return _verification_row(index, (params.theta, params.theta3),
-                             ghz_state(params), profile,
-                             smax_ghz_closed(profile), seed)
+    return _verification_rows([_ghz_point(theta, theta3)], index, seed)[0]
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -429,9 +512,8 @@ def ghz_grid_points(theta_steps: int,
 def verify_grid_ghz(theta_steps: int, theta3_values: Sequence[float],
                     seed: int = 0) -> list:
     """Compare the numeric maximum against the GHZ closed form on a grid."""
-    return [ghz_verification_row(index, theta, theta3, seed)
-            for index, (theta, theta3) in enumerate(
-                ghz_grid_points(theta_steps, theta3_values))]
+    return _verify_grid(_ghz_point,
+                        ghz_grid_points(theta_steps, theta3_values), seed)
 
 
 def w_sum_max(c12: float) -> float:
@@ -478,13 +560,17 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
     return WClassParams(alpha / norm, beta / norm, gamma / norm)
 
 
+def _w_point(c12: float, sum_c: float) -> tuple:
+    params = w_params_for_sum(float(c12), float(sum_c))
+    profile = w_profile_closed(params)
+    return ((profile.c12, profile.c23, profile.c31), w_state(params),
+            profile, smax_w(profile))
+
+
 def w_verification_row(index: int, c12: float, sum_c: float,
                        seed: int) -> VerificationRow:
     """One W grid point: reduced W form vs. escalating multistart numeric."""
-    params = w_params_for_sum(float(c12), float(sum_c))
-    profile = w_profile_closed(params)
-    return _verification_row(index, (profile.c12, profile.c23, profile.c31),
-                             w_state(params), profile, smax_w(profile), seed)
+    return _verification_rows([_w_point(c12, sum_c)], index, seed)[0]
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
@@ -502,6 +588,4 @@ def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:
 def verify_grid_w(c12_values: Sequence[float], sum_steps: int,
                   seed: int = 0) -> list:
     """Compare numeric maxima against the reduced W form along Fig.-2 curves."""
-    return [w_verification_row(index, c12, sum_c, seed)
-            for index, (c12, sum_c) in enumerate(
-                w_grid_points(c12_values, sum_steps))]
+    return _verify_grid(_w_point, w_grid_points(c12_values, sum_steps), seed)

@@ -278,8 +278,9 @@ def _assert_rejected_before_any_point(argv, message, tmp_path, capsys,
         raise AssertionError("a grid of this size must not be built")
 
     monkeypatch.setattr(cli.np, "linspace", no_rows)
-    monkeypatch.setattr(optimize, "ghz_verification_row", no_rows)
-    monkeypatch.setattr(optimize, "w_verification_row", no_rows)
+    monkeypatch.setattr(optimize, "_ghz_point", no_rows)
+    monkeypatch.setattr(optimize, "_w_point", no_rows)
+    monkeypatch.setattr(optimize, "_verification_rows", no_rows)
     out_path = tmp_path / "grid.csv"
     assert cli.main([*argv, "--out", str(out_path)]) == 2
     err = capsys.readouterr().err

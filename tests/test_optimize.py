@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -47,8 +49,9 @@ def test_the_ascent_never_lowers_a_start(monkeypatch):
         previous = None
         for k in range(max_steps + 1):
             monkeypatch.setattr(optimize, "_MAX_STEPS", k)
-            value, residual, steps = optimize._ascend(t, starts.copy(),
-                                                      math.inf)
+            value, residual, (steps,) = optimize._ascend(
+                t[None], np.array([math.inf]), np.zeros(8, dtype=int),
+                starts.copy())
             if previous is not None:
                 assert np.min(value - previous) >= -1e-13
                 assert np.min(np.abs(value) - np.abs(previous)) >= -1e-13
@@ -147,8 +150,9 @@ def test_best_settings_are_the_final_directions_of_the_ascent():
     parties = optimize._random_directions(
         np.random.default_rng(4), (6, 6)).reshape(3, 2, -1, 3)
     t = bell.correlation_tensor(state)
-    value, residual, steps = optimize._ascend(
-        t, parties, bell.smax_upper_bound(t))
+    value, residual, (steps,) = optimize._ascend(
+        t[None], np.array([bell.smax_upper_bound(t)]), np.zeros(6, dtype=int),
+        parties)
     best = int(np.argmax(np.abs(value)))
     expected = parties[:, :, best].reshape(6, 3).copy()
     if value[best] < 0.0:
@@ -395,17 +399,24 @@ def test_ghz_grid_points_shape():
 
 
 def test_a_grid_at_the_point_bound_is_built(monkeypatch):
-    def row_index(index, *point_and_seed):
-        return index
+    batches = []
 
-    monkeypatch.setattr(optimize, "ghz_verification_row", row_index)
-    monkeypatch.setattr(optimize, "w_verification_row", row_index)
+    def row_indices(points, first, seed):
+        batches.append(len(points))
+        return list(range(first, first + len(points)))
+
+    # The points are built and their rows run batch by batch.
+    monkeypatch.setattr(optimize, "_ghz_point", lambda *point: point)
+    monkeypatch.setattr(optimize, "_w_point", lambda *point: point)
+    monkeypatch.setattr(optimize, "_verification_rows", row_indices)
     curves = optimize.MAX_GRID_POINTS // optimize.MAX_GRID_STEPS
     rows = list(range(optimize.MAX_GRID_POINTS))
     assert optimize.verify_grid_ghz(optimize.MAX_GRID_STEPS,
                                     [0.3] * curves) == rows
     assert optimize.verify_grid_w([0.5] * curves,
                                   optimize.MAX_GRID_STEPS) == rows
+    assert max(batches) == optimize.BATCH_ROWS
+    assert sum(batches) == 2 * optimize.MAX_GRID_POINTS
     with pytest.raises(qcore.ValidationError):
         optimize.ghz_grid_points(optimize.MAX_GRID_STEPS, [0.3] * (curves + 1))
 
@@ -507,12 +518,17 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
     target = closed()
     calls = []
 
-    def below_then_matching(state, seed, n_starts=optimize.N_STARTS):
-        calls.append((seed, n_starts))
-        value = target - 1e-2 if len(calls) == 1 else target
-        return types.SimpleNamespace(best_value=value)
+    def below(tensors, seeds, n_starts):
+        calls.append((*seeds, n_starts))
+        return [types.SimpleNamespace(best_value=target - 1e-2)]
 
-    monkeypatch.setattr(optimize, "multistart_maximize", below_then_matching)
+    def matching(state, seed, n_starts=optimize.N_STARTS):
+        calls.append((seed, n_starts))
+        return types.SimpleNamespace(best_value=target)
+
+    # The row's batched ascent falls short; its retry runs by itself.
+    monkeypatch.setattr(optimize, "_maximize_rows", below)
+    monkeypatch.setattr(optimize, "multistart_maximize", matching)
     result = row(4, *point, 7)
     seeds, starts = zip(*calls)
     assert starts == (optimize.N_STARTS, 4 * optimize.N_STARTS)
@@ -520,3 +536,98 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
     assert seeds == (qcore._derived_seed(7, 4),) * 2
     assert result.flag == "match"
     assert result.numeric_value == target and result.gap == 0.0
+
+
+def _spied_grid(grid, monkeypatch):
+    """The rows of `grid()` and the (tensors, seeds, n_starts, results) of
+    every batched ascent it ran."""
+    batches = []
+    maximize_rows = optimize._maximize_rows
+
+    def spy(tensors, seeds, n_starts):
+        results = maximize_rows(tensors, seeds, n_starts)
+        batches.append((tensors, seeds, n_starts, results))
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_maximize_rows", spy)
+        return grid(), batches
+
+
+def _assert_same_result(batched, alone):
+    assert batched.best_value == alone.best_value
+    assert np.array_equal(batched.best_settings.vectors(),
+                          alone.best_settings.vectors())
+    assert batched.iterations_used == alone.iterations_used
+    assert batched.residual == alone.residual
+    assert batched.converged == alone.converged
+    assert batched.hessian_nsd == alone.hessian_nsd
+    assert batched.upper_bound == alone.upper_bound
+
+
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_a_batched_grid_gives_each_row_its_result_alone(family, monkeypatch):
+    if family == "ghz":
+        point, grid = "_ghz_point", lambda: optimize.verify_grid_ghz(
+            21, [math.pi / 8, 3 * math.pi / 8], seed=3)
+        forced = (math.pi / 4, math.pi / 8)
+    else:
+        point, grid = "_w_point", lambda: optimize.verify_grid_w(
+            [0.45, 2.0 / 3.0], 9, seed=3)
+        forced = (0.45, 0.45)
+    built = getattr(optimize, point)
+    states = {}
+
+    def raised(*where):
+        # One row's closed value is raised, so it flags numeric-below and
+        # retries by itself.
+        params, state, profile, closed = built(*where)
+        states[params] = state
+        if where == forced:
+            closed = dataclasses.replace(
+                closed, closed_value=closed.closed_value + 1e-2)
+        return params, state, profile, closed
+
+    monkeypatch.setattr(optimize, point, raised)
+    rows, batches = _spied_grid(grid, monkeypatch)
+    grid_batches = [b for b in batches if b[2] == optimize.N_STARTS]
+    retries = [b for b in batches if b[2] == 4 * optimize.N_STARTS]
+    assert len(grid_batches) >= 2
+    assert [len(b[1]) for b in grid_batches[:-1]] == (
+        [optimize.BATCH_ROWS] * (len(grid_batches) - 1))
+    assert sum(len(b[1]) for b in grid_batches) == len(rows)
+    assert [row.flag for row in rows].count("numeric-below") == 1
+    assert len(retries) == 1 and len(retries[0][1]) == 1
+    seeds = [seed for b in grid_batches for seed in b[1]]
+    results = [r for b in grid_batches for r in b[3]]
+    for index, (row, seed, result) in enumerate(zip(rows, seeds, results)):
+        assert seed == qcore._derived_seed(3, index)
+        state = states[row.params]
+        _assert_same_result(result, optimize.multistart_maximize(state, seed))
+        numeric = result.best_value
+        if row.flag == "numeric-below":
+            assert retries[0][1] == [seed]
+            retry = retries[0][3][0]
+            _assert_same_result(retry, optimize.multistart_maximize(
+                state, seed, 4 * optimize.N_STARTS))
+            numeric = max(numeric, retry.best_value)
+        assert row.numeric_value == numeric
+        assert row.gap == numeric - row.closed.closed_value
+    if family == "ghz":
+        assert all(r.global_maximum for r in results)
+
+
+def test_a_grid_needs_memory_that_does_not_grow_with_its_rows():
+    def peak(curves):
+        tracemalloc.start()
+        try:
+            optimize.verify_grid_ghz(optimize.BATCH_ROWS,
+                                     [math.pi / 8] * curves)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first grid also pays one-off costs, such as lazy imports.
+    peak(1)
+    one_batch = peak(1)
+    assert peak(4) <= 1.2 * one_batch
