@@ -31,6 +31,7 @@ from .entanglement import (
     concurrence_bipartition,
     concurrence_two_qubit,
     entanglement_profile,
+    entanglement_profiles,
     ghz_profile_closed,
     w_profile_closed,
 )

@@ -35,7 +35,9 @@ from .qcore import (
     w_state,
 )
 from .entanglement import (
+    PROFILE_SLICE,
     entanglement_profile,
+    entanglement_profiles,
     ghz_profile_closed,
     w_profile_closed,
 )
@@ -370,16 +372,22 @@ def _tensor_vs_direct_cases(rng: np.random.Generator, n: int):
 def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
                     n_haar: int, n_w: int):
     """A Haar residual must not be negative; a W-class residual must vanish
-    in any local basis, here one drawn from `rotations` for each W state."""
-    for k in range(n_haar):
-        residual = entanglement_profile(
-            haar_random_state(rng)).monogamy_residual
-        yield -residual, "haar", k, residual
-    for k in range(n_w):
+    in any local basis, here one drawn from `rotations` for each W state.
+
+    The states are drawn and profiled PROFILE_SLICE at a time, all Haar
+    states first, so at most one slice of them is alive."""
+    def w_rotated() -> ThreeQubitPureState:
         w = w_state(_random_w_params(rng)).amplitudes
-        residual = entanglement_profile(ThreeQubitPureState(
-            haar_local_unitary(rotations) @ w)).monogamy_residual
-        yield abs(residual), "w", k, residual
+        return ThreeQubitPureState(haar_local_unitary(rotations) @ w)
+
+    for kind, n, draw, error in (
+            ("haar", n_haar, lambda: haar_random_state(rng), lambda r: -r),
+            ("w", n_w, w_rotated, abs)):
+        for start in range(0, n, PROFILE_SLICE):
+            states = [draw() for _ in range(min(PROFILE_SLICE, n - start))]
+            for k, profile in enumerate(entanglement_profiles(states), start):
+                residual = profile.monogamy_residual
+                yield error(residual), kind, k, residual
 
 
 def _branch_continuity_cases(n: int):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,9 +24,8 @@ from .qcore import (
     ThreeQubitPureState,
     ValidationError,
     WClassParams,
+    _reduced,
     herm_eig,
-    partial_trace,
-    reduced_single,
 )
 
 # Negative values closer to zero than this are treated as roundoff and
@@ -34,6 +34,9 @@ CLAMP_TOL = 1e-9
 # Eigenvalues of rho (trace 1) up to this are roundoff of a rank-deficient
 # state, read as zeros: their square roots would enter the lambdas at ~1e-8.
 RANK_CUTOFF = 1e-13
+# States per stacked profile slice: large enough that numpy's per-call
+# overhead is spread thin, small enough to keep the temporaries bounded.
+PROFILE_SLICE = 100
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -62,18 +65,22 @@ def _clamp_nonneg(value: float, what: str) -> float:
     return max(0.0, value)
 
 
-def _check_density(rho: np.ndarray) -> np.ndarray:
+def _check_density(rho) -> np.ndarray:
+    """`rho` as a complex 4x4 density matrix or (..., 4, 4) stack of them."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValidationError("expected a 4x4 density matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if not np.isfinite(rho).all():
+        raise ValidationError("density matrix has a non-finite entry")
+    if not np.all(np.abs(rho - rho.conj().swapaxes(-1, -2)) <= 1e-10):
         raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
+    if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
+                  <= 1e-9):
         raise ValidationError("density matrix trace deviates from 1")
     return rho
 
 
-def concurrence_two_qubit(rho) -> float:
+def concurrence_two_qubit(rho):
     """Wootters concurrence of a two-qubit density matrix.
 
     With rho = F F+ for the factor F = V diag(sqrt(eigenvalues)), the matrix
@@ -82,19 +89,33 @@ def concurrence_two_qubit(rho) -> float:
     Wootters' l1 >= l2 >= l3 >= l4, and C = max(0, l1 - l2 - l3 - l4).
     They are read as the top four eigenvalues of the Hermitian dilation
     [[0, M], [M+, 0]], whose spectrum is +-l_i with error linear in
-    roundoff.
+    roundoff.  One 4x4 rho gives a float; a (..., 4, 4) stack gives an
+    array of concurrences, each equal to that of its matrix alone.
     """
     rho = _check_density(rho)
     vals, vecs = herm_eig(rho)
-    if vals[-1] < -1e-9:
+    if np.any(vals[..., -1] < -1e-9):
         raise ValidationError("density matrix has a negative eigenvalue")
-    factor = vecs * np.sqrt(np.where(vals > RANK_CUTOFF, vals, 0.0))
-    m = factor.T @ _SPIN_FLIP @ factor
-    dilation = np.zeros((8, 8), dtype=complex)
-    dilation[:4, 4:] = m
-    dilation[4:, :4] = m.conj().T
-    lams = herm_eig(dilation)[0][:4]
-    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    roots = np.sqrt(np.where(vals > RANK_CUTOFF, vals, 0.0))
+    factor = vecs * roots[..., None, :]
+    m = factor.swapaxes(-1, -2) @ _SPIN_FLIP @ factor
+    dilation = np.zeros(rho.shape[:-2] + (8, 8), dtype=complex)
+    dilation[..., :4, 4:] = m
+    dilation[..., 4:, :4] = m.conj().swapaxes(-1, -2)
+    lams = herm_eig(dilation)[0]
+    c = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2]
+                   - lams[..., 3])
+    return float(c) if c.ndim == 0 else c
+
+
+def _cut_concurrences(amplitudes: np.ndarray, solo: int) -> list:
+    """Concurrences across the cut of qubit `solo` for a stack (n, 8) of
+    amplitude vectors, as floats: sqrt(2 (1 - tr rho_solo^2))."""
+    rho = _reduced(amplitudes, (solo,))
+    purities = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return [math.sqrt(_clamp_nonneg(2.0 * (1.0 - purity),
+                                    "bipartition concurrence^2"))
+            for purity in purities.tolist()]
 
 
 def concurrence_bipartition(s: ThreeQubitPureState, solo: int) -> float:
@@ -102,23 +123,13 @@ def concurrence_bipartition(s: ThreeQubitPureState, solo: int) -> float:
 
     For a pure state this is sqrt(2 (1 - tr rho_solo^2)).
     """
-    rho = reduced_single(s, solo)
-    purity = float(np.trace(rho @ rho).real)
-    return math.sqrt(_clamp_nonneg(2.0 * (1.0 - purity), "bipartition concurrence^2"))
+    if solo not in (1, 2, 3):
+        raise ValidationError(f"qubit label must be 1, 2 or 3, got {solo}")
+    return _cut_concurrences(s.amplitudes[None], solo)[0]
 
 
-def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:
-    """Full entanglement profile with a permutation-consistency check on tau.
-
-    The tangle is recomputed from all three solo choices; a spread above
-    1e-8 between them signals a numerical failure and raises.
-    """
-    c12 = concurrence_two_qubit(partial_trace(s, (1, 2)))
-    c23 = concurrence_two_qubit(partial_trace(s, (2, 3)))
-    c31 = concurrence_two_qubit(partial_trace(s, (1, 3)))
-    c1_23 = concurrence_bipartition(s, 1)
-    c2_13 = concurrence_bipartition(s, 2)
-    c3_12 = concurrence_bipartition(s, 3)
+def _profile(c12: float, c23: float, c31: float, c1_23: float,
+             c2_13: float, c3_12: float) -> EntanglementProfile:
     taus = (
         c1_23 ** 2 - c12 ** 2 - c31 ** 2,
         c2_13 ** 2 - c12 ** 2 - c23 ** 2,
@@ -133,6 +144,33 @@ def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:
         c1_23=c1_23, c2_13=c2_13, c3_12=c3_12,
         monogamy_residual=residual,
     )
+
+
+def entanglement_profiles(
+        states: Sequence[ThreeQubitPureState]) -> List[EntanglementProfile]:
+    """Full entanglement profiles, with a permutation-consistency check on tau.
+
+    The states are profiled PROFILE_SLICE at a time: each slice's reduced
+    states are formed with one einsum per pair or qubit and go through
+    the concurrence as one stack, so the temporaries stay bounded for any
+    number of states.  Each tangle is recomputed from all three solo
+    choices; a spread above 1e-8 between them signals a numerical failure
+    and raises.
+    """
+    profiles = []
+    for start in range(0, len(states), PROFILE_SLICE):
+        amplitudes = np.stack(
+            [s.amplitudes for s in states[start:start + PROFILE_SLICE]])
+        pairs = [concurrence_two_qubit(_reduced(amplitudes, keep)).tolist()
+                 for keep in ((1, 2), (2, 3), (1, 3))]
+        cuts = [_cut_concurrences(amplitudes, solo) for solo in (1, 2, 3)]
+        profiles.extend(_profile(*values) for values in zip(*pairs, *cuts))
+    return profiles
+
+
+def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:
+    """The profile of one state: `entanglement_profiles` of a batch of one."""
+    return entanglement_profiles([s])[0]
 
 
 def ghz_profile_closed(p: GhzClassParams) -> EntanglementProfile:

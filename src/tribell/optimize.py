@@ -474,12 +474,6 @@ def _ghz_point(theta: float, theta3: float) -> tuple:
             smax_ghz_closed(profile))
 
 
-def ghz_verification_row(index: int, theta: float, theta3: float,
-                         seed: int) -> VerificationRow:
-    """One GHZ grid point: closed form vs. escalating multistart numeric."""
-    return _verification_rows([_ghz_point(theta, theta3)], index, seed)[0]
-
-
 # The most points a sweep curve may take, and the most a whole grid may
 # take (ten full curves).  Every grid point runs a multistart ascent, and
 # the grid and its rows are held in memory, so a larger grid is rejected
@@ -565,12 +559,6 @@ def _w_point(c12: float, sum_c: float) -> tuple:
     profile = w_profile_closed(params)
     return ((profile.c12, profile.c23, profile.c31), w_state(params),
             profile, smax_w(profile))
-
-
-def w_verification_row(index: int, c12: float, sum_c: float,
-                       seed: int) -> VerificationRow:
-    """One W grid point: reduced W form vs. escalating multistart numeric."""
-    return _verification_rows([_w_point(c12, sum_c)], index, seed)[0]
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:

@@ -198,42 +198,55 @@ def expectation(s: ThreeQubitPureState, o: np.ndarray) -> float:
     return value.real
 
 
-_KEEP_PAIRS = {
-    (1, 2): "abc,dec->abde",
-    (2, 3): "abc,ade->bcde",
-    (1, 3): "abc,dbe->acde",
+# Each retained set of qubits names the einsum that traces the others out
+# of |psi><psi|, for one amplitude vector or a stack of them.
+_KEEP = {
+    (1, 2): "...abc,...dec->...abde",
+    (2, 3): "...abc,...ade->...bcde",
+    (1, 3): "...abc,...dbe->...acde",
+    (1,): "...abc,...dbc->...ad",
+    (2,): "...abc,...adc->...bd",
+    (3,): "...abc,...abd->...cd",
 }
+
+
+def _reduced(amplitudes: np.ndarray, keep: tuple) -> np.ndarray:
+    """Reduced density matrices of the qubits `keep` (ascending labels, a
+    key of _KEEP) for amplitude vectors of shape (..., 8)."""
+    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2, 2, 2))
+    dim = 2 ** len(keep)
+    return np.einsum(_KEEP[keep], psi, psi.conj()).reshape(
+        amplitudes.shape[:-1] + (dim, dim))
 
 
 def partial_trace(s: ThreeQubitPureState, keep) -> np.ndarray:
     """Reduced 4x4 density matrix of the retained qubit pair (labels ascending)."""
     keep = tuple(sorted(keep))
-    if keep not in _KEEP_PAIRS:
+    if len(keep) != 2 or keep not in _KEEP:
         raise ValidationError(f"keep must be one of (1,2),(2,3),(1,3), got {keep}")
-    psi = s.amplitudes.reshape(2, 2, 2)
-    rho = np.einsum(_KEEP_PAIRS[keep], psi, psi.conj()).reshape(4, 4)
-    return rho
+    return _reduced(s.amplitudes, keep)
 
 
 def reduced_single(s: ThreeQubitPureState, qubit: int) -> np.ndarray:
     """2x2 reduced density matrix of one qubit."""
     if qubit not in (1, 2, 3):
         raise ValidationError(f"qubit label must be 1, 2 or 3, got {qubit}")
-    psi = s.amplitudes.reshape(2, 2, 2)
-    spec = {1: "abc,dbc->ad", 2: "abc,adc->bd", 3: "abc,abd->cd"}[qubit]
-    return np.einsum(spec, psi, psi.conj())
+    return _reduced(s.amplitudes, (qubit,))
 
 
 def herm_eig(m: np.ndarray):
-    """Eigen-decomposition of a small Hermitian matrix by LAPACK (eigh).
+    """Eigen-decomposition of a small Hermitian matrix, or of each matrix of
+    an (..., n, n) stack, by LAPACK (eigh).
 
-    Raises unless `m` is square, of size at most 8 and Hermitian within
-    HERM_TOL.  Returns (values, vectors) with values descending and
-    vectors as columns.
+    Raises unless the matrices are square, of size at most 8, finite and
+    Hermitian within HERM_TOL.  Returns (values, vectors) with values
+    descending along the last axis and vectors as columns.
     """
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] > 8:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] > 8:
         raise ValidationError("expected a square matrix of size at most 8")
-    if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has a non-finite entry")
+    if not np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= HERM_TOL):
         raise ValidationError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
+    return vals[..., ::-1], vecs[..., ::-1]

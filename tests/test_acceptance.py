@@ -112,26 +112,30 @@ def test_criterion_05_boundary_states(capsys):
     assert ok
 
 
-def _pair_residual(s):
-    c12 = entanglement.concurrence_two_qubit(qcore.partial_trace(s, (1, 2)))
-    c31 = entanglement.concurrence_two_qubit(qcore.partial_trace(s, (1, 3)))
-    return entanglement.concurrence_bipartition(s, 1) ** 2 - c12 ** 2 - c31 ** 2
+def _residuals(draw, n):
+    """Monogamy residuals of n states from draw(), drawn and profiled a
+    slice at a time."""
+    for start in range(0, n, entanglement.PROFILE_SLICE):
+        states = [draw() for _ in range(min(entanglement.PROFILE_SLICE,
+                                            n - start))]
+        for profile in entanglement.entanglement_profiles(states):
+            yield profile.monogamy_residual
 
 
 def test_criterion_06_monogamy(capsys):
     rng = np.random.default_rng(2024)
-    haar_min = min(_pair_residual(qcore.haar_random_state(rng))
-                   for _ in range(10_000))
+    haar_min = min(_residuals(lambda: qcore.haar_random_state(rng), 10_000))
     # W states in a random local basis, rotated from a stream of their own.
     rotations = np.random.default_rng(qcore._derived_seed(2024, 1))
-    w_worst = 0.0
-    for _ in range(1000):
+
+    def rotated_w():
         amps = np.abs(rng.normal(size=3))
         amps /= np.linalg.norm(amps)
         w = qcore.w_state(qcore.WClassParams(*amps)).amplitudes
-        res = _pair_residual(qcore.ThreeQubitPureState(
-            qcore.haar_local_unitary(rotations) @ w))
-        w_worst = max(w_worst, abs(res))
+        return qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rotations) @ w)
+
+    w_worst = max(abs(res) for res in _residuals(rotated_w, 1000))
     ok = haar_min >= -1e-9 and w_worst < 1e-9
     _report(capsys, 6, ok, f"monogamy: min residual over 1e4 Haar={haar_min:.2e} "
             f"worst |residual| over 1e3 W={w_worst:.2e} (tol 1e-9)")

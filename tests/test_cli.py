@@ -596,17 +596,16 @@ def test_verification_battery_suites():
 
 
 def test_monogamy_suite_reports_the_w_class_residuals(monkeypatch):
-    profile = cli.entanglement_profile
+    profiles = cli.entanglement_profiles
 
-    def w_residual_off_by_5e_10(state):
-        result = profile(state)
+    def w_residual_off_by_5e_10(states):
         # The suite's W-class states have tau = 0 in any local basis; its
         # Haar states at this seed have tau >= 7e-3.
-        if result.tau < 1e-6:
-            result = dataclasses.replace(result, monogamy_residual=5e-10)
-        return result
+        return [dataclasses.replace(result, monogamy_residual=5e-10)
+                if result.tau < 1e-6 else result
+                for result in profiles(states)]
 
-    monkeypatch.setattr(cli, "entanglement_profile", w_residual_off_by_5e_10)
+    monkeypatch.setattr(cli, "entanglement_profiles", w_residual_off_by_5e_10)
     monogamy = cli.verification_battery(seed=0)[4]
     assert monogamy.name == "monogamy"
     assert monogamy.passed

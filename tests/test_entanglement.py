@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tribell import entanglement, qcore
+from tribell import cli, entanglement, qcore
 
 
 R3 = 1 / math.sqrt(3)
@@ -59,6 +61,93 @@ def test_concurrence_rejects_non_density():
     bad[0, 0] = 1.0
     with pytest.raises(qcore.ValidationError):
         entanglement.concurrence_two_qubit(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([np.nan, 1.0, 0.0, 0.0]), np.full((4, 4), np.nan),
+    np.diag([np.inf, 1.0, 0.0, 0.0])], ids=["one-nan", "all-nan", "inf"])
+def test_concurrence_rejects_a_non_finite_density_matrix(bad):
+    bad = bad.astype(complex)
+    stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    stack[1] = bad
+    for rho in (bad, stack):
+        with pytest.raises(qcore.ValidationError, match="non-finite"):
+            entanglement._check_density(rho)
+        with pytest.raises(qcore.ValidationError, match="non-finite"):
+            entanglement.concurrence_two_qubit(rho)
+
+
+def _reduced_pairs(rng, n):
+    """4x4 reduced states of Haar, rotated W and GHZ-class states, and of a
+    product state, over all three pairs."""
+    states = [qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])]
+    for _ in range(n):
+        states += [
+            qcore.haar_random_state(rng),
+            qcore.ThreeQubitPureState(qcore.haar_local_unitary(rng)
+                                      @ qcore.w_state(random_w_params(rng))
+                                      .amplitudes),
+            qcore.ghz_state(random_ghz_params(rng))]
+    return np.stack([qcore.partial_trace(s, keep) for s in states
+                     for keep in ((1, 2), (2, 3), (1, 3))])
+
+
+def test_a_stacked_concurrence_equals_each_matrix_alone():
+    rhos = _reduced_pairs(np.random.default_rng(25), 20)
+    stacked = entanglement.concurrence_two_qubit(rhos)
+    alone = [entanglement.concurrence_two_qubit(rho) for rho in rhos]
+    assert all(type(c) is float for c in alone)
+    assert stacked.shape == (len(rhos),) and stacked.tolist() == alone
+    assert np.array_equal(
+        entanglement.concurrence_two_qubit(rhos.reshape(3, -1, 4, 4)),
+        stacked.reshape(3, -1))
+
+
+def test_a_stacked_herm_eig_equals_each_matrix_alone():
+    rng = np.random.default_rng(26)
+    z = rng.normal(size=(30, 8, 8)) + 1j * rng.normal(size=(30, 8, 8))
+    for stack in (_reduced_pairs(rng, 10), z + z.conj().swapaxes(1, 2)):
+        vals, vecs = qcore.herm_eig(stack)
+        for m, m_vals, m_vecs in zip(stack, vals, vecs):
+            alone_vals, alone_vecs = qcore.herm_eig(m)
+            assert np.array_equal(m_vals, alone_vals)
+            assert np.array_equal(m_vecs, alone_vecs)
+
+
+def test_profiles_of_a_batch_equal_the_profiles_one_at_a_time():
+    rng = np.random.default_rng(27)
+    states = [qcore.haar_random_state(rng) for _ in range(150)]
+    states += [qcore.ThreeQubitPureState(
+        qcore.haar_local_unitary(rng) @ qcore.w_state(
+            random_w_params(rng)).amplitudes) for _ in range(60)]
+    states += [qcore.ghz_state(random_ghz_params(rng)) for _ in range(38)]
+    states += [qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0]),
+               ghz(math.pi / 4, 0.0)]
+    rng.shuffle(states)
+    assert len(states) == 250 > 2 * entanglement.PROFILE_SLICE
+    batched = entanglement.entanglement_profiles(states)
+    assert len(batched) == len(states)
+    for profile, state in zip(batched, states):
+        alone = entanglement.entanglement_profile(state)
+        for field in dataclasses.fields(alone):
+            assert getattr(profile, field.name) == getattr(alone, field.name)
+
+
+def test_the_monogamy_suite_needs_memory_that_does_not_grow_with_its_states():
+    def peak(n_haar):
+        rng, rotations = np.random.default_rng(0), np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            for _ in cli._monogamy_cases(rng, rotations, n_haar, 0):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first pass also pays one-off costs, such as numpy's caches.
+    peak(100)
+    one_slice = peak(100)
+    assert peak(1000) <= 1.2 * one_slice
 
 
 @pytest.mark.parametrize("p", [0.2, 1 / 3, 0.5, 0.9])

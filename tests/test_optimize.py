@@ -505,16 +505,16 @@ def test_verification_row_flags():
     assert optimize._flag_for_gap(-2e-3) == "numeric-below"
 
 
-@pytest.mark.parametrize("row, point, closed", [
-    (optimize.ghz_verification_row, (0.6, 1.1),
+@pytest.mark.parametrize("point, args, closed", [
+    (optimize._ghz_point, (0.6, 1.1),
      lambda: bell.smax_ghz_closed(entanglement.ghz_profile_closed(
          qcore.GhzClassParams(0.6, 1.1))).closed_value),
-    (optimize.w_verification_row, (2.0 / 3.0, 1.5),
+    (optimize._w_point, (2.0 / 3.0, 1.5),
      lambda: bell.smax_w(entanglement.w_profile_closed(
          optimize.w_params_for_sum(2.0 / 3.0, 1.5))).closed_value),
-])
+], ids=["ghz", "w"])
 def test_numeric_below_row_retries_with_four_times_the_starts(
-        row, point, closed, monkeypatch):
+        point, args, closed, monkeypatch):
     target = closed()
     calls = []
 
@@ -529,7 +529,7 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
     # The row's batched ascent falls short; its retry runs by itself.
     monkeypatch.setattr(optimize, "_maximize_rows", below)
     monkeypatch.setattr(optimize, "multistart_maximize", matching)
-    result = row(4, *point, 7)
+    (result,) = optimize._verification_rows([point(*args)], 4, 7)
     seeds, starts = zip(*calls)
     assert starts == (optimize.N_STARTS, 4 * optimize.N_STARTS)
     # Both runs draw from the row's own seed.

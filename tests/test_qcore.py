@@ -272,6 +272,17 @@ def test_herm_eig_rejects_non_hermitian():
         qcore.herm_eig(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "imaginary-nan"])
+def test_herm_eig_rejects_a_non_finite_entry(bad):
+    m = np.diag([bad, 1.0]).astype(complex)
+    stack = np.stack([qcore.SIGMA_X] * 3)
+    stack[2] = m
+    for matrices in (m, stack):
+        with pytest.raises(qcore.ValidationError, match="non-finite"):
+            qcore.herm_eig(matrices)
+
+
 def test_herm_eig_rejects_oversized():
     with pytest.raises(qcore.ValidationError):
         qcore.herm_eig(np.eye(9, dtype=complex))
