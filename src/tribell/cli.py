@@ -35,7 +35,6 @@ from .qcore import (
     w_state,
 )
 from .entanglement import (
-    PROFILE_SLICE,
     entanglement_profile,
     entanglement_profiles,
     ghz_profile_closed,
@@ -374,8 +373,8 @@ def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
     """A Haar residual must not be negative; a W-class residual must vanish
     in any local basis, here one drawn from `rotations` for each W state.
 
-    The states are drawn and profiled PROFILE_SLICE at a time, all Haar
-    states first, so at most one slice of them is alive."""
+    The draws stream through `entanglement_profiles`, all Haar states
+    first, so at most one of its slices is alive."""
     def w_rotated() -> ThreeQubitPureState:
         w = w_state(_random_w_params(rng)).amplitudes
         return ThreeQubitPureState(haar_local_unitary(rotations) @ w)
@@ -383,11 +382,10 @@ def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
     for kind, n, draw, error in (
             ("haar", n_haar, lambda: haar_random_state(rng), lambda r: -r),
             ("w", n_w, w_rotated, abs)):
-        for start in range(0, n, PROFILE_SLICE):
-            states = [draw() for _ in range(min(PROFILE_SLICE, n - start))]
-            for k, profile in enumerate(entanglement_profiles(states), start):
-                residual = profile.monogamy_residual
-                yield error(residual), kind, k, residual
+        draws = (draw() for _ in range(n))
+        for k, profile in enumerate(entanglement_profiles(draws)):
+            residual = profile.monogamy_residual
+            yield error(residual), kind, k, residual
 
 
 def _branch_continuity_cases(n: int):

@@ -12,9 +12,10 @@ through the eigenvalues of its Hermitian dilation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,14 +67,13 @@ def _clamp_nonneg(value: float, what: str) -> float:
 
 
 def _check_density(rho) -> np.ndarray:
-    """`rho` as a complex 4x4 density matrix or (..., 4, 4) stack of them."""
+    """`rho` as a complex 4x4 density matrix or (..., 4, 4) stack of them,
+    finite and of unit trace; `herm_eig` checks that it is Hermitian."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValidationError("expected a 4x4 density matrix")
     if not np.isfinite(rho).all():
         raise ValidationError("density matrix has a non-finite entry")
-    if not np.all(np.abs(rho - rho.conj().swapaxes(-1, -2)) <= 1e-10):
-        raise ValidationError("density matrix is not Hermitian")
     if not np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)
                   <= 1e-9):
         raise ValidationError("density matrix trace deviates from 1")
@@ -146,31 +146,31 @@ def _profile(c12: float, c23: float, c31: float, c1_23: float,
     )
 
 
-def entanglement_profiles(
-        states: Sequence[ThreeQubitPureState]) -> List[EntanglementProfile]:
+def entanglement_profiles(states: Iterable[ThreeQubitPureState]
+                          ) -> Iterator[EntanglementProfile]:
     """Full entanglement profiles, with a permutation-consistency check on tau.
 
-    The states are profiled PROFILE_SLICE at a time: each slice's reduced
-    states are formed with one einsum per pair or qubit and go through
-    the concurrence as one stack, so the temporaries stay bounded for any
-    number of states.  Each tangle is recomputed from all three solo
-    choices; a spread above 1e-8 between them signals a numerical failure
-    and raises.
+    `states` may be any iterable, a generator included: it is drawn
+    PROFILE_SLICE states at a time, and each slice's profiles are yielded
+    before the next slice is drawn.  A slice's reduced states are formed
+    with one einsum per pair or qubit and go through the concurrence as
+    one stack, so the memory stays bounded for any number of states.
+    Each tangle is recomputed from all three solo choices; a spread above
+    1e-8 between them signals a numerical failure and raises.
     """
-    profiles = []
-    for start in range(0, len(states), PROFILE_SLICE):
-        amplitudes = np.stack(
-            [s.amplitudes for s in states[start:start + PROFILE_SLICE]])
+    states = iter(states)
+    while batch := list(itertools.islice(states, PROFILE_SLICE)):
+        amplitudes = np.stack([s.amplitudes for s in batch])
         pairs = [concurrence_two_qubit(_reduced(amplitudes, keep)).tolist()
                  for keep in ((1, 2), (2, 3), (1, 3))]
         cuts = [_cut_concurrences(amplitudes, solo) for solo in (1, 2, 3)]
-        profiles.extend(_profile(*values) for values in zip(*pairs, *cuts))
-    return profiles
+        for values in zip(*pairs, *cuts):
+            yield _profile(*values)
 
 
 def entanglement_profile(s: ThreeQubitPureState) -> EntanglementProfile:
     """The profile of one state: `entanglement_profiles` of a batch of one."""
-    return entanglement_profiles([s])[0]
+    return next(entanglement_profiles([s]))
 
 
 def ghz_profile_closed(p: GhzClassParams) -> EntanglementProfile:

@@ -90,10 +90,8 @@ REPORT_TOL = 1e-3
 # with four times as many.
 N_STARTS = 50
 # The most grid rows that ascend as one batch, so a grid of any size
-# needs bounded memory.
+# needs bounded memory: the ascent's one memory bound.
 BATCH_ROWS = 8
-# The most starts whose damped Newton trials are evaluated together.
-_NEWTON_SLICE = 50
 
 
 @dataclass(frozen=True)
@@ -221,28 +219,14 @@ def _newton_step(t: np.ndarray, parties: np.ndarray,
                  grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each start's best Newton trial and its <S>, without the safeguard.
 
-    `t` holds one correlation tensor per start.  The starts run in slices
-    of _NEWTON_SLICE, which bounds the memory of their damped trials.
-    """
-    moved = np.empty_like(parties)
-    values = np.empty(parties.shape[2])
-    for lo in range(0, parties.shape[2], _NEWTON_SLICE):
-        part = slice(lo, lo + _NEWTON_SLICE)
-        moved[:, :, part], values[part] = _damped_trials(
-            t[part], parties[:, :, part], grad[:, :, part])
-    return moved, values
-
-
-def _damped_trials(t: np.ndarray, parties: np.ndarray,
-                   grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The best of each start's Newton trials and its <S>.
-
-    There is one trial per damping mu in _DAMPING.  Along each eigenvector
-    of the Hessian a trial steps by the gradient's component over
-    |eigenvalue| + mu.  Undamped, that is the Newton step -H^-1 g where H
-    is negative definite, and an ascent step along any direction of
-    positive curvature; directions flatter than _FLAT_CURVATURE are left
-    alone.  Every sum over the 12 coordinates runs in a fixed order.
+    `t` holds one correlation tensor per start.  There is one trial per
+    damping mu in _DAMPING, and the whole batch's trials are valued in one
+    evaluation: a batch is at most BATCH_ROWS rows of N_STARTS starts.
+    Along each eigenvector of the Hessian a trial steps by the gradient's
+    component over |eigenvalue| + mu.  Undamped, that is the Newton step
+    -H^-1 g where H is negative definite, and an ascent step along any
+    direction of positive curvature; directions flatter than
+    _FLAT_CURVATURE are left alone.  Every sum over the 12 coordinates runs in a fixed order.
     """
     n = parties.shape[2]
     bases = _tangent_bases(parties)

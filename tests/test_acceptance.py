@@ -113,13 +113,11 @@ def test_criterion_05_boundary_states(capsys):
 
 
 def _residuals(draw, n):
-    """Monogamy residuals of n states from draw(), drawn and profiled a
-    slice at a time."""
-    for start in range(0, n, entanglement.PROFILE_SLICE):
-        states = [draw() for _ in range(min(entanglement.PROFILE_SLICE,
-                                            n - start))]
-        for profile in entanglement.entanglement_profiles(states):
-            yield profile.monogamy_residual
+    """Monogamy residuals of n states from draw(), streamed through the
+    profiles a slice at a time."""
+    for profile in entanglement.entanglement_profiles(
+            draw() for _ in range(n)):
+        yield profile.monogamy_residual
 
 
 def test_criterion_06_monogamy(capsys):

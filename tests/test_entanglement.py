@@ -61,6 +61,10 @@ def test_concurrence_rejects_non_density():
     bad[0, 0] = 1.0
     with pytest.raises(qcore.ValidationError):
         entanglement.concurrence_two_qubit(bad)
+    stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    stack[1, 0, 1] = 1e-9
+    with pytest.raises(qcore.ValidationError, match="not Hermitian"):
+        entanglement.concurrence_two_qubit(stack)
 
 
 @pytest.mark.parametrize("bad", [
@@ -125,12 +129,31 @@ def test_profiles_of_a_batch_equal_the_profiles_one_at_a_time():
                ghz(math.pi / 4, 0.0)]
     rng.shuffle(states)
     assert len(states) == 250 > 2 * entanglement.PROFILE_SLICE
-    batched = entanglement.entanglement_profiles(states)
+    batched = list(entanglement.entanglement_profiles(states))
     assert len(batched) == len(states)
     for profile, state in zip(batched, states):
         alone = entanglement.entanglement_profile(state)
         for field in dataclasses.fields(alone):
             assert getattr(profile, field.name) == getattr(alone, field.name)
+
+
+def test_profiles_stream_from_any_iterable_a_slice_at_a_time():
+    rng = np.random.default_rng(28)
+    drawn = []
+
+    def draws(n):
+        for _ in range(n):
+            drawn.append(qcore.haar_random_state(rng))
+            yield drawn[-1]
+
+    profiles = entanglement.entanglement_profiles(
+        draws(2 * entanglement.PROFILE_SLICE + 1))
+    first = next(profiles)
+    assert len(drawn) == entanglement.PROFILE_SLICE
+    rest = list(profiles)
+    assert len(drawn) == len(rest) + 1 == 2 * entanglement.PROFILE_SLICE + 1
+    assert [first] + rest == [entanglement.entanglement_profile(s)
+                              for s in drawn]
 
 
 def test_the_monogamy_suite_needs_memory_that_does_not_grow_with_its_states():

@@ -328,6 +328,23 @@ def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
                           cycles_only.best_settings.vectors())
 
 
+def test_a_newton_step_gives_each_start_its_step_alone():
+    # 400 starts, a whole grid batch: BATCH_ROWS rows of N_STARTS each.
+    n = optimize.BATCH_ROWS * optimize.N_STARTS
+    rng = np.random.default_rng(53)
+    t = np.stack([bell.correlation_tensor(qcore.haar_random_state(rng))
+                  for _ in range(n)])
+    parties = optimize._random_directions(rng, (6, n)).reshape(3, 2, n, 3)
+    grad = optimize._gradients(t, parties)
+    trials, values = optimize._newton_step(t, parties, grad)
+    for i in range(n):
+        one = slice(i, i + 1)
+        trial, value = optimize._newton_step(t[one], parties[:, :, one],
+                                             grad[:, :, one])
+        assert np.array_equal(trials[:, :, one], trial)
+        assert values[i] == value[0]
+
+
 def test_a_random_start_is_not_certified(monkeypatch):
     state = qcore.haar_random_state(np.random.default_rng(49))
     init = random_settings(np.random.default_rng(50))
