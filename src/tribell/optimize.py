@@ -25,8 +25,12 @@ each one stops.
 One ascent loop serves every caller.  A batch holds the starts of one or
 more rows, one state each, and each row stops at its own certificate and
 counts its own steps.  `multistart_maximize` is a batch of one row; a
-grid ascends its rows in batches of BATCH_ROWS, with per-start sums in a
-fixed order, so each row's result is bit-identical to its result alone.
+grid takes its rows in batches of BATCH_ROWS.  A GHZ row is first tried
+at the closed-form settings of its own (theta, theta3): one evaluation
+there that meets the certificate proves the row's maximum, with no
+ascent.  The rows that fail it, and every W row, ascend together, with
+per-start sums in a fixed order, so each row's result is bit-identical to
+its result alone.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .bell import (
     _contract,
     _party_coefficients,
     correlation_tensor,
+    optimal_settings_ghz,
     settings_from_vectors,
     smax_ghz_closed,
     smax_upper_bound,
@@ -89,8 +94,8 @@ REPORT_TOL = 1e-3
 # Seeded starts per multistart ascent; a numeric-below sweep row retries
 # with four times as many.
 N_STARTS = 50
-# The most grid rows that ascend as one batch, so a grid of any size
-# needs bounded memory: the ascent's one memory bound.
+# The most grid rows that are checked, and ascend, as one batch, so a grid
+# of any size needs bounded memory: the ascent's one memory bound.
 BATCH_ROWS = 8
 
 
@@ -409,23 +414,57 @@ def _flag_for_gap(gap: float) -> str:
     return "numeric-above" if gap > 0 else "numeric-below"
 
 
+def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
+    """Each row's result at its own settings if they meet the certificate.
+
+    Row i is evaluated once at settings[i], all rows in one batch: <S>
+    there witnesses the value, and `_at_bound` proves that no settings do
+    better.  A row with no settings, or whose settings fall short, gives
+    None.
+    """
+    results = [None] * len(settings)
+    tried = [i for i, ms in enumerate(settings) if ms is not None]
+    if not tried:
+        return results
+    t = tensors[tried]
+    parties = np.stack([settings[i].vectors().reshape(3, 2, 3)
+                        for i in tried], axis=2)
+    grad = _gradients(t, parties)
+    value = _value(grad[2], parties[2])
+    residual = _residual(grad, parties)
+    bounds = np.array([smax_upper_bound(one) for one in t])
+    for k in np.flatnonzero(_at_bound(value, residual, bounds)):
+        one = slice(k, k + 1)
+        results[tried[k]] = _result(t[k], float(bounds[k]),
+                                    parties[:, :, one], value[one],
+                                    residual[one], 0)
+    return results
+
+
 def _verification_rows(points: Sequence[tuple], first: int,
                         seed: int) -> list:
-    """Closed value vs. escalating multistart numeric at a batch of grid
+    """Closed value vs. certified numeric maximum at a batch of grid
     points, rows first, first + 1, ... of a grid.
 
-    Each point is its (params, state, profile, closed-form report), and
-    the points' ascents run as one batch.  A numeric-below flag is retried
-    by itself with four times the starts before it sticks; numeric-above
-    rows are findings, not failures.
+    Each point is its (params, state, profile, closed-form report,
+    settings).  A row whose settings meet the certificate at the bound
+    takes its value there, with no ascent; the other rows, including every
+    row without settings, run one batched multistart ascent.  A
+    numeric-below flag is retried by itself with four times the starts
+    before it sticks; numeric-above rows are findings, not failures.
     """
     # A row's own seed keeps its result independent of the rows around it.
     seeds = [_derived_seed(seed, first + i) for i in range(len(points))]
-    results = _maximize_rows(
-        np.stack([correlation_tensor(state) for _, state, _, _ in points]),
-        seeds, N_STARTS)
+    tensors = np.stack([correlation_tensor(point[1]) for point in points])
+    results = _certified_at_settings(tensors, [point[4] for point in points])
+    ascend = [i for i, result in enumerate(results) if result is None]
+    if ascend:
+        ascended = _maximize_rows(tensors[ascend],
+                                  [seeds[i] for i in ascend], N_STARTS)
+        for i, result in zip(ascend, ascended):
+            results[i] = result
     rows = []
-    for (params, state, profile, closed), row_seed, result in zip(
+    for (params, state, profile, closed, _), row_seed, result in zip(
             points, seeds, results):
         value = closed.closed_value
         numeric = result.best_value
@@ -455,11 +494,11 @@ def _ghz_point(theta: float, theta3: float) -> tuple:
     params = GhzClassParams(float(theta), float(theta3))
     profile = ghz_profile_closed(params)
     return ((params.theta, params.theta3), ghz_state(params), profile,
-            smax_ghz_closed(profile))
+            smax_ghz_closed(profile), optimal_settings_ghz(params))
 
 
 # The most points a sweep curve may take, and the most a whole grid may
-# take (ten full curves).  Every grid point runs a multistart ascent, and
+# take (ten full curves).  A grid point may run a multistart ascent, and
 # the grid and its rows are held in memory, so a larger grid is rejected
 # before any point is built.
 MAX_GRID_STEPS = 10_000
@@ -477,7 +516,7 @@ def _check_grid(name: str, steps: int, curves: int) -> None:
 
 def ghz_grid_points(theta_steps: int,
                     theta3_values: Sequence[float]) -> list:
-    """Fig.-1 grid, every point validated before any row runs its ascent."""
+    """Fig.-1 grid, every point validated before any row runs."""
     _check_grid("theta_steps", theta_steps, len(theta3_values))
     points = [(float(theta), float(theta3))
               for theta3 in theta3_values
@@ -541,8 +580,9 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 def _w_point(c12: float, sum_c: float) -> tuple:
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
+    # The upper bound is loose on W states, so no settings are tried.
     return ((profile.c12, profile.c23, profile.c31), w_state(params),
-            profile, smax_w(profile))
+            profile, smax_w(profile), None)
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:

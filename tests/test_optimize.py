@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from tribell import bell, entanglement, optimize, qcore
+from tribell import bell, cli, entanglement, optimize, qcore
 
 
 R2 = math.sqrt(2.0)
@@ -20,6 +20,14 @@ def ghz(theta=math.pi / 4, theta3=math.pi / 2):
 def random_settings(rng):
     return bell.settings_from_vectors(
         [v / np.linalg.norm(v) for v in rng.normal(size=(6, 3))])
+
+
+def perturbed_settings(params):
+    """A GHZ point's closed-form settings, each direction tilted off its
+    maximum, so they miss the certificate and the point's row ascends."""
+    vectors = bell.optimal_settings_ghz(params).vectors() + 1e-3
+    return bell.settings_from_vectors(
+        vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
 
 
 def single_ascent(state, ms):
@@ -543,7 +551,9 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
         calls.append((seed, n_starts))
         return types.SimpleNamespace(best_value=target)
 
-    # The row's batched ascent falls short; its retry runs by itself.
+    # The row's batched ascent falls short; its retry runs by itself.  A
+    # GHZ row reaches the ascent only when its settings miss the certificate.
+    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
     monkeypatch.setattr(optimize, "_maximize_rows", below)
     monkeypatch.setattr(optimize, "multistart_maximize", matching)
     (result,) = optimize._verification_rows([point(*args)], 4, 7)
@@ -598,13 +608,15 @@ def test_a_batched_grid_gives_each_row_its_result_alone(family, monkeypatch):
     def raised(*where):
         # One row's closed value is raised, so it flags numeric-below and
         # retries by itself.
-        params, state, profile, closed = built(*where)
+        params, state, profile, closed, settings = built(*where)
         states[params] = state
         if where == forced:
             closed = dataclasses.replace(
                 closed, closed_value=closed.closed_value + 1e-2)
-        return params, state, profile, closed
+        return params, state, profile, closed, settings
 
+    # Every GHZ row misses the certificate at its settings, so it ascends.
+    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
     monkeypatch.setattr(optimize, point, raised)
     rows, batches = _spied_grid(grid, monkeypatch)
     grid_batches = [b for b in batches if b[2] == optimize.N_STARTS]
@@ -634,7 +646,10 @@ def test_a_batched_grid_gives_each_row_its_result_alone(family, monkeypatch):
         assert all(r.global_maximum for r in results)
 
 
-def test_a_grid_needs_memory_that_does_not_grow_with_its_rows():
+def test_a_grid_needs_memory_that_does_not_grow_with_its_rows(monkeypatch):
+    # The rows miss the certificate at their settings, so they all ascend.
+    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
+
     def peak(curves):
         tracemalloc.start()
         try:
@@ -648,3 +663,76 @@ def test_a_grid_needs_memory_that_does_not_grow_with_its_rows():
     peak(1)
     one_batch = peak(1)
     assert peak(4) <= 1.2 * one_batch
+
+
+def _certified_grid(grid, monkeypatch):
+    """The rows of `grid()` and the OptimizationResult each row took, when
+    no row may run the ascent."""
+    results = []
+    result = optimize._result
+
+    def spy(*args):
+        results.append(result(*args))
+        return results[-1]
+
+    def no_ascent(tensors, seeds, n_starts):
+        raise AssertionError(f"rows {seeds} ran the ascent")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_result", spy)
+        patch.setattr(optimize, "_maximize_rows", no_ascent)
+        return grid(), results
+
+
+def test_the_default_and_criterion_03_grids_are_certified_with_no_ascent(
+        tmp_path, monkeypatch):
+    for grid, size in [
+            (lambda: cli.main(["sweep-ghz", "--out", str(tmp_path / "a.csv")]),
+             3 * 21),
+            (lambda: optimize.verify_grid_ghz(
+                21, np.linspace(0.0, math.pi / 2, 21), seed=0), 21 * 21)]:
+        _, results = _certified_grid(grid, monkeypatch)
+        assert len(results) == size
+        assert all(r.global_maximum for r in results)
+        assert all(r.iterations_used == 0 for r in results)
+
+
+def test_a_row_whose_settings_miss_the_certificate_ascends(monkeypatch):
+    tilted = (math.pi / 4, math.pi / 8)
+    built = optimize._ghz_point
+    states = {}
+
+    def point(*where):
+        params, state, profile, closed, settings = built(*where)
+        states[params] = state
+        if where == tilted:
+            settings = perturbed_settings(qcore.GhzClassParams(*where))
+        return params, state, profile, closed, settings
+
+    monkeypatch.setattr(optimize, "_ghz_point", point)
+    rows, batches = _spied_grid(lambda: optimize.verify_grid_ghz(
+        5, [math.pi / 8, 3 * math.pi / 8], seed=3), monkeypatch)
+    index = [row.params for row in rows].index(tilted)
+    # Only the tilted row ascends, from its own seed, as it would alone.
+    ((tensors, seeds, n_starts, (result,)),) = batches
+    assert seeds == [qcore._derived_seed(3, index)]
+    assert n_starts == optimize.N_STARTS
+    _assert_same_result(result, optimize.multistart_maximize(
+        states[tilted], seeds[0]))
+    assert result.iterations_used > 0 and result.global_maximum
+    assert rows[index].numeric_value == result.best_value
+    assert all(row.flag == "match" for row in rows)
+
+
+def test_the_ascent_reaches_the_certified_value_on_the_family():
+    # The grids certify GHZ rows with no ascent, so the ascent is checked here,
+    # on every 7th point of criterion 03's grid, from the row's own seed.
+    rows = optimize.verify_grid_ghz(21, np.linspace(0.0, math.pi / 2, 21),
+                                    seed=0)
+    for index in range(0, len(rows), 7):
+        state = qcore.ghz_state(qcore.GhzClassParams(*rows[index].params))
+        result = optimize.multistart_maximize(
+            state, qcore._derived_seed(0, index))
+        assert result.global_maximum
+        assert result.best_value == pytest.approx(rows[index].numeric_value,
+                                                  abs=1e-12)
