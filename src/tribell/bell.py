@@ -25,11 +25,12 @@ import numpy as np
 from .qcore import (
     GhzClassParams,
     PAULIS,
-    ThreeQubitPureState,
     UnitVector,
     ValidationError,
     X_HAT,
     Z_HAT,
+    _amplitudes,
+    _directions,
     expectation,
     spin_observable,
     tensor3,
@@ -99,34 +100,53 @@ class SmaxReport:
     theta_tilde: Optional[Tuple[float, float, float]] = None
 
 
-def bell_operators(ms: MeasurementSettings):
-    """8x8 matrices (S, M, M') with S = M + M'."""
-    a, ap, b, bp, c, cp = (spin_observable(v) for v in (
-        ms.a, ms.a_prime, ms.b, ms.b_prime, ms.c, ms.c_prime))
+def _settings_vectors(ms) -> np.ndarray:
+    """The (6, 3) vectors of a MeasurementSettings, or an (..., 6, 3) stack
+    of settings vectors as given; their directions are checked where they
+    are read."""
+    if isinstance(ms, MeasurementSettings):
+        return ms.vectors()
+    vectors = np.asarray(ms, dtype=float)
+    if vectors.ndim < 2 or vectors.shape[-2:] != (6, 3):
+        raise ValidationError("expected six 3-vectors")
+    return vectors
+
+
+def bell_operators(ms):
+    """8x8 matrices (S, M, M') with S = M + M'.
+
+    `ms` is a MeasurementSettings or an (..., 6, 3) stack of settings
+    vectors, each row a unit direction; a stack gives (..., 8, 8) stacks,
+    each equal to the operators of its settings alone.
+    """
+    a, ap, b, bp, c, cp = np.moveaxis(
+        spin_observable(_settings_vectors(ms)), -3, 0)
     d = b + bp
     dp = b - bp
     m = tensor3(a, d, c) + tensor3(a, dp, cp)
     m_prime = tensor3(ap, dp, c) - tensor3(ap, d, cp)
     s = m + m_prime
     for op in (s, m, m_prime):
-        if np.max(np.abs(op - op.conj().T)) > 1e-12:
+        if not np.all(np.abs(op - op.conj().swapaxes(-1, -2)) <= 1e-12):
             raise ValidationError("Bell operator lost Hermiticity")
     return s, m, m_prime
 
 
-def correlation_tensor(s: ThreeQubitPureState) -> np.ndarray:
+def correlation_tensor(s) -> np.ndarray:
     """T[i, j, k] = <sigma_i x sigma_j x sigma_k> over the x, y, z axes.
 
     All 27 Pauli-triple expectations in one contraction, as a read-only
-    (3, 3, 3) array.
+    (3, 3, 3) array, or (..., 3, 3, 3) for an (..., 8) stack of amplitude
+    vectors, each equal to the tensor of its state alone.
     """
-    psi = s.amplitudes.reshape(2, 2, 2)
-    entries = np.einsum(
-        "abc,iad,jbe,kcf,def->ijk", psi.conj(), PAULIS, PAULIS, PAULIS, psi)
-    if np.max(np.abs(entries.imag)) > 1e-10:
+    amps = _amplitudes(s)
+    psi = amps.reshape(amps.shape[:-1] + (2, 2, 2))
+    entries = np.einsum("...abc,iad,jbe,kcf,...def->...ijk",
+                        psi.conj(), PAULIS, PAULIS, PAULIS, psi)
+    if not np.all(np.abs(entries.imag) <= 1e-10):
         raise ValidationError("correlation tensor has an imaginary residue")
     t = entries.real
-    if np.max(np.abs(t)) > 1.0 + 1e-10:
+    if not np.all(np.abs(t) <= 1.0 + 1e-10):
         raise ValidationError("correlation tensor entry outside [-1, 1]")
     t.setflags(write=False)
     return t
@@ -204,15 +224,34 @@ def smax_upper_bound(t: np.ndarray) -> float:
         np.linalg.svd(flattenings, compute_uv=False)[:, 0]))
 
 
-def svetlichny_value(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
-    """|<S>| via the correlation-tensor contraction."""
-    parties = ms.vectors().reshape(3, 2, 1, 3)
-    coeff = _party_coefficients(correlation_tensor(s), parties, 0)
-    return abs(float(np.sum(coeff * parties[0])))
+def svetlichny_value(s, ms):
+    """|<S>| via the correlation-tensor contraction.
+
+    `s` is a state or an (..., 8) stack of amplitude vectors and `ms` a
+    MeasurementSettings or an (..., 6, 3) stack of settings vectors of the
+    same batch shape.  One of each gives a float, stacks an array.  Each
+    case's six terms are summed as one contiguous row, in the order of a
+    single case, so a stacked value equals the value alone.
+    """
+    vectors = _settings_vectors(ms)
+    if not isinstance(ms, MeasurementSettings):
+        # A MeasurementSettings' UnitVectors were checked when it was built.
+        vectors = _directions(vectors)
+    t = correlation_tensor(s)
+    if t.shape[:-3] != vectors.shape[:-2]:
+        raise ValidationError("state and settings stacks differ in shape")
+    parties = vectors.reshape(-1, 3, 2, 3).transpose(1, 2, 0, 3)
+    coeff = _party_coefficients(t.reshape(-1, 3, 3, 3), parties, 0)
+    terms = (coeff * parties[0]).transpose(1, 0, 2).reshape(-1, 6)
+    values = np.abs(np.sum(terms, axis=-1)).reshape(t.shape[:-3])
+    return float(values) if values.ndim == 0 else values
 
 
-def svetlichny_value_direct(s: ThreeQubitPureState, ms: MeasurementSettings) -> float:
-    """|<S>| via the explicit 8x8 operator; the slow verification oracle."""
+def svetlichny_value_direct(s, ms):
+    """|<S>| via the explicit 8x8 operator; the slow verification oracle.
+
+    Takes what `svetlichny_value` takes, and gives the same shape.
+    """
     return abs(expectation(s, bell_operators(ms)[0]))
 
 

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .bell import (
     bell_operators,
     ghz_correlator_closed,
     optimal_settings_ghz,
-    settings_from_vectors,
     settings_from_w_angles,
     smax_ghz_closed,
     smax_w,
@@ -72,6 +71,10 @@ GHZ_CLASS_TAU_THRESHOLD = 1e-9
 SEPARABLE_CONCURRENCE_TOL = 1e-7
 # A maximum must pass 4 by more than roundoff to count as a violation.
 VIOLATION_MARGIN = 1e-9
+# Cases per stacked slice of a verify operator suite: enough that numpy's
+# per-call overhead is spread thin, few enough that a slice's 8x8
+# operators stay near 0.3 MB.
+CASE_SLICE = 100
 
 _PI_PATTERN = re.compile(
     r"^\s*(-)?\s*(?:(\d+(?:\.\d+)?)\s*\*?\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
@@ -326,10 +329,6 @@ def _worst_case(name: str, tol: float, cases: Iterable[tuple],
     return SuiteResult(name, worst <= tol, count, worst, detail)
 
 
-def _random_settings(rng: np.random.Generator) -> MeasurementSettings:
-    return settings_from_vectors(_random_directions(rng, 6))
-
-
 def _random_ghz_params(rng: np.random.Generator) -> GhzClassParams:
     return GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
 
@@ -340,32 +339,59 @@ def _random_w_params(rng: np.random.Generator) -> WClassParams:
     return WClassParams(*amps)
 
 
+def _in_slices(cases: Iterable[tuple],
+               compute: Callable[[list], Iterable]) -> Iterator[tuple]:
+    """Each case of `cases` paired with its entry of compute(slice).
+
+    The cases are drawn CASE_SLICE at a time, and `compute` takes a list
+    of them to one result per case through stacked calls.  A slice's pairs
+    are yielded before the next slice is drawn, so the memory stays
+    bounded for any number of cases.
+    """
+    cases = iter(cases)
+    while batch := list(itertools.islice(cases, CASE_SLICE)):
+        yield from zip(batch, compute(batch))
+
+
 def _correlator_cases(rng: np.random.Generator, n: int, draw, closed, state):
     """Closed correlator `closed(params, a, b, c)` vs. the 8x8 operator."""
-    for _ in range(n):
-        params = draw(rng)
-        a, b, c = (UnitVector(*v) for v in _random_directions(rng, 3))
-        op = tensor3(spin_observable(a), spin_observable(b), spin_observable(c))
-        yield (abs(closed(params, a, b, c) - expectation(state(params), op)),
-               params, a, b, c)
+    def direct(batch):
+        params, dirs = zip(*batch)
+        ops = np.moveaxis(spin_observable(np.stack(dirs)), -3, 0)
+        return expectation(np.stack([state(p).amplitudes for p in params]),
+                           tensor3(*ops)).tolist()
+
+    draws = ((draw(rng), _random_directions(rng, 3)) for _ in range(n))
+    for (params, dirs), value in _in_slices(draws, direct):
+        a, b, c = (UnitVector(*v) for v in dirs)
+        yield abs(closed(params, a, b, c) - value), params, a, b, c
 
 
 def _w_reduced_cases(rng: np.random.Generator, n: int):
-    for _ in range(n):
-        params = _random_w_params(rng)
-        tilde = rng.uniform(0.0, math.pi, size=3)
+    def direct(batch):
+        params, tildes = zip(*batch)
+        s_op = bell_operators(np.stack([
+            settings_from_w_angles(*tilde).vectors() for tilde in tildes]))[0]
+        return expectation(np.stack([w_state(p).amplitudes for p in params]),
+                           s_op).tolist()
+
+    draws = ((_random_w_params(rng), rng.uniform(0.0, math.pi, size=3))
+             for _ in range(n))
+    for (params, tilde), value in _in_slices(draws, direct):
         reduced = w_reduced_value(w_profile_closed(params), *tilde)
-        direct = expectation(w_state(params), bell_operators(
-            settings_from_w_angles(*tilde))[0])
-        yield abs(reduced - direct), params, tilde
+        yield abs(reduced - value), params, tilde
 
 
 def _tensor_vs_direct_cases(rng: np.random.Generator, n: int):
-    for k in range(n):
-        state = haar_random_state(rng)
-        ms = _random_settings(rng)
-        yield (abs(svetlichny_value(state, ms)
-                   - svetlichny_value_direct(state, ms)), k)
+    def errors(batch):
+        amps, vectors = (np.stack(column) for column in zip(*batch))
+        return np.abs(svetlichny_value(amps, vectors)
+                      - svetlichny_value_direct(amps, vectors)).tolist()
+
+    draws = ((haar_random_state(rng).amplitudes, _random_directions(rng, 6))
+             for _ in range(n))
+    for k, (_, error) in enumerate(_in_slices(draws, errors)):
+        yield error, k
 
 
 def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
@@ -396,23 +422,31 @@ def _branch_continuity_cases(n: int):
 
 
 def _mermin_factor_cases(n_side: int):
+    def errors(params):
+        amps = np.stack([ghz_state(p).amplitudes for p in params])
+        s_op, m_op, _ = bell_operators(np.stack([
+            optimal_settings_ghz(p).vectors() for p in params]))
+        return np.abs(expectation(amps, s_op)
+                      - 2.0 * expectation(amps, m_op)).tolist()
+
     grid = np.linspace(0.0, math.pi / 2, n_side)
-    for theta, theta3 in itertools.product(grid, grid):
-        params = GhzClassParams(float(theta), float(theta3))
-        state = ghz_state(params)
-        s_op, m_op, _ = bell_operators(optimal_settings_ghz(params))
-        yield (abs(expectation(state, s_op) - 2.0 * expectation(state, m_op)),
-               params)
+    draws = (GhzClassParams(float(theta), float(theta3))
+             for theta, theta3 in itertools.product(grid, grid))
+    for params, error in _in_slices(draws, errors):
+        yield error, params
 
 
 def _ceiling_cases(rng: np.random.Generator, n: int):
     """|S| <= 4 sqrt 2 and |M| <= 4 on random settings.  The error is the
     |S| spectrum, made infinite when |M| is not within 4 (also when it is
     NaN), so either bound fails the suite."""
-    for k in range(n):
-        s_op, m_op, _ = bell_operators(_random_settings(rng))
-        s_top = float(np.max(np.abs(np.linalg.eigvalsh(s_op))))
-        m_top = float(np.max(np.abs(np.linalg.eigvalsh(m_op))))
+    def tops(batch):
+        s_op, m_op, _ = bell_operators(np.stack(batch))
+        return zip(*(np.max(np.abs(np.linalg.eigvalsh(op)), axis=-1).tolist()
+                     for op in (s_op, m_op)))
+
+    draws = (_random_directions(rng, 6) for _ in range(n))
+    for k, (_, (s_top, m_top)) in enumerate(_in_slices(draws, tops)):
         yield s_top if m_top <= 4.0 + 1e-9 else math.inf, k, s_top, m_top
 
 

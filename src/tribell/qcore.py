@@ -178,24 +178,81 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def spin_observable(n: UnitVector) -> np.ndarray:
-    """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1."""
-    return np.einsum("i,ijk->jk", n.cartesian, PAULIS)
+def _amplitudes(s) -> np.ndarray:
+    """The amplitudes of a state, or an (..., 8) stack of amplitude vectors
+    checked as ThreeQubitPureState checks one: finite and of unit norm
+    within NORM_TOL."""
+    if isinstance(s, ThreeQubitPureState):
+        return s.amplitudes
+    amps = np.asarray(s, dtype=complex)
+    if amps.ndim < 1 or amps.shape[-1] != 8:
+        raise ValidationError("state needs exactly 8 amplitudes")
+    if not np.isfinite(amps).all():
+        raise ValidationError("amplitudes must be finite")
+    norm_sq = np.einsum("...i,...i->...", amps.conj(), amps).real
+    off = np.abs(norm_sq - 1.0)
+    if not np.all(off <= NORM_TOL):
+        raise ValidationError(
+            f"squared norm {norm_sq.flat[np.argmax(off)]} deviates from 1")
+    return amps
+
+
+def _directions(n) -> np.ndarray:
+    """The components of a UnitVector, or an (..., 3) stack of directions
+    checked as UnitVector checks one: finite and of unit norm within
+    NORM_TOL."""
+    if isinstance(n, UnitVector):
+        return n.cartesian
+    n = np.asarray(n, dtype=float)
+    if n.ndim < 1 or n.shape[-1] != 3:
+        raise ValidationError("expected directions of shape (..., 3)")
+    if not np.isfinite(n).all():
+        raise ValidationError("components must be finite")
+    norm = np.sqrt(np.einsum("...i,...i->...", n, n))
+    off = np.abs(norm - 1.0)
+    if not np.all(off <= NORM_TOL):
+        raise ValidationError(
+            f"direction has norm {norm.flat[np.argmax(off)]}, not 1")
+    return n
+
+
+def spin_observable(n) -> np.ndarray:
+    """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1, for a
+    UnitVector or for each direction of an (..., 3) stack (..., 2, 2)."""
+    return np.einsum("...i,ijk->...jk", _directions(n), PAULIS)
 
 
 def tensor3(o1: np.ndarray, o2: np.ndarray, o3: np.ndarray) -> np.ndarray:
-    """Kronecker product of 2x2 factors in qubit order 1 x 2 x 3, as np.kron."""
-    o12 = (o1[:, None, :, None] * o2[None, :, None, :]).reshape(4, 4)
-    return (o12[:, None, :, None] * o3[None, :, None, :]).reshape(8, 8)
+    """Kronecker product of 2x2 factors in qubit order 1 x 2 x 3, as np.kron,
+    or of each triple of (..., 2, 2) stacks, which broadcast."""
+    o12 = o1[..., :, None, :, None] * o2[..., None, :, None, :]
+    o12 = o12.reshape(o12.shape[:-4] + (4, 4))
+    o = o12[..., :, None, :, None] * o3[..., None, :, None, :]
+    return o.reshape(o.shape[:-4] + (8, 8))
 
 
-def expectation(s: ThreeQubitPureState, o: np.ndarray) -> float:
-    """<psi|O|psi> for a Hermitian O; a large imaginary residue is a bug."""
-    value = complex(np.vdot(s.amplitudes, o @ s.amplitudes))
-    if abs(value.imag) > 1e-10:
+def expectation(s, o: np.ndarray):
+    """<psi|O|psi> for a Hermitian O; a large imaginary residue is a bug.
+
+    `s` is a state or an (..., 8) stack of amplitude vectors and `o` an
+    8x8 operator or an (..., 8, 8) stack; the stacks broadcast.  One state
+    and one operator give a float, stacks an array of floats, each equal
+    to the call on its state and operator alone: O psi is one stacked
+    product and <psi| O psi> one np.vdot per entry.
+    """
+    amps = _amplitudes(s)
+    applied = (o @ amps[..., None])[..., 0]
+    amps = np.broadcast_to(amps, applied.shape)
+    values = np.array([np.vdot(a, b) for a, b in zip(
+        amps.reshape(-1, 8), applied.reshape(-1, 8))]).reshape(
+            applied.shape[:-1])
+    residue = np.abs(values.imag)
+    if not np.all(residue <= 1e-10):
+        # argmax stops at the first NaN, so a NaN residue is the one named.
+        worst = values.imag.flat[np.argmax(residue)]
         raise ValidationError(
-            f"imaginary residue {value.imag} in expectation; operator not Hermitian")
-    return value.real
+            f"imaginary residue {worst} in expectation; operator not Hermitian")
+    return float(values.real) if values.ndim == 0 else values.real
 
 
 # Each retained set of qubits names the einsum that traces the others out

@@ -142,6 +142,76 @@ def test_svetlichny_tensor_vs_direct():
                 bell.svetlichny_value_direct(s, ms), abs=1e-10)
 
 
+
+def _stacks(rng, shape):
+    """Haar amplitude vectors (shape + (8,)) and settings vectors
+    (shape + (6, 3)) drawn case by case."""
+    n = int(np.prod(shape))
+    amps = [qcore.haar_random_state(rng).amplitudes for _ in range(n)]
+    vectors = [optimize._random_directions(rng, 6) for _ in range(n)]
+    return (np.reshape(amps, shape + (8,)),
+            np.reshape(vectors, shape + (6, 3)))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4)], ids=["1d", "2d"])
+def test_stacked_operators_tensors_and_values_equal_each_alone(shape):
+    amps, vectors = _stacks(np.random.default_rng(51), shape)
+    operators = bell.bell_operators(vectors)
+    tensors = bell.correlation_tensor(amps)
+    values = bell.svetlichny_value(amps, vectors)
+    direct = bell.svetlichny_value_direct(amps, vectors)
+    assert tensors.shape == shape + (3, 3, 3) and not tensors.flags.writeable
+    assert values.shape == direct.shape == shape
+    for index in np.ndindex(shape):
+        state = qcore.ThreeQubitPureState(amps[index])
+        ms = bell.settings_from_vectors(vectors[index])
+        for stacked, alone in zip(operators, bell.bell_operators(ms)):
+            assert np.array_equal(stacked[index], alone)
+        assert np.array_equal(tensors[index], bell.correlation_tensor(state))
+        assert values[index] == bell.svetlichny_value(state, ms)
+        assert direct[index] == bell.svetlichny_value_direct(state, ms)
+
+
+def test_a_settings_stack_with_one_bad_entry_is_rejected():
+    amps, vectors = _stacks(np.random.default_rng(53), (4,))
+    for bad, match in ((math.nan, "must be finite"),
+                       (-math.inf, "must be finite"),
+                       (vectors[1, 4, 2] + 1e-6, "has norm")):
+        broken = vectors.copy()
+        broken[1, 4, 2] = bad
+        for call in (bell.bell_operators,
+                     lambda v: bell.svetlichny_value(amps, v),
+                     lambda v: bell.svetlichny_value_direct(amps, v)):
+            with pytest.raises(qcore.ValidationError, match=match):
+                call(broken)
+    with pytest.raises(qcore.ValidationError, match="six 3-vectors"):
+        bell.bell_operators(vectors[:, :5])
+    with pytest.raises(qcore.ValidationError, match="differ in shape"):
+        bell.svetlichny_value(amps[:3], vectors)
+
+
+def test_a_nan_bell_operator_fails_the_hermiticity_check(monkeypatch):
+    monkeypatch.setattr(bell, "spin_observable", lambda n: np.full(
+        np.shape(n)[:-1] + (2, 2), math.nan, dtype=complex))
+    with pytest.raises(qcore.ValidationError, match="lost Hermiticity"):
+        bell.bell_operators(w_sym_settings())
+
+
+def test_a_nan_correlation_tensor_is_rejected_alone_and_in_a_stack(
+        monkeypatch):
+    amps, _ = _stacks(np.random.default_rng(54), (4,))
+    with monkeypatch.context() as patch:
+        patch.setattr(bell, "PAULIS", np.full((3, 2, 2), math.nan,
+                                              dtype=complex))
+        for states in (ghz(), amps):
+            with pytest.raises(qcore.ValidationError,
+                               match="correlation tensor has an imaginary"):
+                bell.correlation_tensor(states)
+    broken = amps.copy()
+    broken[2, 3] = math.nan
+    with pytest.raises(qcore.ValidationError, match="must be finite"):
+        bell.correlation_tensor(broken)
+
 def test_ghz_correlator_closed_product_limit():
     rng = np.random.default_rng(22)
     params = qcore.GhzClassParams(0.0, 0.4)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -634,7 +635,7 @@ def test_nan_fails_the_continuity_and_ceiling_suites(monkeypatch):
                                  cli._branch_continuity_cases(5), str)
     assert not continuity.passed and math.isnan(continuity.worst)
     monkeypatch.setattr(cli.np.linalg, "eigvalsh",
-                        lambda m: np.full(8, math.nan))
+                        lambda m: np.full(m.shape[:-1], math.nan))
     ceiling = cli._worst_case("ceiling", cli.ALGEBRAIC_CEILING + 1e-9,
                               cli._ceiling_cases(np.random.default_rng(0), 3),
                               lambda k, s_top, m_top: f"case {k}")
@@ -657,6 +658,121 @@ def test_an_m_spectrum_above_4_fails_the_ceiling_suite(monkeypatch):
                 if result.name == "ceiling"]
     assert not ceiling.passed and "|M|=" in ceiling.detail
 
+
+
+# The operator suites' cases as they were computed one at a time, from
+# single-input calls: the stacked suites must give the same stream.
+def _correlator_cases_alone(rng, n, draw, closed, state):
+    for _ in range(n):
+        params = draw(rng)
+        a, b, c = (qcore.UnitVector(*v)
+                   for v in optimize._random_directions(rng, 3))
+        op = qcore.tensor3(*(qcore.spin_observable(v) for v in (a, b, c)))
+        yield (abs(closed(params, a, b, c)
+                   - qcore.expectation(state(params), op)), params, a, b, c)
+
+
+def _w_reduced_cases_alone(rng, n):
+    for _ in range(n):
+        params = cli._random_w_params(rng)
+        tilde = rng.uniform(0.0, math.pi, size=3)
+        reduced = bell.w_reduced_value(
+            entanglement.w_profile_closed(params), *tilde)
+        direct = qcore.expectation(qcore.w_state(params), bell.bell_operators(
+            bell.settings_from_w_angles(*tilde))[0])
+        yield abs(reduced - direct), params, tilde
+
+
+def _tensor_vs_direct_cases_alone(rng, n):
+    for k in range(n):
+        state = qcore.haar_random_state(rng)
+        ms = bell.settings_from_vectors(optimize._random_directions(rng, 6))
+        yield (abs(bell.svetlichny_value(state, ms)
+                   - bell.svetlichny_value_direct(state, ms)), k)
+
+
+def _mermin_factor_cases_alone(n_side):
+    grid = np.linspace(0.0, math.pi / 2, n_side)
+    for theta in grid:
+        for theta3 in grid:
+            params = qcore.GhzClassParams(float(theta), float(theta3))
+            state = qcore.ghz_state(params)
+            s_op, m_op, _ = bell.bell_operators(
+                bell.optimal_settings_ghz(params))
+            yield (abs(qcore.expectation(state, s_op)
+                       - 2.0 * qcore.expectation(state, m_op)), params)
+
+
+def _ceiling_cases_alone(rng, n):
+    for k in range(n):
+        s_op, m_op, _ = bell.bell_operators(bell.settings_from_vectors(
+            optimize._random_directions(rng, 6)))
+        s_top = float(np.max(np.abs(np.linalg.eigvalsh(s_op))))
+        m_top = float(np.max(np.abs(np.linalg.eigvalsh(m_op))))
+        yield s_top if m_top <= 4.0 + 1e-9 else math.inf, k, s_top, m_top
+
+
+def _w_closed(params, *dirs):
+    return bell.w_correlator_closed(entanglement.w_profile_closed(params),
+                                    *dirs)
+
+
+# Each suite's stacked and one-at-a-time cases, and a call of either at
+# the suite's `verify` size; the Mermin grid, which draws nothing, is one
+# point wider so that it spans two slices.
+OPERATOR_SUITES = {
+    "eq12-oracle": (cli._correlator_cases, _correlator_cases_alone,
+                    lambda cases, rng: cases(
+                        rng, 1000, cli._random_ghz_params,
+                        bell.ghz_correlator_closed, qcore.ghz_state)),
+    "eq24-oracle": (cli._correlator_cases, _correlator_cases_alone,
+                    lambda cases, rng: cases(
+                        rng, 1000, cli._random_w_params, _w_closed,
+                        qcore.w_state)),
+    "w-reduced-oracle": (cli._w_reduced_cases, _w_reduced_cases_alone,
+                         lambda cases, rng: cases(rng, 500)),
+    "tensor-vs-direct": (cli._tensor_vs_direct_cases,
+                         _tensor_vs_direct_cases_alone,
+                         lambda cases, rng: cases(rng, 1000)),
+    "mermin-factor": (cli._mermin_factor_cases, _mermin_factor_cases_alone,
+                      lambda cases, rng: cases(11)),
+    "ceiling": (cli._ceiling_cases, _ceiling_cases_alone,
+                lambda cases, rng: cases(rng, 200)),
+}
+
+
+def _plain(case):
+    return tuple(v.tolist() if isinstance(v, np.ndarray) else v
+                 for v in case)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123])
+@pytest.mark.parametrize("suite", list(OPERATOR_SUITES))
+def test_a_stacked_suite_yields_the_cases_of_its_one_at_a_time_loop(
+        suite, seed):
+    stacked, alone, run = OPERATOR_SUITES[suite]
+    got = [_plain(case) for case in run(stacked, np.random.default_rng(seed))]
+    expected = [_plain(case)
+                for case in run(alone, np.random.default_rng(seed))]
+    assert len(got) > cli.CASE_SLICE
+    assert got == expected
+
+
+def test_the_tensor_vs_direct_suite_needs_memory_that_does_not_grow():
+    def peak(n):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            for _ in cli._tensor_vs_direct_cases(rng, n):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first pass also pays one-off costs, such as numpy's caches.
+    peak(100)
+    one_slice = peak(100)
+    assert peak(1000) <= 1.2 * one_slice
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--ghz", "pi/4", "pi/2", "--seed", "-1"],

@@ -179,6 +179,83 @@ def test_expectation_bounded_for_spin_products():
         assert -1.0 - 1e-10 <= value <= 1.0 + 1e-10
 
 
+def _unit_rows(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _haar_amplitudes(rng, shape):
+    return np.reshape([qcore.haar_random_state(rng).amplitudes
+                       for _ in range(int(np.prod(shape)))], shape + (8,))
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4)], ids=["1d", "2d"])
+def test_stacked_spin_observable_tensor3_and_expectation_equal_each_alone(
+        shape):
+    rng = np.random.default_rng(41)
+    dirs = _unit_rows(rng, shape + (3,))
+    amps = _haar_amplitudes(rng, shape)
+    factors = qcore.spin_observable(dirs)
+    ops = qcore.tensor3(*np.moveaxis(factors, -3, 0))
+    values = qcore.expectation(amps, ops)
+    assert factors.shape == shape + (3, 2, 2)
+    assert ops.shape == shape + (8, 8) and values.shape == shape
+    for index in np.ndindex(shape):
+        alone = [qcore.spin_observable(qcore.UnitVector(*v))
+                 for v in dirs[index]]
+        assert np.array_equal(factors[index], np.stack(alone))
+        op = qcore.tensor3(*alone)
+        assert np.array_equal(ops[index], op)
+        assert values[index] == qcore.expectation(
+            qcore.ThreeQubitPureState(amps[index]), op)
+
+
+def test_one_state_or_one_operator_broadcasts_against_a_stack():
+    rng = np.random.default_rng(42)
+    amps = _haar_amplitudes(rng, (5,))
+    ops = qcore.tensor3(*np.moveaxis(qcore.spin_observable(
+        _unit_rows(rng, (5, 3))), -3, 0))
+    state = qcore.ThreeQubitPureState(amps[0])
+    assert np.array_equal(qcore.expectation(state, ops),
+                          [qcore.expectation(state, op) for op in ops])
+    assert np.array_equal(qcore.expectation(amps, ops[0]), [
+        qcore.expectation(qcore.ThreeQubitPureState(a), ops[0])
+        for a in amps])
+    assert type(qcore.expectation(state, ops[0])) is float
+
+
+def test_expectation_rejects_a_nan_operator_alone_and_in_a_stack():
+    s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
+    op = np.full((8, 8), math.nan, dtype=complex)
+    with pytest.raises(qcore.ValidationError, match="imaginary residue nan"):
+        qcore.expectation(s, op)
+    stack = np.stack([np.eye(8, dtype=complex)] * 4)
+    stack[2, 5, 5] = math.nan
+    with pytest.raises(qcore.ValidationError, match="not Hermitian"):
+        qcore.expectation(np.stack([np.ones(8) / math.sqrt(8)] * 4), stack)
+
+
+def test_a_stack_with_one_bad_direction_or_amplitude_is_rejected():
+    rng = np.random.default_rng(43)
+    dirs = _unit_rows(rng, (4, 6))
+    for bad, match in ((math.nan, "must be finite"),
+                       (math.inf, "must be finite"),
+                       (dirs[2, 3, 0] + 1e-6, "has norm")):
+        broken = dirs.copy()
+        broken[2, 3, 0] = bad
+        with pytest.raises(qcore.ValidationError, match=match):
+            qcore.spin_observable(broken)
+    amps = _haar_amplitudes(rng, (4,))
+    op = np.eye(8, dtype=complex)
+    for bad, match in ((math.nan, "must be finite"),
+                       (complex(0.0, math.nan), "must be finite"),
+                       (amps[1, 6] * 1.01, "deviates from 1")):
+        broken = amps.copy()
+        broken[1, 6] = bad
+        with pytest.raises(qcore.ValidationError, match=match):
+            qcore.expectation(broken, op)
+
+
 def test_partial_trace_product_state():
     s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     rho = qcore.partial_trace(s, (1, 2))

@@ -68,7 +68,7 @@ def test_readme_quotes_the_tuned_constants():
         "VIOLATION_MARGIN", "SEPARABLE_CONCURRENCE_TOL",
         "GHZ_CLASS_TAU_THRESHOLD", "MAX_GRID_STEPS", "MAX_GRID_POINTS",
         "CONVERGENCE_TOL", "RANK_CUTOFF", "REPORT_TOL", "N_STARTS",
-        "BOUND_TOL"}
+        "BOUND_TOL", "CASE_SLICE"}
 
 
 @pytest.mark.parametrize("module, name, value", CONSTANTS,
