@@ -6,12 +6,14 @@ Expanded, <S> = sum over x, y, z of G[x, y, z] <A_x B_y C_z>, where index 0
 is a party's unprimed direction, 1 its primed one, and G is the sign tensor
 SVETLICHNY_SIGNS.  Every correlator is a contraction of the 3x3x3
 correlation tensor, the fast path used by the optimizer; the signs meet
-the tensor in one place, `_block`.  The explicit 8x8 operators of
-`bell_operators` are kept as the slow oracle, and the GHZ and W families
-also have closed forms.  The flattenings of the correlation tensor bound
-<S> over all settings (`smax_upper_bound`); on the GHZ family the bound
-is the closed-form maximum itself.  scipy is imported on the first
-`smax_w` call, its only user, so no other path loads it.
+the tensor in one place, `_block`, which takes each party's view of the
+tensor (`_tensor_views`) and gives the blocks of any of the three parties
+in one pass: the optimizer makes one such pass per step.  The explicit 8x8
+operators of `bell_operators` are kept as the slow oracle, and the GHZ and
+W families also have closed forms.  The flattenings of the correlation
+tensor bound <S> over all settings (`smax_upper_bound`); on the GHZ
+family the bound is the closed-form maximum itself.  scipy is imported on
+the first `smax_w` call, its only user, so no other path loads it.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ _W_PROFILE_TOL = 1e-8
 # the primed direction of each party.
 SVETLICHNY_SIGNS = np.array([[[1.0, 1.0], [1.0, -1.0]],
                              [[1.0, -1.0], [-1.0, -1.0]]])
-# SVETLICHNY_SIGNS with party r's axis last, for each r: views of the
-# same +-1 values.
-_SIGNS_BY_PARTY = tuple(np.moveaxis(SVETLICHNY_SIGNS, r, 2) for r in range(3))
+# SVETLICHNY_SIGNS with party r's axis last, stacked over r: (3, 2, 2, 2).
+_SIGNS_BY_PARTY = np.stack([np.moveaxis(SVETLICHNY_SIGNS, r, 2)
+                            for r in range(3)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,53 +154,73 @@ def correlation_tensor(s) -> np.ndarray:
     return t
 
 
-def _block(t: np.ndarray, parties: np.ndarray, r: int) -> np.ndarray:
-    """<S> with party r held at its pair, a bilinear form in the others.
+def _tensor_views(t: np.ndarray) -> np.ndarray:
+    """Each party's view of the correlation tensors `t`, (3, 3, n, 3, 3).
 
-    `t` is the 3x3x3 correlation tensor shared by every start, or an
-    (n, 3, 3, 3) stack of one tensor per start, and `parties` a
-    (3, 2, n, 3) stack (party, unprimed/primed, start, axis).  With p < q
-    the other parties, B[x, y, n, i, j] = d^2 <S> / dP_x[i] dQ_y[j], of
-    shape (2, 2, n, 3, 3).  Every <S> value, coefficient vector and Hessian
-    block is read from it.  Every sum is in a fixed order, so a start's
-    block does not depend on how many starts share the batch.
+    `t` is one 3x3x3 tensor, shared by every start, or an (n, 3, 3, 3)
+    stack of one tensor per start.  V[r, l] holds each tensor with party
+    r's axis fixed at l: a (p, q) matrix, p < q the other two parties.  One
+    tensor gives n = 1, which broadcasts over the starts.
     """
-    # Folding the +-1 signs into party r's pair is exact in any order.
-    signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[r], parties[r])
-    # t with party r's axis, counted from the end, fixed at l is a (p, q)
-    # matrix, or one per start.
-    fixed = (slice(None),) * (2 - r)
-    block = signed[..., 0, None, None] * t[(Ellipsis, 0) + fixed]
+    t = t.reshape(-1, 3, 3, 3)
+    return np.stack([t.transpose(1, 0, 2, 3), t.transpose(2, 0, 1, 3),
+                     t.transpose(3, 0, 1, 2)])
+
+
+def _block(views: np.ndarray, parties: np.ndarray,
+           r: slice = slice(None)) -> np.ndarray:
+    """<S> with a party held at its pair, a bilinear form in the others.
+
+    `views` is a `_tensor_views` stack and `parties` a (3, 2, ..., 3) stack
+    (party, unprimed/primed, start axes, axis) whose start axes broadcast
+    against the views'.  For each party of the slice `r`, all three by
+    default, with p < q the other parties, B[x, y, ..., i, j] =
+    d^2 <S> / dP_x[i] dQ_y[j]: a stack of shape (parties in r, 2, 2, ...,
+    3, 3).  One party's block is the one-party slice.  Every <S> value,
+    coefficient vector and Hessian block is read from it.  Every sum is in
+    a fixed order, so a start's block does not depend on how many starts
+    share the batch.
+    """
+    signs, pairs, views = _SIGNS_BY_PARTY[r], parties[r], views[r]
+    spread = (Ellipsis,) + (None,) * (pairs.ndim - 2)
+    pairs = pairs[:, None, None]
+    # The +-1 signs folded into each held pair: the products are exact, and
+    # the sum starts from +0.0, as einsum's sum of products does, so two
+    # zero terms give +0.0 whatever their signs.
+    signed = ((0.0 + signs[..., 0][spread] * pairs[:, :, :, 0])
+              + signs[..., 1][spread] * pairs[:, :, :, 1])
+    block = signed[..., 0, None, None] * views[:, 0, None, None]
     for l in (1, 2):
-        block += signed[..., l, None, None] * t[(Ellipsis, l) + fixed]
+        block += signed[..., l, None, None] * views[:, l, None, None]
     return block
 
 
 def _contract(block: np.ndarray, pair: np.ndarray,
               q_side: bool) -> np.ndarray:
-    """Party p's coefficient vectors (2, n, 3) in a `_block`, from party
-    q's `pair`; with `q_side`, party q's from party p's."""
+    """Party p's coefficient vectors (2, ..., 3) in one party's `_block`,
+    from party q's `pair`; with `q_side`, party q's from party p's."""
     if q_side:
-        block = block.transpose(1, 0, 2, 4, 3)
-    pair = pair[:, :, None, :]
+        block = block.swapaxes(0, 1).swapaxes(-1, -2)
+    pair = pair[..., None, :]
     terms = block[..., 0] * pair[..., 0]
     for j in (1, 2):
         terms += block[..., j] * pair[..., j]
     return terms[:, 0] + terms[:, 1]
 
 
-def _party_coefficients(t: np.ndarray, parties: np.ndarray,
+def _party_coefficients(views: np.ndarray, parties: np.ndarray,
                         k: int) -> np.ndarray:
     """Coefficient vectors of <S> in both directions of party k.
 
-    `parties` is a (3, 2, n, 3) stack as in `_block`.  <S> is linear in
-    each direction, so row x of the (2, n, 3) result dotted with direction
-    x of party k, summed over x, gives <S> for each of the n starts.  It
-    is the `_block` of another party applied to the third party's pair.
+    `views` and `parties` are as in `_block`.  <S> is linear in each
+    direction, so row x of the (2, ..., 3) result dotted with direction x
+    of party k, summed over x, gives <S> for each start.  It is the
+    `_block` of another party applied to the third party's pair.
     """
     # Party 0 is side p of party 2's block, at party 1's pair; parties 1
     # and 2 are side q of the blocks of 2 and 1, at party 0's pair.
-    block = _block(t, parties, 1 if k == 2 else 2)
+    held = 1 if k == 2 else 2
+    block = _block(views, parties, slice(held, held + 1))[0]
     return _contract(block, parties[0 if k else 1], k > 0)
 
 
@@ -241,7 +263,7 @@ def svetlichny_value(s, ms):
     if t.shape[:-3] != vectors.shape[:-2]:
         raise ValidationError("state and settings stacks differ in shape")
     parties = vectors.reshape(-1, 3, 2, 3).transpose(1, 2, 0, 3)
-    coeff = _party_coefficients(t.reshape(-1, 3, 3, 3), parties, 0)
+    coeff = _party_coefficients(_tensor_views(t), parties, 0)
     terms = (coeff * parties[0]).transpose(1, 0, 2).reshape(-1, 6)
     values = np.abs(np.sum(terms, axis=-1)).reshape(t.shape[:-3])
     return float(values) if values.ndim == 0 else values

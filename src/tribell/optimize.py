@@ -9,11 +9,14 @@ then takes Riemannian Newton steps on the product of the six unit
 spheres (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008).  <S> is multilinear, so its gradient and Hessian there
 have closed forms, both read from `bell._block`, the one place the signs
-meet the correlation tensor.  The safeguard: a Newton step that would
-lower <S> is replaced by a see-saw cycle, so the ascent stays monotone.
-A start stops when its residual, the norm of the Riemannian gradient, is
-within CONVERGENCE_TOL, or after _MAX_STEPS steps; a seeded multistart
-makes the search global in practice.
+meet the correlation tensor.  Each step makes one block pass: the three
+parties' blocks at the step's directions, computed as one stack, which
+the gradient, the next Hessian, the see-saw and the certificate all read.
+The safeguard: a Newton step that would lower <S> is replaced by a
+see-saw cycle, so the ascent stays monotone.  A start stops when its
+residual, the norm of the Riemannian gradient, is within CONVERGENCE_TOL,
+or after _MAX_STEPS steps; a seeded multistart makes the search global in
+practice.
 
 A state's starts all stop as soon as one of them is certified within
 BOUND_TOL of `bell.smax_upper_bound`, the correlation-tensor bound on
@@ -56,6 +59,7 @@ from .bell import (
     _block,
     _contract,
     _party_coefficients,
+    _tensor_views,
     correlation_tensor,
     optimal_settings_ghz,
     settings_from_vectors,
@@ -150,18 +154,16 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             + u[..., 2] * v[..., 2])
 
 
-def _gradients(t: np.ndarray, parties: np.ndarray,
-               third=None) -> np.ndarray:
+def _gradients(blocks: np.ndarray, parties: np.ndarray) -> np.ndarray:
     """Euclidean gradient of <S> in each of the six directions: (3, 2, n, 3).
 
-    Parties 0 and 1 read theirs from one block, at party 2's pair.  Party
-    2's are its coefficient vectors, computed here unless given as `third`.
+    `blocks` is the `bell._block` stack of all three parties at `parties`.
+    Parties 0 and 1 read theirs from party 2's block, and party 2 its
+    coefficient vectors from party 1's.
     """
-    if third is None:
-        third = _party_coefficients(t, parties, 2)
-    block = _block(t, parties, 2)
-    return np.stack([_contract(block, parties[1], False),
-                     _contract(block, parties[0], True), third])
+    return np.stack([_contract(blocks[2], parties[1], False),
+                     _contract(blocks[2], parties[0], True),
+                     _contract(blocks[1], parties[0], True)])
 
 
 def _value(coeff: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -188,31 +190,39 @@ def _tangent_bases(parties: np.ndarray) -> np.ndarray:
                      np.stack([zero, -z, y], axis=-1),
                      np.stack([-y, x, zero], axis=-1))
     first = first / np.sqrt(_dot(first, first))[..., None]
-    return np.stack([first, np.cross(parties, first)], axis=-2)
+    fx, fy, fz = first[..., 0], first[..., 1], first[..., 2]
+    # The cross product of each direction with its first basis vector,
+    # written out with the products np.cross takes.
+    second = np.stack([y * fz - z * fy, z * fx - x * fz, x * fy - y * fx],
+                      axis=-1)
+    return np.stack([first, second], axis=-2)
 
 
-def _hessian(t: np.ndarray, parties: np.ndarray, grad: np.ndarray,
+# The sides (p, q), p < q, of each party's block: (1, 2), (0, 2), (0, 1).
+_P_SIDE = [1, 0, 0]
+_Q_SIDE = [2, 2, 1]
+
+
+def _hessian(blocks: np.ndarray, parties: np.ndarray, grad: np.ndarray,
              bases: np.ndarray) -> np.ndarray:
     """Riemannian Hessian of <S> in tangent coordinates: (n, 12, 12).
 
     Coordinates run over (party, direction, basis vector).  <S> is linear
     in each party, so the Euclidean Hessian has blocks only between the
-    directions of different parties, each a `bell._block` at the third
-    party's pair.  On a sphere each direction v also gains -(v . g) I from
-    its curvature.
+    directions of different parties: each party r's `bell._block`, read
+    from the stack `blocks`.  On a sphere each direction v also gains
+    -(v . g) I from its curvature.
     """
     n = parties.shape[2]
     hess = np.zeros((n, 3, 2, 2, 3, 2, 2))
-    for r in range(3):
-        p, q = (j for j in range(3) if j != r)
-        # block[x, y, n, i, j]: d^2 <S> / dP_x[i] dQ_y[j].
-        block = _block(t, parties, r)
-        left = _dot(bases[p][:, None, :, :, None, :],
-                    np.swapaxes(block, -1, -2)[:, :, :, None, :, :])
-        projected = _dot(left[:, :, :, :, None, :],
-                         bases[q][None, :, :, None, :, :])
-        hess[:, p, :, :, q, :, :] = projected.transpose(2, 0, 3, 1, 4)
-        hess[:, q, :, :, p, :, :] = projected.transpose(2, 1, 4, 0, 3)
+    # blocks[r, x, y, n, i, j]: d^2 <S> / dP_x[i] dQ_y[j], projected on the
+    # tangent bases of P_x and Q_y for all three r at once.
+    left = _dot(bases[_P_SIDE][:, :, None, :, :, None, :],
+                blocks.swapaxes(-1, -2)[:, :, :, :, None, :, :])
+    projected = _dot(left[..., None, :],
+                     bases[_Q_SIDE][:, None, :, :, None, :, :])
+    hess[:, _P_SIDE, :, :, _Q_SIDE] = projected.transpose(0, 3, 1, 4, 2, 5)
+    hess[:, _Q_SIDE, :, :, _P_SIDE] = projected.transpose(0, 3, 2, 5, 1, 4)
     hess = hess.reshape(n, 12, 12)
     diagonal = np.arange(12)
     hess[:, diagonal, diagonal] = -np.repeat(
@@ -220,62 +230,90 @@ def _hessian(t: np.ndarray, parties: np.ndarray, grad: np.ndarray,
     return hess
 
 
-def _newton_step(t: np.ndarray, parties: np.ndarray,
-                 grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each start's best Newton trial and its <S>, without the safeguard.
+def _damped_steps(hessian: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Each start's step in tangent coordinates for each damping mu in
+    _DAMPING: (len(_DAMPING), n, 12), from its (n, 12, 12) Hessian and the
+    (n, 12) tangent coordinates of its gradient.
 
-    `t` holds one correlation tensor per start.  There is one trial per
-    damping mu in _DAMPING, and the whole batch's trials are valued in one
-    evaluation: a batch is at most BATCH_ROWS rows of N_STARTS starts.
-    Along each eigenvector of the Hessian a trial steps by the gradient's
-    component over |eigenvalue| + mu.  Undamped, that is the Newton step
-    -H^-1 g where H is negative definite, and an ascent step along any
-    direction of positive curvature; directions flatter than
-    _FLAT_CURVATURE are left alone.  Every sum over the 12 coordinates runs in a fixed order.
+    Each sum over the 12 coordinates runs down the leading axis of one
+    C-contiguous (12, n, 12) buffer of its terms, so in a fixed order; the
+    steps are summed one damping at a time in that buffer, since a
+    (12, 5, n, 12) stack of terms would take five times the memory.  The
+    buffer, the eigenvectors and the Hessian are freed on return, before
+    the Newton step values its trials.
     """
-    n = parties.shape[2]
-    bases = _tangent_bases(parties)
-    eigenvalues, vectors = np.linalg.eigh(
-        _hessian(t, parties, grad, bases))
-    coords = _dot(bases, grad[:, :, :, None, :]).transpose(2, 0, 1, 3)
-    coords = coords.reshape(n, 12)
-    along = sum(vectors[:, m, :] * coords[:, m, None] for m in range(12))
+    n = len(coords)
+    eigenvalues, vectors = np.linalg.eigh(hessian)
+    # along[n, k] = sum over m of vectors[n, m, k] coords[n, m].
+    terms = np.empty((12, n, 12))
+    np.multiply(vectors.transpose(1, 0, 2), coords.T[:, :, None], out=terms)
+    along = np.add.reduce(terms, axis=0)
     curvature = np.abs(eigenvalues) + np.reshape(_DAMPING, (-1, 1, 1))
     along = np.where(curvature > _FLAT_CURVATURE,
                      along / np.maximum(curvature, _FLAT_CURVATURE), 0.0)
-    step = sum(vectors[:, :, i] * along[:, :, None, i] for i in range(12))
-    step = step.reshape(-1, n, 3, 2, 2).transpose(0, 2, 3, 1, 4)
-    trials = (parties + bases[..., 0, :] * step[..., 0, None]
-              + bases[..., 1, :] * step[..., 1, None])
+    # step[d, n, k] = sum over i of vectors[n, k, i] along[d, n, i].
+    step = np.empty((len(_DAMPING), n, 12))
+    for d in range(len(_DAMPING)):
+        np.multiply(vectors.transpose(2, 0, 1), along[d].T[:, :, None],
+                    out=terms)
+        np.add.reduce(terms, axis=0, out=step[d])
+    return step
+
+
+def _newton_step(views: np.ndarray, parties: np.ndarray, grad: np.ndarray,
+                 blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each start's best Newton trial and its <S>, without the safeguard.
+
+    `views` holds the `bell._tensor_views` of each start's tensor, and
+    `blocks` the block stack at `parties`.  There is one trial per damping
+    mu in _DAMPING, and the whole batch's trials are valued in one
+    evaluation, with the views broadcast over the damping axis: a batch is
+    at most BATCH_ROWS rows of N_STARTS starts.  Along each eigenvector of
+    the Hessian a trial steps by the gradient's component over
+    |eigenvalue| + mu.  Undamped, that is the Newton step -H^-1 g where H
+    is negative definite, and an ascent step along any direction of
+    positive curvature; directions flatter than _FLAT_CURVATURE are left
+    alone.
+    """
+    n = parties.shape[2]
+    bases = _tangent_bases(parties)
+    coords = _dot(bases, grad[:, :, :, None, :]).transpose(2, 0, 1, 3)
+    step = _damped_steps(_hessian(blocks, parties, grad, bases),
+                         coords.reshape(n, 12))
+    # (party, direction, damping, start, basis vector).
+    step = step.reshape(-1, n, 3, 2, 2).transpose(2, 3, 0, 1, 4)
+    trials = (parties[:, :, None]
+              + bases[:, :, None, :, 0, :] * step[..., 0, None]
+              + bases[:, :, None, :, 1, :] * step[..., 1, None])
     trials = trials / np.sqrt(_dot(trials, trials))[..., None]
-    stacked = np.concatenate(trials, axis=2)
-    values = _value(_party_coefficients(
-        np.concatenate([t] * len(_DAMPING)), stacked, 2), stacked[2])
-    values = values.reshape(len(_DAMPING), n)
+    values = _value(_party_coefficients(views[:, :, None], trials, 2),
+                    trials[2])
     pick = np.argmax(values, axis=0)
     index = np.arange(n)
-    return (trials[pick, :, :, index].transpose(1, 2, 0, 3),
-            values[pick, index])
+    return trials[:, :, pick, index], values[pick, index]
 
 
-def _seesaw_cycle(t: np.ndarray, parties: np.ndarray, moving: np.ndarray,
-                  coeff: np.ndarray) -> np.ndarray:
+def _seesaw_cycle(views: np.ndarray, parties: np.ndarray,
+                  moving: np.ndarray, coeff: np.ndarray,
+                  held: np.ndarray) -> None:
     """One see-saw cycle in place on the starts in `moving`: each party in
     turn takes its normalized coefficient vectors as its pair.
 
-    `coeff` holds the first party's coefficients at the current directions
-    of the moving starts.  Returns the last party's coefficient vectors:
-    they do not depend on its own pair, so they hold at every start's
-    directions after the cycle.
+    `coeff` holds party 0's coefficients, and `held` party 2's block, at
+    the current directions of the moving starts.  A party's block depends
+    on its own pair alone, so party 1 reads its coefficients from `held`
+    after party 0 has moved; party 2 reads them from party 1's block at
+    its new pair.
     """
     for k in range(3):
-        if k:
-            coeff = _party_coefficients(t, parties, k)
+        if k == 1:
+            coeff = _contract(held, parties[0], True)
+        elif k == 2:
+            coeff = _party_coefficients(views, parties, 2)
         norms = np.sqrt(_dot(coeff, coeff))
         # Degenerate coefficient vectors keep their previous direction.
         usable = moving & (norms > 1e-14)
         parties[k][usable] = coeff[usable] / norms[usable, None]
-    return coeff
 
 
 def _at_bound(value, residual, bound):
@@ -293,36 +331,47 @@ def _ascend(tensors: np.ndarray, bounds: np.ndarray, rows: np.ndarray,
     step after that, replaced by a see-saw cycle whenever it would lower
     <S>.  A start is frozen once its residual is within CONVERGENCE_TOL,
     and all the starts of a row once one of them is certified at the row's
-    bound.  Every sum runs in a fixed order, so a row follows the same
-    paths alone as in a batch of rows.  Returns (value, residual, steps):
-    each start's final <S> and Riemannian gradient norm, and the number of
-    steps each row ran.
+    bound.  The tensor views are built once, and each step makes one block
+    pass: the three parties' `bell._block` stack at the new directions,
+    carried beside the gradient for the starts still live, from which the
+    gradient and the next step's Hessian and see-saw read.  Every sum runs
+    in a fixed order, so a row follows the same paths alone as in a batch
+    of rows.  Returns (value, residual, steps): each start's final <S> and
+    Riemannian gradient norm, and the number of steps each row ran.
     """
     start_bounds = bounds[rows]
-    grad = _gradients(tensors[rows], parties)
+    # The views and blocks of the live starts; a frozen start never moves
+    # again, so the live set only shrinks.
+    live = np.arange(len(rows))
+    views = _tensor_views(tensors)[:, :, rows]
+    held = _block(views, parties)
+    grad = _gradients(held, parties)
     value = _value(grad[2], parties[2])
     residual = _residual(grad, parties)
     steps = np.zeros(len(bounds), dtype=int)
     for step in range(_MAX_STEPS):
         certified = np.zeros(len(bounds), dtype=bool)
         certified[rows[_at_bound(value, residual, start_bounds)]] = True
-        live = np.flatnonzero((residual > CONVERGENCE_TOL) & ~certified[rows])
-        if live.size == 0:
+        still = np.flatnonzero((residual > CONVERGENCE_TOL) & ~certified[rows])
+        if still.size == 0:
             break
-        t = tensors[rows[live]]
+        if still.size < live.size:
+            kept = np.searchsorted(live, still)
+            views, held, live = views[:, :, kept], held[:, :, :, kept], still
         batch = parties[:, :, live]
         seesaw = np.ones(live.size, dtype=bool)
         if step >= _HANDOVER:
-            moved, moved_value = _newton_step(t, batch, grad[:, :, live])
+            moved, moved_value = _newton_step(views, batch, grad[:, :, live],
+                                              held)
             # The safeguard: a step that would lower <S> (or is NaN) gives
             # way to a see-saw cycle.
             gains = moved_value >= value[live]
             batch[:, :, gains] = moved[:, :, gains]
             seesaw = ~gains
-        third = None
         if seesaw.any():
-            third = _seesaw_cycle(t, batch, seesaw, grad[0][:, live])
-        fresh = _gradients(t, batch, third)
+            _seesaw_cycle(views, batch, seesaw, grad[0][:, live], held[2])
+        held = _block(views, batch)
+        fresh = _gradients(held, batch)
         parties[:, :, live] = batch
         grad[:, :, live] = fresh
         value[live] = _value(fresh[2], batch[2])
@@ -349,7 +398,8 @@ def _result(t: np.ndarray, bound: float, parties: np.ndarray,
         # Flipping one party's directions flips the sign, so report |<S>|.
         vectors[:2] = -vectors[:2]
     reported = vectors.reshape(3, 2, 1, 3)
-    hessian = _hessian(t, reported, _gradients(t, reported),
+    blocks = _block(_tensor_views(t), reported)
+    hessian = _hessian(blocks, reported, _gradients(blocks, reported),
                        _tangent_bases(reported))
     return OptimizationResult(
         best_value=abs(float(value[best])),
@@ -429,7 +479,7 @@ def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
     t = tensors[tried]
     parties = np.stack([settings[i].vectors().reshape(3, 2, 3)
                         for i in tried], axis=2)
-    grad = _gradients(t, parties)
+    grad = _gradients(_block(_tensor_views(t), parties), parties)
     value = _value(grad[2], parties[2])
     residual = _residual(grad, parties)
     bounds = np.array([smax_upper_bound(one) for one in t])
@@ -455,7 +505,8 @@ def _verification_rows(points: Sequence[tuple], first: int,
     """
     # A row's own seed keeps its result independent of the rows around it.
     seeds = [_derived_seed(seed, first + i) for i in range(len(points))]
-    tensors = np.stack([correlation_tensor(point[1]) for point in points])
+    tensors = correlation_tensor(
+        np.stack([point[1].amplitudes for point in points]))
     results = _certified_at_settings(tensors, [point[4] for point in points])
     ascend = [i for i, result in enumerate(results) if result is None]
     if ascend:

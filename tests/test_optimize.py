@@ -282,9 +282,11 @@ def test_hessian_matches_second_differences_on_the_spheres():
     rng = np.random.default_rng(48)
     t = bell.correlation_tensor(qcore.haar_random_state(rng))
     parties = optimize._random_directions(rng, (6, 1)).reshape(3, 2, 1, 3)
+    views = bell._tensor_views(t)
+    blocks = bell._block(views, parties)
     bases = optimize._tangent_bases(parties)
-    grad = optimize._gradients(t, parties)
-    hessian = optimize._hessian(t, parties, grad, bases)[0]
+    grad = optimize._gradients(blocks, parties)
+    hessian = optimize._hessian(blocks, parties, grad, bases)[0]
 
     def value(eta):
         # <S> at the normalized point v + E eta: a second-order retraction,
@@ -293,7 +295,7 @@ def test_hessian_matches_second_differences_on_the_spheres():
         moved = parties + step
         moved = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
         return float(optimize._value(
-            bell._party_coefficients(t, moved, 2), moved[2])[0])
+            bell._party_coefficients(views, moved, 2), moved[2])[0])
 
     h = 1e-4
     unit = np.eye(12) * h
@@ -319,12 +321,12 @@ def test_a_newton_step_that_would_lower_the_value_gives_way_to_a_cycle(
     monkeypatch.setattr(optimize, "_HANDOVER", 40)
     cycles_only = single_ascent(state, init)
 
-    def downhill(t, parties, grad):
+    def downhill(views, parties, grad, blocks):
         # After one cycle <S> >= 0, so flipping a party's pair lowers it.
         moved = parties.copy()
         moved[0] = -moved[0]
         return moved, optimize._value(
-            bell._party_coefficients(t, moved, 2), moved[2])
+            bell._party_coefficients(views, moved, 2), moved[2])
 
     monkeypatch.setattr(optimize, "_HANDOVER", 1)
     monkeypatch.setattr(optimize, "_newton_step", downhill)
@@ -343,12 +345,15 @@ def test_a_newton_step_gives_each_start_its_step_alone():
     t = np.stack([bell.correlation_tensor(qcore.haar_random_state(rng))
                   for _ in range(n)])
     parties = optimize._random_directions(rng, (6, n)).reshape(3, 2, n, 3)
-    grad = optimize._gradients(t, parties)
-    trials, values = optimize._newton_step(t, parties, grad)
+    views = bell._tensor_views(t)
+    blocks = bell._block(views, parties)
+    grad = optimize._gradients(blocks, parties)
+    trials, values = optimize._newton_step(views, parties, grad, blocks)
     for i in range(n):
         one = slice(i, i + 1)
-        trial, value = optimize._newton_step(t[one], parties[:, :, one],
-                                             grad[:, :, one])
+        trial, value = optimize._newton_step(
+            views[:, :, one], parties[:, :, one], grad[:, :, one],
+            blocks[:, :, :, one])
         assert np.array_equal(trials[:, :, one], trial)
         assert values[i] == value[0]
 
@@ -376,8 +381,8 @@ def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
     for seed in range(20):
         init = random_settings(np.random.default_rng(seed))
         parties = init.vectors().reshape(3, 2, 1, 3)
-        start = optimize._value(bell._party_coefficients(t, parties, 2),
-                                parties[2])[0]
+        start = optimize._value(bell._party_coefficients(
+            bell._tensor_views(t), parties, 2), parties[2])[0]
         result = single_ascent(state, init)
         expected = init.vectors()
         if start < 0.0:
@@ -736,3 +741,265 @@ def test_the_ascent_reaches_the_certified_value_on_the_family():
         assert result.global_maximum
         assert result.best_value == pytest.approx(rows[index].numeric_value,
                                                   abs=1e-12)
+
+
+# The per-party kernels that the per-step block pass replaced, kept as the
+# oracle it must match bit for bit: the einsum sign fold and one `_block`
+# per party, the Newton step's generator sums and concatenated trial
+# tensors, np.cross, and the Hessian projected one block at a time.
+_SIGNS_BY_PARTY = tuple(np.moveaxis(bell.SVETLICHNY_SIGNS, r, 2)
+                        for r in range(3))
+
+
+def reference_block(t, parties, r):
+    signed = np.einsum("xyz,znl->xynl", _SIGNS_BY_PARTY[r], parties[r])
+    fixed = (slice(None),) * (2 - r)
+    block = signed[..., 0, None, None] * t[(Ellipsis, 0) + fixed]
+    for l in (1, 2):
+        block += signed[..., l, None, None] * t[(Ellipsis, l) + fixed]
+    return block
+
+
+def reference_contract(block, pair, q_side):
+    if q_side:
+        block = block.transpose(1, 0, 2, 4, 3)
+    pair = pair[:, :, None, :]
+    terms = block[..., 0] * pair[..., 0]
+    for j in (1, 2):
+        terms += block[..., j] * pair[..., j]
+    return terms[:, 0] + terms[:, 1]
+
+
+def reference_coefficients(t, parties, k):
+    block = reference_block(t, parties, 1 if k == 2 else 2)
+    return reference_contract(block, parties[0 if k else 1], k > 0)
+
+
+def reference_gradients(t, parties, third=None):
+    if third is None:
+        third = reference_coefficients(t, parties, 2)
+    block = reference_block(t, parties, 2)
+    return np.stack([reference_contract(block, parties[1], False),
+                     reference_contract(block, parties[0], True), third])
+
+
+def reference_tangent_bases(parties):
+    x, y, z = parties[..., 0], parties[..., 1], parties[..., 2]
+    zero = np.zeros_like(x)
+    first = np.where((np.abs(z) > 0.9)[..., None],
+                     np.stack([zero, -z, y], axis=-1),
+                     np.stack([-y, x, zero], axis=-1))
+    first = first / np.sqrt(optimize._dot(first, first))[..., None]
+    return np.stack([first, np.cross(parties, first)], axis=-2)
+
+
+def reference_hessian(t, parties, grad, bases):
+    n = parties.shape[2]
+    hess = np.zeros((n, 3, 2, 2, 3, 2, 2))
+    for r in range(3):
+        p, q = (j for j in range(3) if j != r)
+        block = reference_block(t, parties, r)
+        left = optimize._dot(bases[p][:, None, :, :, None, :],
+                             np.swapaxes(block, -1, -2)[:, :, :, None, :, :])
+        projected = optimize._dot(left[:, :, :, :, None, :],
+                                  bases[q][None, :, :, None, :, :])
+        hess[:, p, :, :, q, :, :] = projected.transpose(2, 0, 3, 1, 4)
+        hess[:, q, :, :, p, :, :] = projected.transpose(2, 1, 4, 0, 3)
+    hess = hess.reshape(n, 12, 12)
+    diagonal = np.arange(12)
+    hess[:, diagonal, diagonal] = -np.repeat(
+        optimize._dot(grad, parties).reshape(6, n), 2, axis=0).T
+    return hess
+
+
+def reference_newton_step(t, parties, grad):
+    n = parties.shape[2]
+    bases = reference_tangent_bases(parties)
+    eigenvalues, vectors = np.linalg.eigh(
+        reference_hessian(t, parties, grad, bases))
+    coords = optimize._dot(bases, grad[:, :, :, None, :]).transpose(2, 0, 1, 3)
+    coords = coords.reshape(n, 12)
+    along = sum(vectors[:, m, :] * coords[:, m, None] for m in range(12))
+    curvature = np.abs(eigenvalues) + np.reshape(optimize._DAMPING, (-1, 1, 1))
+    along = np.where(curvature > optimize._FLAT_CURVATURE,
+                     along / np.maximum(curvature, optimize._FLAT_CURVATURE),
+                     0.0)
+    step = sum(vectors[:, :, i] * along[:, :, None, i] for i in range(12))
+    step = step.reshape(-1, n, 3, 2, 2).transpose(0, 2, 3, 1, 4)
+    trials = (parties + bases[..., 0, :] * step[..., 0, None]
+              + bases[..., 1, :] * step[..., 1, None])
+    trials = trials / np.sqrt(optimize._dot(trials, trials))[..., None]
+    stacked = np.concatenate(trials, axis=2)
+    values = optimize._value(reference_coefficients(
+        np.concatenate([t] * len(optimize._DAMPING)), stacked, 2), stacked[2])
+    values = values.reshape(len(optimize._DAMPING), n)
+    pick = np.argmax(values, axis=0)
+    index = np.arange(n)
+    return (trials[pick, :, :, index].transpose(1, 2, 0, 3),
+            values[pick, index])
+
+
+def reference_seesaw_cycle(t, parties, moving, coeff):
+    for k in range(3):
+        if k:
+            coeff = reference_coefficients(t, parties, k)
+        norms = np.sqrt(optimize._dot(coeff, coeff))
+        usable = moving & (norms > 1e-14)
+        parties[k][usable] = coeff[usable] / norms[usable, None]
+    return coeff
+
+
+def reference_ascend(tensors, bounds, rows, parties):
+    start_bounds = bounds[rows]
+    grad = reference_gradients(tensors[rows], parties)
+    value = optimize._value(grad[2], parties[2])
+    residual = optimize._residual(grad, parties)
+    steps = np.zeros(len(bounds), dtype=int)
+    for step in range(optimize._MAX_STEPS):
+        certified = np.zeros(len(bounds), dtype=bool)
+        certified[rows[optimize._at_bound(value, residual, start_bounds)]] = True
+        live = np.flatnonzero((residual > optimize.CONVERGENCE_TOL)
+                              & ~certified[rows])
+        if live.size == 0:
+            break
+        t = tensors[rows[live]]
+        batch = parties[:, :, live]
+        seesaw = np.ones(live.size, dtype=bool)
+        if step >= optimize._HANDOVER:
+            moved, moved_value = reference_newton_step(t, batch,
+                                                       grad[:, :, live])
+            gains = moved_value >= value[live]
+            batch[:, :, gains] = moved[:, :, gains]
+            seesaw = ~gains
+        third = None
+        if seesaw.any():
+            third = reference_seesaw_cycle(t, batch, seesaw, grad[0][:, live])
+        fresh = reference_gradients(t, batch, third)
+        parties[:, :, live] = batch
+        grad[:, :, live] = fresh
+        value[live] = optimize._value(fresh[2], batch[2])
+        residual[live] = optimize._residual(fresh, batch)
+        steps[rows[live]] = step + 1
+    return value, residual, steps
+
+
+def x_z_pairs(rng, n):
+    """(2, n, 3) pairs in the x-z plane with a' = +-a: y is +0.0 or -0.0,
+    and some directions lie on an axis with -0.0 components."""
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    y = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    a = np.stack([np.sin(angle), y, np.cos(angle)], axis=-1)
+    a[::5] = (-0.0, -0.0, 1.0)
+    a[1::5] = (1.0, -0.0, -0.0)
+    return np.stack([a, np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None] * a])
+
+
+def mixed_states(rng, count):
+    """Haar, W-family (exact zeros in the tensor), GHZ-family and product
+    states, in turn."""
+    states = []
+    for i in range(count):
+        if i % 4 == 0:
+            states.append(qcore.haar_random_state(rng))
+        elif i % 4 == 1:
+            amps = rng.uniform(0.2, 1.0, 3)
+            states.append(qcore.w_state(
+                qcore.WClassParams(*(amps / np.linalg.norm(amps)))))
+        elif i % 4 == 2:
+            states.append(ghz(*rng.uniform(0.0, math.pi / 2, 2)))
+        else:
+            states.append(qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0]))
+    return states
+
+
+def mixed_starts(rng, n):
+    """(3, 2, n, 3) starts: random directions, then x-z pairs."""
+    parties = optimize._random_directions(rng, (6, n)).reshape(3, 2, n, 3)
+    half = n // 2
+    for k in range(3):
+        parties[k][:, half:] = x_z_pairs(rng, n - half)
+    return parties
+
+
+def test_the_sign_fold_keeps_einsum_zero_signs_on_x_z_pairs():
+    # A plain s0 p0 + s1 p1 fold gives -0.0 where einsum gives +0.0, and
+    # those signs reach the blocks on these pairs.
+    rng = np.random.default_rng(60)
+    n = 60
+    parties = np.stack([x_z_pairs(rng, n) for _ in range(3)])
+    tensors = np.stack([bell.correlation_tensor(s)
+                        for s in mixed_states(rng, n)])
+    blocks = bell._block(bell._tensor_views(tensors), parties)
+    for r in range(3):
+        assert blocks[r].tobytes() == reference_block(
+            tensors, parties, r).tobytes()
+        one = bell._block(bell._tensor_views(tensors), parties,
+                          slice(r, r + 1))
+        assert one[0].tobytes() == blocks[r].tobytes()
+
+
+@pytest.mark.parametrize("n, shared", [(7, True), (40, False), (400, False)])
+def test_the_block_pass_matches_the_per_party_kernels(n, shared):
+    rng = np.random.default_rng(61 + n)
+    if shared:
+        tensors = bell.correlation_tensor(qcore.haar_random_state(rng))
+    else:
+        tensors = np.stack([bell.correlation_tensor(s)
+                            for s in mixed_states(rng, n)])
+    parties = mixed_starts(rng, n)
+    views = bell._tensor_views(tensors)
+    blocks = bell._block(views, parties)
+    for r in range(3):
+        assert blocks[r].tobytes() == reference_block(
+            tensors, parties, r).tobytes()
+    grad = optimize._gradients(blocks, parties)
+    assert grad.tobytes() == reference_gradients(tensors, parties).tobytes()
+    bases = optimize._tangent_bases(parties)
+    assert bases.tobytes() == reference_tangent_bases(parties).tobytes()
+    assert optimize._hessian(blocks, parties, grad, bases).tobytes() == (
+        reference_hessian(tensors, parties, grad, bases).tobytes())
+    if shared:
+        # A shared tensor broadcasts; the old Newton step took one per start.
+        tensors = np.broadcast_to(tensors, (n, 3, 3, 3))
+    trials, values = optimize._newton_step(views, parties, grad, blocks)
+    expected_trials, expected_values = reference_newton_step(
+        tensors, parties, grad)
+    assert trials.tobytes() == expected_trials.tobytes()
+    assert values.tobytes() == expected_values.tobytes()
+
+
+@pytest.mark.parametrize("rows, n_starts", [(4, 8), (8, 50)],
+                         ids=["small", "400-starts"])
+def test_a_whole_ascent_matches_the_per_party_kernels(rows, n_starts):
+    rng = np.random.default_rng(62 + rows)
+    tensors = np.stack([bell.correlation_tensor(s)
+                        for s in mixed_states(rng, rows)])
+    bounds = np.array([bell.smax_upper_bound(t) for t in tensors])
+    row_of = np.repeat(np.arange(rows), n_starts)
+    starts = mixed_starts(rng, rows * n_starts)
+    parties = starts.copy()
+    value, residual, steps = optimize._ascend(tensors, bounds, row_of,
+                                              parties)
+    expected = reference_ascend(tensors, bounds, row_of, starts)
+    assert value.tobytes() == expected[0].tobytes()
+    assert residual.tobytes() == expected[1].tobytes()
+    assert steps.tobytes() == expected[2].tobytes()
+    assert parties.tobytes() == starts.tobytes()
+    # The batch took Newton steps.
+    assert steps.max() > optimize._HANDOVER
+
+
+def test_a_grid_batch_makes_one_correlation_tensor_call(monkeypatch):
+    calls = []
+    tensor = optimize.correlation_tensor
+
+    def counted(s):
+        calls.append(s)
+        return tensor(s)
+
+    monkeypatch.setattr(optimize, "correlation_tensor", counted)
+    rows = optimize.verify_grid_ghz(21, [0.3, 0.8, 1.4])
+    assert len(rows) == 63
+    # One stacked call per batch of BATCH_ROWS rows, not one per row.
+    assert [np.shape(s) for s in calls] == (
+        [(optimize.BATCH_ROWS, 8)] * 7 + [(63 - 7 * optimize.BATCH_ROWS, 8)])
