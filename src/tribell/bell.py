@@ -11,9 +11,10 @@ tensor (`_tensor_views`) and gives the blocks of any of the three parties
 in one pass: the optimizer makes one such pass per step.  The explicit 8x8
 operators of `bell_operators` are kept as the slow oracle, and the GHZ and
 W families also have closed forms.  The flattenings of the correlation
-tensor bound <S> over all settings (`smax_upper_bound`); on the GHZ
-family the bound is the closed-form maximum itself.  scipy is imported on
-the first `smax_w` call, its only user, so no other path loads it.
+tensor bound <S> over all settings (`smax_upper_bound`, of one tensor or
+a stack); on the GHZ family the bound is the closed-form maximum itself.
+scipy is imported on the first `smax_w` call, its only user, so no other
+path loads it.
 """
 
 from __future__ import annotations
@@ -224,10 +225,12 @@ def _party_coefficients(views: np.ndarray, parties: np.ndarray,
     return _contract(block, parties[0 if k else 1], k > 0)
 
 
-def smax_upper_bound(t: np.ndarray) -> float:
+def smax_upper_bound(t: np.ndarray):
     """4 min_k sigma_max(T_(k)), an upper bound on |<S>| over all settings.
 
     T_(k) is the 3x9 flattening of the correlation tensor `t` on party k.
+    One 3x3x3 tensor gives a float, an (..., 3, 3, 3) stack an array of
+    the stack's shape, each entry equal to the bound of its tensor alone.
     SVETLICHNY_SIGNS is symmetric under any permutation of the parties, so
     contracting it with the other two parties' unit directions p, p', q, q'
     leaves one 9-vector per direction x of party k:
@@ -240,10 +243,12 @@ def smax_upper_bound(t: np.ndarray) -> float:
     minimum.  On the GHZ family it equals Eq. (19)'s maximum; compare Li,
     Shen, Jing, Fei and Li-Jost, PRA 96, 042323 (2017).
     """
-    flattenings = np.stack([np.moveaxis(t, k, 0).reshape(3, 9)
-                            for k in range(3)])
-    return 4.0 * float(np.min(
-        np.linalg.svd(flattenings, compute_uv=False)[:, 0]))
+    t = np.asarray(t)
+    flattenings = np.stack([np.moveaxis(t, k - 3, -3).reshape(
+        t.shape[:-3] + (3, 9)) for k in range(3)], axis=-3)
+    bounds = 4.0 * np.min(
+        np.linalg.svd(flattenings, compute_uv=False)[..., 0], axis=-1)
+    return float(bounds) if bounds.ndim == 0 else bounds
 
 
 def svetlichny_value(s, ms):

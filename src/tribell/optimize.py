@@ -33,7 +33,10 @@ at the closed-form settings of its own (theta, theta3): one evaluation
 there that meets the certificate proves the row's maximum, with no
 ascent.  The rows that fail it, and every W row, ascend together, with
 per-start sums in a fixed order, so each row's result is bit-identical to
-its result alone.
+its result alone.  Either way a batch's certificate is read in one
+stacked pass, by the one result builder that every path shares: one
+`bell.smax_upper_bound` call for its rows' bounds, and one block pass and
+one Hessian eigensolve at its rows' reported settings.
 """
 
 from __future__ import annotations
@@ -380,36 +383,44 @@ def _ascend(tensors: np.ndarray, bounds: np.ndarray, rows: np.ndarray,
     return value, residual, steps
 
 
-def _result(t: np.ndarray, bound: float, parties: np.ndarray,
-            value: np.ndarray, residual: np.ndarray,
-            steps: int) -> OptimizationResult:
-    """The best start's |<S>|, its settings and certificate.
+def _results(tensors: np.ndarray, bounds: np.ndarray, parties: np.ndarray,
+             value: np.ndarray, residual: np.ndarray,
+             steps: np.ndarray) -> list:
+    """Each row's best start: its |<S>|, settings and certificate.
 
-    When starts are certified at the bound, the best of those is reported:
-    a start still moving may sit a few ulps higher, uncertified.
+    Row i is the correlation tensor tensors[i] under the bound bounds[i],
+    run for steps[i] steps, and owns the i-th run of equally many
+    consecutive starts in `parties`, `value` and `residual`.  When a row's
+    starts are certified at its bound, the best of those is reported: a
+    start still moving may sit a few ulps higher, uncertified.  The
+    certificates at the reported settings are read for the whole batch in
+    one block pass and one stacked Hessian eigensolve.
     """
-    magnitude = np.abs(value)
-    at_bound = _at_bound(value, residual, bound)
-    if at_bound.any():
-        magnitude = np.where(at_bound, magnitude, -1.0)
-    best = int(np.argmax(magnitude))
-    vectors = parties[:, :, best].reshape(6, 3).copy()
-    if value[best] < 0.0:
-        # Flipping one party's directions flips the sign, so report |<S>|.
-        vectors[:2] = -vectors[:2]
-    reported = vectors.reshape(3, 2, 1, 3)
-    blocks = _block(_tensor_views(t), reported)
+    rows = len(bounds)
+    magnitude = np.abs(value).reshape(rows, -1)
+    at_bound = _at_bound(value.reshape(rows, -1), residual.reshape(rows, -1),
+                         bounds[:, None])
+    magnitude = np.where(at_bound | ~at_bound.any(axis=1, keepdims=True),
+                         magnitude, -1.0)
+    best = np.argmax(magnitude, axis=1) + magnitude.shape[1] * np.arange(rows)
+    reported = parties[:, :, best]
+    # Flipping one party's directions flips the sign, so report |<S>|.
+    negative = value[best] < 0.0
+    reported[0][:, negative] = -reported[0][:, negative]
+    blocks = _block(_tensor_views(tensors), reported)
     hessian = _hessian(blocks, reported, _gradients(blocks, reported),
                        _tangent_bases(reported))
-    return OptimizationResult(
-        best_value=abs(float(value[best])),
-        best_settings=settings_from_vectors(vectors),
-        iterations_used=steps,
-        converged=bool(residual[best] <= CONVERGENCE_TOL),
-        residual=float(residual[best]),
-        hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1] <= _NSD_TOL),
-        upper_bound=bound,
-    )
+    nsd = np.linalg.eigvalsh(hessian)[:, -1] <= _NSD_TOL
+    vectors = reported.transpose(2, 0, 1, 3).reshape(rows, 6, 3)
+    return [OptimizationResult(
+        best_value=abs(float(value[k])),
+        best_settings=settings_from_vectors(vectors[i]),
+        iterations_used=int(steps[i]),
+        converged=bool(residual[k] <= CONVERGENCE_TOL),
+        residual=float(residual[k]),
+        hessian_nsd=bool(nsd[i]),
+        upper_bound=float(bounds[i]),
+    ) for i, k in enumerate(best)]
 
 
 def _random_directions(rng: np.random.Generator, shape) -> np.ndarray:
@@ -434,19 +445,14 @@ def _maximize_rows(tensors: np.ndarray, seeds: Sequence[int],
     correlation tensor tensors[i], takes n_starts starts drawn with
     seeds[i] and stops at its own certificate.  One OptimizationResult per
     row, each the one the row would give alone."""
-    bounds = np.array([smax_upper_bound(t) for t in tensors])
+    bounds = smax_upper_bound(tensors)
     parties = np.concatenate([
         _random_directions(np.random.default_rng(seed),
                            (6, n_starts)).reshape(3, 2, -1, 3)
         for seed in seeds], axis=2)
     value, residual, steps = _ascend(
         tensors, bounds, np.repeat(np.arange(len(seeds)), n_starts), parties)
-    results = []
-    for row, bound in enumerate(bounds):
-        part = slice(row * n_starts, (row + 1) * n_starts)
-        results.append(_result(tensors[row], float(bound), parties[:, :, part],
-                               value[part], residual[part], int(steps[row])))
-    return results
+    return _results(tensors, bounds, parties, value, residual, steps)
 
 
 def multistart_maximize(s: ThreeQubitPureState, seed: int,
@@ -469,8 +475,8 @@ def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
 
     Row i is evaluated once at settings[i], all rows in one batch: <S>
     there witnesses the value, and `_at_bound` proves that no settings do
-    better.  A row with no settings, or whose settings fall short, gives
-    None.
+    better.  The certified rows' results are built in one `_results` call.
+    A row with no settings, or whose settings fall short, gives None.
     """
     results = [None] * len(settings)
     tried = [i for i, ms in enumerate(settings) if ms is not None]
@@ -482,12 +488,14 @@ def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
     grad = _gradients(_block(_tensor_views(t), parties), parties)
     value = _value(grad[2], parties[2])
     residual = _residual(grad, parties)
-    bounds = np.array([smax_upper_bound(one) for one in t])
-    for k in np.flatnonzero(_at_bound(value, residual, bounds)):
-        one = slice(k, k + 1)
-        results[tried[k]] = _result(t[k], float(bounds[k]),
-                                    parties[:, :, one], value[one],
-                                    residual[one], 0)
+    bounds = smax_upper_bound(t)
+    certified = np.flatnonzero(_at_bound(value, residual, bounds))
+    if certified.size:
+        for k, result in zip(certified, _results(
+                t[certified], bounds[certified], parties[:, :, certified],
+                value[certified], residual[certified],
+                np.zeros(certified.size, dtype=int))):
+            results[tried[k]] = result
     return results
 
 

@@ -321,6 +321,34 @@ def test_smax_upper_bound_equals_eq_19_on_the_ghz_family():
     assert branches == {"low-branch", "high-branch"}
 
 
+def reference_upper_bound(t):
+    """The one-tensor bound as it was written before it took stacks."""
+    flattenings = np.stack([np.moveaxis(t, k, 0).reshape(3, 9)
+                            for k in range(3)])
+    return 4.0 * float(np.min(
+        np.linalg.svd(flattenings, compute_uv=False)[:, 0]))
+
+
+def test_smax_upper_bound_of_a_stack_is_each_tensor_alone():
+    rng = np.random.default_rng(56)
+    states = []
+    for _ in range(6):
+        amps = rng.uniform(0.2, 1.0, 3)
+        states += [qcore.haar_random_state(rng),
+                   ghz(*rng.uniform(0.0, 1.5, 2)),
+                   qcore.w_state(qcore.WClassParams(
+                       *(amps / np.linalg.norm(amps)))),
+                   qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])]
+    tensors = bell.correlation_tensor(np.stack([s.amplitudes for s in states]))
+    alone = [bell.smax_upper_bound(t) for t in tensors]
+    assert all(type(b) is float for b in alone)
+    assert alone == [reference_upper_bound(t) for t in tensors]
+    for stack in (tensors, tensors.reshape(4, 6, 3, 3, 3)):
+        bounds = bell.smax_upper_bound(stack)
+        assert bounds.shape == stack.shape[:-3]
+        assert bounds.ravel().tobytes() == np.array(alone).tobytes()
+
+
 def test_optimal_settings_ghz_achieves_closed_value():
     rng = np.random.default_rng(25)
     for _ in range(40):

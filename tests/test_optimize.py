@@ -212,7 +212,8 @@ def test_the_bound_caps_the_maximum_and_stops_no_loose_batch(
     assert result.upper_bound == bell.smax_upper_bound(
         bell.correlation_tensor(state))
     assert not result.global_maximum
-    monkeypatch.setattr(optimize, "smax_upper_bound", lambda t: math.inf)
+    monkeypatch.setattr(optimize, "smax_upper_bound",
+                        lambda t: np.full(np.shape(t)[:-3], math.inf))
     unbounded = optimize.multistart_maximize(state, seed=10, n_starts=10)
     assert unbounded.best_value == result.best_value
     assert unbounded.residual == result.residual
@@ -230,7 +231,8 @@ def test_a_ghz_batch_stops_at_a_start_certified_at_the_bound(monkeypatch):
     assert stopped.converged and stopped.hessian_nsd
     assert stopped.global_maximum
     assert stopped.best_value >= stopped.upper_bound - optimize.BOUND_TOL
-    monkeypatch.setattr(optimize, "smax_upper_bound", lambda t: math.inf)
+    monkeypatch.setattr(optimize, "smax_upper_bound",
+                        lambda t: np.full(np.shape(t)[:-3], math.inf))
     unstopped = optimize.multistart_maximize(state, seed)
     assert stopped.iterations_used < unstopped.iterations_used
     assert stopped.best_value == pytest.approx(unstopped.best_value,
@@ -674,17 +676,18 @@ def _certified_grid(grid, monkeypatch):
     """The rows of `grid()` and the OptimizationResult each row took, when
     no row may run the ascent."""
     results = []
-    result = optimize._result
+    build = optimize._results
 
     def spy(*args):
-        results.append(result(*args))
-        return results[-1]
+        built = build(*args)
+        results.extend(built)
+        return built
 
     def no_ascent(tensors, seeds, n_starts):
         raise AssertionError(f"rows {seeds} ran the ascent")
 
     with monkeypatch.context() as patch:
-        patch.setattr(optimize, "_result", spy)
+        patch.setattr(optimize, "_results", spy)
         patch.setattr(optimize, "_maximize_rows", no_ascent)
         return grid(), results
 
@@ -1003,3 +1006,165 @@ def test_a_grid_batch_makes_one_correlation_tensor_call(monkeypatch):
     # One stacked call per batch of BATCH_ROWS rows, not one per row.
     assert [np.shape(s) for s in calls] == (
         [(optimize.BATCH_ROWS, 8)] * 7 + [(63 - 7 * optimize.BATCH_ROWS, 8)])
+
+
+def reference_result(t, bound, parties, value, residual, steps):
+    """The per-row result builder that `optimize._results` replaced, kept as
+    its oracle: one block pass, Hessian and eigensolve per row."""
+    magnitude = np.abs(value)
+    at_bound = optimize._at_bound(value, residual, bound)
+    if at_bound.any():
+        magnitude = np.where(at_bound, magnitude, -1.0)
+    best = int(np.argmax(magnitude))
+    vectors = parties[:, :, best].reshape(6, 3).copy()
+    if value[best] < 0.0:
+        vectors[:2] = -vectors[:2]
+    reported = vectors.reshape(3, 2, 1, 3)
+    blocks = bell._block(bell._tensor_views(t), reported)
+    hessian = optimize._hessian(blocks, reported,
+                                optimize._gradients(blocks, reported),
+                                optimize._tangent_bases(reported))
+    return optimize.OptimizationResult(
+        best_value=abs(float(value[best])),
+        best_settings=bell.settings_from_vectors(vectors),
+        iterations_used=steps,
+        converged=bool(residual[best] <= optimize.CONVERGENCE_TOL),
+        residual=float(residual[best]),
+        hessian_nsd=bool(np.linalg.eigvalsh(hessian)[0, -1]
+                         <= optimize._NSD_TOL),
+        upper_bound=bound,
+    )
+
+
+def assert_results_match_reference(tensors, parties, value, residual, steps):
+    bounds = bell.smax_upper_bound(tensors)
+    results = optimize._results(tensors, bounds, parties, value, residual,
+                                steps)
+    n_starts = value.size // len(tensors)
+    assert len(results) == len(tensors)
+    for row, result in enumerate(results):
+        part = slice(row * n_starts, (row + 1) * n_starts)
+        expected = reference_result(
+            tensors[row], float(bounds[row]), parties[:, :, part],
+            value[part], residual[part], int(steps[row]))
+        _assert_same_result(result, expected)
+        assert result.best_settings.vectors().tobytes() == (
+            expected.best_settings.vectors().tobytes())
+    return results
+
+
+def values_at(tensors, n_starts, parties):
+    """<S> and the residual of every start, row i's starts on tensors[i]."""
+    views = bell._tensor_views(np.repeat(tensors, n_starts, axis=0))
+    grad = optimize._gradients(bell._block(views, parties), parties)
+    return (optimize._value(grad[2], parties[2]),
+            optimize._residual(grad, parties))
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_the_batched_results_match_the_per_row_builder(rows):
+    rng = np.random.default_rng(70 + rows)
+    tensors = np.stack([bell.correlation_tensor(s)
+                        for s in mixed_states(rng, rows)])
+    parties = mixed_starts(rng, rows * optimize.N_STARTS)
+    value, residual, steps = optimize._ascend(
+        tensors, bell.smax_upper_bound(tensors),
+        np.repeat(np.arange(rows), optimize.N_STARTS), parties)
+    results = assert_results_match_reference(tensors, parties, value,
+                                             residual, steps)
+    # The GHZ row, if any, stopped at the bound; the rest converged.
+    assert all(r.converged for r in results)
+    assert any(r.global_maximum for r in results) == (rows > 2)
+
+
+def test_a_negative_best_start_is_reported_with_its_first_pair_flipped():
+    rng = np.random.default_rng(72)
+    tensors = np.stack([bell.correlation_tensor(s)
+                        for s in mixed_states(rng, 4)])
+    n_starts = 6
+    parties = optimize._random_directions(
+        rng, (6, 4 * n_starts)).reshape(3, 2, -1, 3)
+    value, _ = values_at(tensors, n_starts, parties)
+    # Flip the first pair of each row's largest |<S>|, where it is positive,
+    # so every row's best start is negative.
+    best = (np.argmax(np.abs(value).reshape(4, -1), axis=1)
+            + n_starts * np.arange(4))
+    flip = best[value[best] > 0.0]
+    parties[0][:, flip] = -parties[0][:, flip]
+    value, residual = values_at(tensors, n_starts, parties)
+    assert np.all(value[best] < 0.0)
+    results = assert_results_match_reference(
+        tensors, parties, value, residual, np.arange(4))
+    for row, result in enumerate(results):
+        reported = result.best_settings.vectors()
+        expected = parties[:, :, best[row]].reshape(6, 3).copy()
+        expected[:2] = -expected[:2]
+        assert reported.tobytes() == expected.tobytes()
+        # The reported settings reach +|<S>|.
+        at_reported, _ = values_at(tensors[row:row + 1], 1,
+                                   reported.reshape(3, 2, 1, 3))
+        assert at_reported[0] == pytest.approx(result.best_value, abs=1e-12)
+
+
+def test_a_start_certified_at_the_bound_beats_a_higher_uncertified_one():
+    # Start 0 sits at a GHZ row's closed-form settings, certified at the
+    # bound; start 1 is given a value a few ulps higher and a residual above
+    # CONVERGENCE_TOL, as a start still moving may have.  A Haar row beside
+    # it has no certified start, so its highest |<S>| is reported.
+    rng = np.random.default_rng(73)
+    params = qcore.GhzClassParams(0.5, 1.0)
+    tensors = np.stack([bell.correlation_tensor(qcore.ghz_state(params)),
+                        bell.correlation_tensor(
+                            qcore.haar_random_state(rng))])
+    n_starts = 3
+    parties = optimize._random_directions(
+        rng, (6, 2 * n_starts)).reshape(3, 2, -1, 3)
+    parties[:, :, 0] = bell.optimal_settings_ghz(params).vectors().reshape(
+        3, 2, 3)
+    value, residual = values_at(tensors, n_starts, parties)
+    bounds = bell.smax_upper_bound(tensors)
+    assert optimize._at_bound(value[0], residual[0], bounds[0])
+    value[1] = np.nextafter(np.nextafter(abs(value[0]), 9.0), 9.0) * np.sign(
+        value[0])
+    residual[1] = 1e-6
+    results = assert_results_match_reference(tensors, parties, value,
+                                             residual, np.zeros(2, dtype=int))
+    assert results[0].best_value == abs(value[0]) < abs(value[1])
+    assert results[0].global_maximum
+    assert results[1].best_value == np.max(np.abs(value[n_starts:]))
+    assert not results[1].global_maximum
+
+
+def test_a_batch_with_no_certified_row_builds_no_result(monkeypatch):
+    grid = [qcore.GhzClassParams(theta, theta3)
+            for theta3 in (math.pi / 8, math.pi / 2)
+            for theta in np.linspace(0.0, math.pi / 2, 4)]
+    tensors = bell.correlation_tensor(
+        np.stack([qcore.ghz_state(p).amplitudes for p in grid]))
+    calls = []
+    monkeypatch.setattr(optimize, "_results",
+                        lambda *args: calls.append(args))
+    results = optimize._certified_at_settings(
+        tensors, [perturbed_settings(p) for p in grid])
+    assert results == [None] * len(grid)
+    assert calls == []
+
+
+def test_the_default_sweep_ghz_makes_one_eigensolve_and_bound_per_batch(
+        tmp_path, monkeypatch):
+    calls = {"eigvalsh": [], "smax_upper_bound": []}
+
+    def counted(name, function):
+        def spy(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return function(a, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(optimize.np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(optimize, "smax_upper_bound",
+                        counted("smax_upper_bound", bell.smax_upper_bound))
+    cli.main(["sweep-ghz", "--out", str(tmp_path / "ghz.csv")])
+    batches = [optimize.BATCH_ROWS] * 7 + [63 - 7 * optimize.BATCH_ROWS]
+    assert calls["eigvalsh"] == [(n, 12, 12) for n in batches]
+    assert calls["smax_upper_bound"] == [(n, 3, 3, 3) for n in batches]
