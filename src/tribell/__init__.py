@@ -20,15 +20,12 @@ from .qcore import (
     haar_local_unitary,
     haar_random_state,
     herm_eig,
-    partial_trace,
-    reduced_single,
     spin_observable,
     tensor3,
     w_state,
 )
 from .entanglement import (
     EntanglementProfile,
-    concurrence_bipartition,
     concurrence_two_qubit,
     entanglement_profile,
     entanglement_profiles,

@@ -13,6 +13,10 @@ operators of `bell_operators` are kept as the slow oracle, and the GHZ and
 W families also have closed forms.  The flattenings of the correlation
 tensor bound <S> over all settings (`smax_upper_bound`, of one tensor or
 a stack); on the GHZ family the bound is the closed-form maximum itself.
+A setting is one checked, read-only (6, 3) array of directions
+(`MeasurementSettings`), and a stack of them is checked at once; its
+named directions are UnitVectors for I/O.  The closed-form correlators
+read any three directions' angles through `qcore._angles`.
 scipy is imported on the first `smax_w` call, its only user, so no other
 path loads it.
 """
@@ -30,9 +34,9 @@ from .qcore import (
     PAULIS,
     UnitVector,
     ValidationError,
-    X_HAT,
-    Z_HAT,
     _amplitudes,
+    _angle_components,
+    _angles,
     _directions,
     expectation,
     spin_observable,
@@ -62,29 +66,58 @@ _SIGNS_BY_PARTY = np.stack([np.moveaxis(SVETLICHNY_SIGNS, r, 2)
                             for r in range(3)])
 
 
-@dataclass(frozen=True, slots=True)
 class MeasurementSettings:
-    """The six measurement directions (a, a', b, b', c, c')."""
+    """The six measurement directions (a, a', b, b', c, c') as one read-only
+    (6, 3) array of their Cartesian components, in that order.
 
-    a: UnitVector
-    a_prime: UnitVector
-    b: UnitVector
-    b_prime: UnitVector
-    c: UnitVector
-    c_prime: UnitVector
+    `settings_from_vectors` builds them from any (6, 3) array-like, or a
+    stack of them, which it copies and checks once by `qcore._directions`;
+    the constructor keeps such a checked read-only array as it is.
+    Equality and hash go by value.  The named directions are UnitVector
+    views of their rows, for I/O, built with no second check.
+    """
+
+    __slots__ = ("_vectors",)
+
+    def __init__(self, checked: np.ndarray):
+        """Settings of a read-only (6, 3) array that was checked."""
+        self._vectors = checked
 
     def vectors(self) -> np.ndarray:
-        """Cartesian stack of shape (6, 3) in the field order above."""
-        return np.array([(v.x, v.y, v.z) for v in (
-            self.a, self.a_prime, self.b, self.b_prime, self.c, self.c_prime)])
+        """The read-only (6, 3) array itself, not a copy."""
+        return self._vectors
+
+    a, a_prime, b, b_prime, c, c_prime = (property(
+        lambda self, k=k: UnitVector._checked(self._vectors[k].tolist()))
+        for k in range(6))
+
+    def __eq__(self, other):
+        return (isinstance(other, MeasurementSettings)
+                and self._vectors.tolist() == other._vectors.tolist())
+
+    def __hash__(self):
+        return hash(tuple(self._vectors.ravel().tolist()))
+
+    def __repr__(self):
+        return f"MeasurementSettings({self._vectors.tolist()})"
+
+    def __reduce__(self):
+        # A pickled or copied setting is rebuilt, checked and read-only.
+        return settings_from_vectors, (self._vectors,)
 
 
-def settings_from_vectors(vectors) -> MeasurementSettings:
-    """MeasurementSettings holding six Cartesian unit vectors exactly."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape != (6, 3):
+def settings_from_vectors(vectors):
+    """MeasurementSettings holding six Cartesian unit vectors exactly, from
+    a (6, 3) array-like, or a list of them from an (n, 6, 3) stack, whose
+    directions are checked once, as one stack."""
+    vectors = np.array(vectors, dtype=float)
+    if vectors.ndim not in (2, 3) or vectors.shape[-2:] != (6, 3):
         raise ValidationError("expected six 3-vectors")
-    return MeasurementSettings(*(UnitVector(*v) for v in vectors))
+    _directions(vectors)
+    vectors.setflags(write=False)
+    if vectors.ndim == 2:
+        return MeasurementSettings(vectors)
+    return [MeasurementSettings(row) for row in vectors]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,15 +137,14 @@ class SmaxReport:
 
 
 def _settings_vectors(ms) -> np.ndarray:
-    """The (6, 3) vectors of a MeasurementSettings, or an (..., 6, 3) stack
-    of settings vectors as given; their directions are checked where they
-    are read."""
+    """The (6, 3) array of a MeasurementSettings, checked when it was built,
+    or an (..., 6, 3) stack of settings vectors, checked here."""
     if isinstance(ms, MeasurementSettings):
         return ms.vectors()
     vectors = np.asarray(ms, dtype=float)
     if vectors.ndim < 2 or vectors.shape[-2:] != (6, 3):
         raise ValidationError("expected six 3-vectors")
-    return vectors
+    return _directions(vectors)
 
 
 def bell_operators(ms):
@@ -261,14 +293,16 @@ def svetlichny_value(s, ms):
     single case, so a stacked value equals the value alone.
     """
     vectors = _settings_vectors(ms)
-    if not isinstance(ms, MeasurementSettings):
-        # A MeasurementSettings' UnitVectors were checked when it was built.
-        vectors = _directions(vectors)
     t = correlation_tensor(s)
     if t.shape[:-3] != vectors.shape[:-2]:
         raise ValidationError("state and settings stacks differ in shape")
     parties = vectors.reshape(-1, 3, 2, 3).transpose(1, 2, 0, 3)
-    coeff = _party_coefficients(_tensor_views(t), parties, 0)
+    # Party 0's coefficients read party 2's block alone, as in
+    # `_party_coefficients`.  Party 2 is the last party, so its view alone,
+    # as a one-entry stack, is the slice [-1:] that `_block` reads.
+    view = t.reshape(-1, 3, 3, 3).transpose(3, 0, 1, 2)[None]
+    coeff = _contract(_block(view, parties, slice(-1, None))[0], parties[1],
+                      False)
     terms = (coeff * parties[0]).transpose(1, 0, 2).reshape(-1, 6)
     values = np.abs(np.sum(terms, axis=-1)).reshape(t.shape[:-3])
     return float(values) if values.ndim == 0 else values
@@ -290,13 +324,11 @@ def _ghz_closed_terms(p: GhzClassParams) -> Tuple[float, float]:
             sin_sq * math.sin(2.0 * p.theta3))
 
 
-def ghz_correlator_closed(p: GhzClassParams, a: UnitVector, d: UnitVector,
-                          c: UnitVector) -> float:
-    """Closed-form <A D C> for the GHZ-class family."""
+def ghz_correlator_closed(p: GhzClassParams, a, d, c) -> float:
+    """Closed-form <A D C> for the GHZ-class family, at any three
+    directions of three components each, such as UnitVectors or rows."""
     P, Q = _ghz_closed_terms(p)
-    ta, pa = a.polar, a.azimuth
-    td, pd = d.polar, d.azimuth
-    tc, pc = c.polar, c.azimuth
+    (ta, pa), (td, pd), (tc, pc) = _angles(*a), _angles(*d), _angles(*c)
     first = math.cos(ta) * math.cos(td) * (
         P * math.cos(tc) + Q * math.cos(pc) * math.sin(tc))
     second = math.sin(2.0 * p.theta) * math.sin(ta) * math.sin(td) * (
@@ -332,17 +364,16 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
     if _ghz_branches(profile.tau, profile.c12 ** 2)[0]:
         P, Q = _ghz_closed_terms(p)
         theta_c = math.atan2(Q, P)
-        c = UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
-        minus_z = UnitVector.from_angles(math.pi, 0.0)
-        return MeasurementSettings(a=Z_HAT, a_prime=Z_HAT, b=Z_HAT,
-                                   b_prime=minus_z, c=c, c_prime=c)
+        z = _angle_components(0.0, 0.0)
+        c = (math.sin(theta_c), 0.0, math.cos(theta_c))
+        return settings_from_vectors(
+            [z, z, z, _angle_components(math.pi, 0.0), c, c])
     theta_c = math.atan2(math.sqrt(2.0) * math.sin(p.theta3), math.cos(p.theta3))
-    minus_y = UnitVector.from_angles(math.pi / 2, 3.0 * math.pi / 2)
-    return MeasurementSettings(
-        a=X_HAT, a_prime=minus_y, b=X_HAT, b_prime=minus_y,
-        c=UnitVector.from_angles(theta_c, math.pi / 4),
-        c_prime=UnitVector.from_angles(theta_c, 2.0 * math.pi - math.pi / 4),
-    )
+    x = _angle_components(math.pi / 2, 0.0)
+    minus_y = _angle_components(math.pi / 2, 3.0 * math.pi / 2)
+    return settings_from_vectors([
+        x, minus_y, x, minus_y, _angle_components(theta_c, math.pi / 4),
+        _angle_components(theta_c, 2.0 * math.pi - math.pi / 4)])
 
 
 def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
@@ -364,12 +395,10 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
                           _ghz_params_from_profile(profile)))
 
 
-def w_correlator_closed(profile: EntanglementProfile, a: UnitVector,
-                        b: UnitVector, c: UnitVector) -> float:
-    """Closed-form <A B C> for a W-class profile."""
-    ta, pa = a.polar, a.azimuth
-    tb, pb = b.polar, b.azimuth
-    tc, pc = c.polar, c.azimuth
+def w_correlator_closed(profile: EntanglementProfile, a, b, c) -> float:
+    """Closed-form <A B C> for a W-class profile, at any three directions
+    of three components each, such as UnitVectors or rows."""
+    (ta, pa), (tb, pb), (tc, pc) = _angles(*a), _angles(*b), _angles(*c)
     return (
         math.cos(tb) * (
             -math.cos(ta) * math.cos(tc)
@@ -399,13 +428,16 @@ def w_reduced_value(profile: EntanglementProfile, tilde_a: float,
                  @ _w_weights(profile))
 
 
+def _w_angle_vectors(*tildes: float) -> np.ndarray:
+    """The (6, 3) vectors of `settings_from_w_angles`, unchecked."""
+    return np.array([(math.cos(tilde), 0.0, sign * math.sin(tilde))
+                     for tilde in tildes for sign in (1.0, -1.0)])
+
+
 def settings_from_w_angles(tilde_a: float, tilde_b: float,
                            tilde_c: float) -> MeasurementSettings:
     """Unprimed/primed directions at polar pi/2 -/+ theta-tilde, azimuth 0."""
-    def pair(tilde):
-        return (UnitVector(math.cos(tilde), 0.0, math.sin(tilde)),
-                UnitVector(math.cos(tilde), 0.0, -math.sin(tilde)))
-    return MeasurementSettings(*pair(tilde_a), *pair(tilde_b), *pair(tilde_c))
+    return settings_from_vectors(_w_angle_vectors(tilde_a, tilde_b, tilde_c))
 
 
 def minimize(*args, **kwargs):

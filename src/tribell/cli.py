@@ -22,14 +22,16 @@ import numpy as np
 from .qcore import (
     GhzClassParams,
     ThreeQubitPureState,
-    UnitVector,
     ValidationError,
     WClassParams,
+    _angle_components,
     _derived_seed,
+    _ghz_amplitudes,
+    _haar_amplitudes,
+    _w_amplitudes,
     expectation,
     ghz_state,
     haar_local_unitary,
-    haar_random_state,
     spin_observable,
     tensor3,
     w_state,
@@ -45,10 +47,11 @@ from .bell import (
     MeasurementSettings,
     SmaxReport,
     _ghz_branches,
+    _w_angle_vectors,
     bell_operators,
     ghz_correlator_closed,
     optimal_settings_ghz,
-    settings_from_w_angles,
+    settings_from_vectors,
     smax_ghz_closed,
     smax_w,
     svetlichny_value,
@@ -177,20 +180,22 @@ def _family_spec(family: str, values: Sequence[str]) -> StateSpec:
 
 
 def parse_settings_file(text: str) -> MeasurementSettings:
-    """Six lines 'name: polar azimuth' for a, a', b, b', c, c'."""
+    """Six lines 'name: polar azimuth' for a, a', b, b', c, c'; each pair
+    of angles is checked as `UnitVector.from_angles` checks it, and the six
+    directions once, as settings."""
     entries = _parse_keyvalue(text)
     _check_schema(entries, _SETTINGS_NAMES)
-    vectors = {}
+    vectors = []
     for name in _SETTINGS_NAMES:
         if name not in entries:
             raise ValidationError(f"settings file missing vector {name}")
         parts = entries[name].split()
         if len(parts) != 2:
             raise ValidationError(f"vector {name} needs 'polar azimuth'")
-        vectors[name] = UnitVector.from_angles(
+        vectors.append(_angle_components(
             parse_number(parts[0], f"{name} polar"),
-            parse_number(parts[1], f"{name} azimuth"))
-    return MeasurementSettings(**vectors)
+            parse_number(parts[1], f"{name} azimuth")))
+    return settings_from_vectors(vectors)
 
 
 def _read_input(path: str, what: str) -> str:
@@ -353,17 +358,20 @@ def _in_slices(cases: Iterable[tuple],
         yield from zip(batch, compute(batch))
 
 
-def _correlator_cases(rng: np.random.Generator, n: int, draw, closed, state):
-    """Closed correlator `closed(params, a, b, c)` vs. the 8x8 operator."""
+def _correlator_cases(rng: np.random.Generator, n: int, draw, closed, amps):
+    """Closed correlator `closed(params, a, b, c)` vs. the 8x8 operator of
+    the state of amplitudes `amps(params)`.  Each slice's directions and
+    amplitude vectors are checked once, as stacks, and each case yields its
+    three directions as component lists."""
     def direct(batch):
         params, dirs = zip(*batch)
         ops = np.moveaxis(spin_observable(np.stack(dirs)), -3, 0)
-        return expectation(np.stack([state(p).amplitudes for p in params]),
+        return expectation(np.stack([amps(p) for p in params]),
                            tensor3(*ops)).tolist()
 
     draws = ((draw(rng), _random_directions(rng, 3)) for _ in range(n))
     for (params, dirs), value in _in_slices(draws, direct):
-        a, b, c = (UnitVector(*v) for v in dirs)
+        a, b, c = dirs.tolist()
         yield abs(closed(params, a, b, c) - value), params, a, b, c
 
 
@@ -371,8 +379,8 @@ def _w_reduced_cases(rng: np.random.Generator, n: int):
     def direct(batch):
         params, tildes = zip(*batch)
         s_op = bell_operators(np.stack([
-            settings_from_w_angles(*tilde).vectors() for tilde in tildes]))[0]
-        return expectation(np.stack([w_state(p).amplitudes for p in params]),
+            _w_angle_vectors(*tilde) for tilde in tildes]))[0]
+        return expectation(np.stack([_w_amplitudes(p) for p in params]),
                            s_op).tolist()
 
     draws = ((_random_w_params(rng), rng.uniform(0.0, math.pi, size=3))
@@ -388,7 +396,7 @@ def _tensor_vs_direct_cases(rng: np.random.Generator, n: int):
         return np.abs(svetlichny_value(amps, vectors)
                       - svetlichny_value_direct(amps, vectors)).tolist()
 
-    draws = ((haar_random_state(rng).amplitudes, _random_directions(rng, 6))
+    draws = ((_haar_amplitudes(rng), _random_directions(rng, 6))
              for _ in range(n))
     for k, (_, error) in enumerate(_in_slices(draws, errors)):
         yield error, k
@@ -399,14 +407,14 @@ def _monogamy_cases(rng: np.random.Generator, rotations: np.random.Generator,
     """A Haar residual must not be negative; a W-class residual must vanish
     in any local basis, here one drawn from `rotations` for each W state.
 
-    The draws stream through `entanglement_profiles`, all Haar states
-    first, so at most one of its slices is alive."""
-    def w_rotated() -> ThreeQubitPureState:
-        w = w_state(_random_w_params(rng)).amplitudes
-        return ThreeQubitPureState(haar_local_unitary(rotations) @ w)
+    The draws stream through `entanglement_profiles` as amplitude vectors,
+    all Haar states first, so at most one of its slices is alive."""
+    def w_rotated() -> np.ndarray:
+        return haar_local_unitary(rotations) @ _w_amplitudes(
+            _random_w_params(rng))
 
     for kind, n, draw, error in (
-            ("haar", n_haar, lambda: haar_random_state(rng), lambda r: -r),
+            ("haar", n_haar, lambda: _haar_amplitudes(rng), lambda r: -r),
             ("w", n_w, w_rotated, abs)):
         draws = (draw() for _ in range(n))
         for k, profile in enumerate(entanglement_profiles(draws)):
@@ -423,7 +431,7 @@ def _branch_continuity_cases(n: int):
 
 def _mermin_factor_cases(n_side: int):
     def errors(params):
-        amps = np.stack([ghz_state(p).amplitudes for p in params])
+        amps = np.stack([_ghz_amplitudes(p) for p in params])
         s_op, m_op, _ = bell_operators(np.stack([
             optimal_settings_ghz(p).vectors() for p in params]))
         return np.abs(expectation(amps, s_op)
@@ -461,12 +469,12 @@ def verification_battery(seed: int = 0) -> List[SuiteResult]:
 
     return [
         _worst_case("eq12-oracle", 1e-10, _correlator_cases(
-            rng, 1000, _random_ghz_params, ghz_correlator_closed, ghz_state),
-            correlator),
+            rng, 1000, _random_ghz_params, ghz_correlator_closed,
+            _ghz_amplitudes), correlator),
         _worst_case("eq24-oracle", 1e-10, _correlator_cases(
             rng, 1000, _random_w_params,
             lambda p, *dirs: w_correlator_closed(w_profile_closed(p), *dirs),
-            w_state), correlator),
+            _w_amplitudes), correlator),
         _worst_case("w-reduced-oracle", 1e-9, _w_reduced_cases(rng, 500),
                     lambda p, tilde: f"params={p} tilde={tilde.tolist()}"),
         _worst_case("tensor-vs-direct", 1e-10,

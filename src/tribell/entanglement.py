@@ -1,9 +1,9 @@
 """Entanglement measures for three-qubit pure states.
 
-Implements the Wootters concurrence of two-qubit reduced states, the
-bipartite concurrence across a 1-vs-2 cut, the three-tangle and the
-monogamy residual, together with the closed-form profiles of the
-GHZ-class and W-class families.
+Implements the Wootters concurrence of two-qubit reduced states, and a
+state's profile: the concurrence across each 1-vs-2 cut, the three-tangle
+and the monogamy residual beside the pairwise concurrences, together with
+the closed-form profiles of the GHZ-class and W-class families.
 
 The concurrence takes two Hermitian solves: one factors rho = F F+, and
 one reads Wootters' lambdas as the singular values of F^T (sy x sy) F,
@@ -25,6 +25,7 @@ from .qcore import (
     ThreeQubitPureState,
     ValidationError,
     WClassParams,
+    _amplitudes,
     _reduced,
     herm_eig,
 )
@@ -118,16 +119,6 @@ def _cut_concurrences(amplitudes: np.ndarray, solo: int) -> list:
             for purity in purities.tolist()]
 
 
-def concurrence_bipartition(s: ThreeQubitPureState, solo: int) -> float:
-    """Concurrence across the cut separating `solo` from the other two.
-
-    For a pure state this is sqrt(2 (1 - tr rho_solo^2)).
-    """
-    if solo not in (1, 2, 3):
-        raise ValidationError(f"qubit label must be 1, 2 or 3, got {solo}")
-    return _cut_concurrences(s.amplitudes[None], solo)[0]
-
-
 def _profile(c12: float, c23: float, c31: float, c1_23: float,
              c2_13: float, c3_12: float) -> EntanglementProfile:
     taus = (
@@ -146,21 +137,26 @@ def _profile(c12: float, c23: float, c31: float, c1_23: float,
     )
 
 
-def entanglement_profiles(states: Iterable[ThreeQubitPureState]
-                          ) -> Iterator[EntanglementProfile]:
+def entanglement_profiles(states: Iterable) -> Iterator[EntanglementProfile]:
     """Full entanglement profiles, with a permutation-consistency check on tau.
 
-    `states` may be any iterable, a generator included: it is drawn
-    PROFILE_SLICE states at a time, and each slice's profiles are yielded
-    before the next slice is drawn.  A slice's reduced states are formed
-    with one einsum per pair or qubit and go through the concurrence as
-    one stack, so the memory stays bounded for any number of states.
-    Each tangle is recomputed from all three solo choices; a spread above
-    1e-8 between them signals a numerical failure and raises.
+    `states` may be any iterable, a generator included, of states or of
+    amplitude vectors: it is drawn PROFILE_SLICE items at a time, each
+    slice's amplitudes are checked once, as one stack (`qcore._amplitudes`),
+    and its profiles are yielded before the next slice is drawn.  A slice's
+    reduced states are formed with one einsum per pair or qubit and go
+    through the concurrence as one stack, so the memory stays bounded for
+    any number of states.  Each tangle is recomputed from all three solo
+    choices; a spread above 1e-8 between them signals a numerical failure
+    and raises.
     """
     states = iter(states)
     while batch := list(itertools.islice(states, PROFILE_SLICE)):
-        amplitudes = np.stack([s.amplitudes for s in batch])
+        # A state's amplitudes, or an item that is an amplitude vector.
+        amplitudes = _amplitudes(np.stack(
+            [getattr(s, "amplitudes", s) for s in batch]))
+        if amplitudes.ndim != 2:
+            raise ValidationError("each item needs exactly 8 amplitudes")
         pairs = [concurrence_two_qubit(_reduced(amplitudes, keep)).tolist()
                  for keep in ((1, 2), (2, 3), (1, 3))]
         cuts = [_cut_concurrences(amplitudes, solo) for solo in (1, 2, 3)]

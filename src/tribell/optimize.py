@@ -53,8 +53,8 @@ from .qcore import (
     ValidationError,
     WClassParams,
     _derived_seed,
-    ghz_state,
-    w_state,
+    _ghz_amplitudes,
+    _w_amplitudes,
 )
 from .bell import (
     MeasurementSettings,
@@ -394,7 +394,8 @@ def _results(tensors: np.ndarray, bounds: np.ndarray, parties: np.ndarray,
     starts are certified at its bound, the best of those is reported: a
     start still moving may sit a few ulps higher, uncertified.  The
     certificates at the reported settings are read for the whole batch in
-    one block pass and one stacked Hessian eigensolve.
+    one block pass and one stacked Hessian eigensolve, and the settings are
+    checked as one stack.
     """
     rows = len(bounds)
     magnitude = np.abs(value).reshape(rows, -1)
@@ -411,10 +412,11 @@ def _results(tensors: np.ndarray, bounds: np.ndarray, parties: np.ndarray,
     hessian = _hessian(blocks, reported, _gradients(blocks, reported),
                        _tangent_bases(reported))
     nsd = np.linalg.eigvalsh(hessian)[:, -1] <= _NSD_TOL
-    vectors = reported.transpose(2, 0, 1, 3).reshape(rows, 6, 3)
+    settings = settings_from_vectors(
+        reported.transpose(2, 0, 1, 3).reshape(rows, 6, 3))
     return [OptimizationResult(
         best_value=abs(float(value[k])),
-        best_settings=settings_from_vectors(vectors[i]),
+        best_settings=settings[i],
         iterations_used=int(steps[i]),
         converged=bool(residual[k] <= CONVERGENCE_TOL),
         residual=float(residual[k]),
@@ -458,7 +460,8 @@ def _maximize_rows(tensors: np.ndarray, seeds: Sequence[int],
 def multistart_maximize(s: ThreeQubitPureState, seed: int,
                         n_starts: int = N_STARTS) -> OptimizationResult:
     """Best of n_starts certified ascents from settings drawn with seed:
-    the batched ascent on a batch of one row."""
+    the batched ascent on a batch of one row.  `s` is a state or its
+    amplitude vector."""
     if n_starts < 1:
         raise ValidationError("n_starts must be at least 1")
     return _maximize_rows(correlation_tensor(s)[None], [seed], n_starts)[0]
@@ -504,8 +507,9 @@ def _verification_rows(points: Sequence[tuple], first: int,
     """Closed value vs. certified numeric maximum at a batch of grid
     points, rows first, first + 1, ... of a grid.
 
-    Each point is its (params, state, profile, closed-form report,
-    settings).  A row whose settings meet the certificate at the bound
+    Each point is its (params, amplitude vector, profile, closed-form
+    report, settings); the batch's amplitudes are checked once, as one
+    stack.  A row whose settings meet the certificate at the bound
     takes its value there, with no ascent; the other rows, including every
     row without settings, run one batched multistart ascent.  A
     numeric-below flag is retried by itself with four times the starts
@@ -513,8 +517,7 @@ def _verification_rows(points: Sequence[tuple], first: int,
     """
     # A row's own seed keeps its result independent of the rows around it.
     seeds = [_derived_seed(seed, first + i) for i in range(len(points))]
-    tensors = correlation_tensor(
-        np.stack([point[1].amplitudes for point in points]))
+    tensors = correlation_tensor(np.stack([point[1] for point in points]))
     results = _certified_at_settings(tensors, [point[4] for point in points])
     ascend = [i for i, result in enumerate(results) if result is None]
     if ascend:
@@ -552,7 +555,7 @@ def _verify_grid(point, grid: Sequence[tuple], seed: int) -> list:
 def _ghz_point(theta: float, theta3: float) -> tuple:
     params = GhzClassParams(float(theta), float(theta3))
     profile = ghz_profile_closed(params)
-    return ((params.theta, params.theta3), ghz_state(params), profile,
+    return ((params.theta, params.theta3), _ghz_amplitudes(params), profile,
             smax_ghz_closed(profile), optimal_settings_ghz(params))
 
 
@@ -640,7 +643,7 @@ def _w_point(c12: float, sum_c: float) -> tuple:
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
     # The upper bound is loose on W states, so no settings are tried.
-    return ((profile.c12, profile.c23, profile.c31), w_state(params),
+    return ((profile.c12, profile.c23, profile.c31), _w_amplitudes(params),
             profile, smax_w(profile), None)
 
 

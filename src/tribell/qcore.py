@@ -3,7 +3,10 @@
 States are length-8 complex vectors indexed by the basis label b1 b2 b3 with
 qubit 1 as the leftmost bit (index = 4*b1 + 2*b2 + b3).  A measurement
 direction is a unit vector stored as its Cartesian components; its polar
-and azimuth angles are derived for I/O and the closed forms.  Observables
+and azimuth angles are derived for I/O and the closed forms, by one scalar
+helper (`_angles`) that reads any three components.  A UnitVector is the
+I/O view of one direction: measurement settings keep their six directions
+as one checked (6, 3) array (`bell.MeasurementSettings`).  Observables
 are spin projections n.sigma, and all matrices stay at most 8x8; the
 Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
@@ -67,12 +70,74 @@ class WClassParams:
             raise ValidationError(f"alpha^2+beta^2+gamma^2 = {norm_sq}, not 1")
 
 
+def _angles(x: float, y: float, z: float) -> tuple:
+    """Polar angle in [0, pi] and azimuth in [0, 2 pi) of a direction's
+    components, by math.atan2, which keeps the polar angle accurate at the
+    poles (numpy's arctan2 rounds differently)."""
+    azimuth = math.atan2(y, x) % (2 * math.pi)
+    # The modulo rounds a tiny negative angle up to exactly 2 pi.
+    return (math.atan2(math.hypot(x, y), z),
+            azimuth if azimuth < 2 * math.pi else 0.0)
+
+
+def _angle_components(polar: float, azimuth: float) -> tuple:
+    """The Cartesian components of the direction at polar angle in [0, pi]
+    and azimuth, in radians; the angles are checked, the norm is not."""
+    if not (math.isfinite(polar) and math.isfinite(azimuth)):
+        raise ValidationError("angles must be finite")
+    if not -1e-12 <= polar <= math.pi + 1e-12:
+        raise ValidationError(f"polar={polar} outside [0, pi]")
+    st = math.sin(polar)
+    return st * math.cos(azimuth), st * math.sin(azimuth), math.cos(polar)
+
+
+def _amplitudes(s) -> np.ndarray:
+    """The amplitudes of a state, or an (..., 8) stack of amplitude vectors
+    after the one check of amplitudes, which ThreeQubitPureState also
+    makes: finite and of unit norm within NORM_TOL."""
+    if isinstance(s, ThreeQubitPureState):
+        return s.amplitudes
+    amps = np.asarray(s, dtype=complex)
+    if amps.ndim < 1 or amps.shape[-1] != 8:
+        raise ValidationError("state needs exactly 8 amplitudes")
+    norm_sq = np.einsum("...i,...i->...", amps.conj(), amps).real
+    off = np.abs(norm_sq - 1.0)
+    # A non-finite amplitude makes its norm non-finite, so it fails here.
+    if not np.all(off <= NORM_TOL):
+        if not np.isfinite(amps).all():
+            raise ValidationError("amplitudes must be finite")
+        raise ValidationError(
+            f"squared norm {norm_sq.flat[np.argmax(off)]} deviates from 1")
+    return amps
+
+
+def _directions(n) -> np.ndarray:
+    """The components of a UnitVector, or an (..., 3) stack of directions
+    after the one check of directions, which UnitVector also makes: finite
+    and of unit norm within NORM_TOL."""
+    if isinstance(n, UnitVector):
+        return n.cartesian
+    n = np.asarray(n, dtype=float)
+    if n.ndim < 1 or n.shape[-1] != 3:
+        raise ValidationError("expected directions of shape (..., 3)")
+    norm = np.sqrt(np.einsum("...i,...i->...", n, n))
+    off = np.abs(norm - 1.0)
+    # A non-finite component makes its norm non-finite, so it fails here.
+    if not np.all(off <= NORM_TOL):
+        if not np.isfinite(n).all():
+            raise ValidationError("components must be finite")
+        raise ValidationError(
+            f"direction has norm {norm.flat[np.argmax(off)]}, not 1")
+    return n
+
+
 @dataclass(frozen=True, slots=True)
 class UnitVector:
     """Measurement direction stored as its Cartesian components (x, y, z).
 
     The components are kept exactly as given, so a direction that an
     optimizer reached comes back bit for bit; the angles are derived.
+    Iterating gives the components.
     """
 
     x: float
@@ -80,14 +145,22 @@ class UnitVector:
     z: float
 
     def __post_init__(self):
-        components = tuple(float(c) for c in (self.x, self.y, self.z))
-        if not all(math.isfinite(c) for c in components):
-            raise ValidationError("components must be finite")
-        norm = math.hypot(*components)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"direction has norm {norm}, not 1")
+        # The one check of directions, on a stack of one.
+        components = _directions([self.x, self.y, self.z]).tolist()
         for name, value in zip("xyz", components):
             object.__setattr__(self, name, value)
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
+
+    @classmethod
+    def _checked(cls, components) -> "UnitVector":
+        """The direction of float components that were already checked,
+        such as a row of a checked stack, with no second check."""
+        n = object.__new__(cls)
+        for name, value in zip("xyz", components):
+            object.__setattr__(n, name, value)
+        return n
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -95,25 +168,17 @@ class UnitVector:
 
     @property
     def polar(self) -> float:
-        """Angle from +z in [0, pi]; atan2 keeps it accurate at the poles."""
-        return math.atan2(math.hypot(self.x, self.y), self.z)
+        """Angle from +z in [0, pi]."""
+        return _angles(*self)[0]
 
     @property
     def azimuth(self) -> float:
-        azimuth = math.atan2(self.y, self.x) % (2 * math.pi)
-        # The modulo rounds a tiny negative angle up to exactly 2 pi.
-        return azimuth if azimuth < 2 * math.pi else 0.0
+        return _angles(*self)[1]
 
     @classmethod
     def from_angles(cls, polar: float, azimuth: float) -> "UnitVector":
         """The direction at polar angle in [0, pi] and azimuth, in radians."""
-        if not (math.isfinite(polar) and math.isfinite(azimuth)):
-            raise ValidationError("angles must be finite")
-        if not -1e-12 <= polar <= math.pi + 1e-12:
-            raise ValidationError(f"polar={polar} outside [0, pi]")
-        st = math.sin(polar)
-        return cls(st * math.cos(azimuth), st * math.sin(azimuth),
-                   math.cos(polar))
+        return cls(*_angle_components(polar, azimuth))
 
 
 X_HAT = UnitVector.from_angles(math.pi / 2, 0.0)
@@ -129,40 +194,47 @@ class ThreeQubitPureState:
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (8,):
             raise ValidationError("state needs exactly 8 amplitudes")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValidationError("amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(f"squared norm {norm_sq} deviates from 1")
-        object.__setattr__(self, "amplitudes", amps)
+        # The one check of amplitudes, on a stack of one.
+        object.__setattr__(self, "amplitudes", _amplitudes(amps))
         amps.setflags(write=False)
 
     def __repr__(self):
         return f"ThreeQubitPureState({self.amplitudes.tolist()})"
 
 
+def _ghz_amplitudes(p: GhzClassParams) -> np.ndarray:
+    """The amplitudes of `ghz_state(p)`, unchecked."""
+    sin = math.sin(p.theta)
+    return np.array([math.cos(p.theta), 0.0, 0.0, 0.0, 0.0, 0.0,
+                     sin * math.cos(p.theta3), sin * math.sin(p.theta3)],
+                    dtype=complex)
+
+
 def ghz_state(p: GhzClassParams) -> ThreeQubitPureState:
     """cos(theta)|000> + sin(theta)cos(theta3)|110> + sin(theta)sin(theta3)|111>."""
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = math.cos(p.theta)
-    amps[6] = math.sin(p.theta) * math.cos(p.theta3)
-    amps[7] = math.sin(p.theta) * math.sin(p.theta3)
-    return ThreeQubitPureState(amps)
+    return ThreeQubitPureState(_ghz_amplitudes(p))
+
+
+def _w_amplitudes(p: WClassParams) -> np.ndarray:
+    """The amplitudes of `w_state(p)`, unchecked."""
+    return np.array([0.0, p.alpha, p.beta, 0.0, p.gamma, 0.0, 0.0, 0.0],
+                    dtype=complex)
 
 
 def w_state(p: WClassParams) -> ThreeQubitPureState:
     """alpha|001> + beta|010> + gamma|100>."""
-    amps = np.zeros(8, dtype=complex)
-    amps[1] = p.alpha
-    amps[2] = p.beta
-    amps[4] = p.gamma
-    return ThreeQubitPureState(amps)
+    return ThreeQubitPureState(_w_amplitudes(p))
+
+
+def _haar_amplitudes(rng: np.random.Generator) -> np.ndarray:
+    """The amplitudes of `haar_random_state(rng)`, from the same draws."""
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return z / np.linalg.norm(z)
 
 
 def haar_random_state(rng: np.random.Generator) -> ThreeQubitPureState:
     """Uniform pure state: 8 complex standard normals, then normalized."""
-    z = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return ThreeQubitPureState(z / np.linalg.norm(z))
+    return ThreeQubitPureState(_haar_amplitudes(rng))
 
 
 def haar_local_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -176,44 +248,6 @@ def haar_local_unitary(rng: np.random.Generator) -> np.ndarray:
 def _derived_seed(seed: int, index: int) -> int:
     """Seed of the index-th independent stream derived from `seed`."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
-def _amplitudes(s) -> np.ndarray:
-    """The amplitudes of a state, or an (..., 8) stack of amplitude vectors
-    checked as ThreeQubitPureState checks one: finite and of unit norm
-    within NORM_TOL."""
-    if isinstance(s, ThreeQubitPureState):
-        return s.amplitudes
-    amps = np.asarray(s, dtype=complex)
-    if amps.ndim < 1 or amps.shape[-1] != 8:
-        raise ValidationError("state needs exactly 8 amplitudes")
-    if not np.isfinite(amps).all():
-        raise ValidationError("amplitudes must be finite")
-    norm_sq = np.einsum("...i,...i->...", amps.conj(), amps).real
-    off = np.abs(norm_sq - 1.0)
-    if not np.all(off <= NORM_TOL):
-        raise ValidationError(
-            f"squared norm {norm_sq.flat[np.argmax(off)]} deviates from 1")
-    return amps
-
-
-def _directions(n) -> np.ndarray:
-    """The components of a UnitVector, or an (..., 3) stack of directions
-    checked as UnitVector checks one: finite and of unit norm within
-    NORM_TOL."""
-    if isinstance(n, UnitVector):
-        return n.cartesian
-    n = np.asarray(n, dtype=float)
-    if n.ndim < 1 or n.shape[-1] != 3:
-        raise ValidationError("expected directions of shape (..., 3)")
-    if not np.isfinite(n).all():
-        raise ValidationError("components must be finite")
-    norm = np.sqrt(np.einsum("...i,...i->...", n, n))
-    off = np.abs(norm - 1.0)
-    if not np.all(off <= NORM_TOL):
-        raise ValidationError(
-            f"direction has norm {norm.flat[np.argmax(off)]}, not 1")
-    return n
 
 
 def spin_observable(n) -> np.ndarray:
@@ -270,25 +304,12 @@ _KEEP = {
 def _reduced(amplitudes: np.ndarray, keep: tuple) -> np.ndarray:
     """Reduced density matrices of the qubits `keep` (ascending labels, a
     key of _KEEP) for amplitude vectors of shape (..., 8)."""
+    if keep not in _KEEP:
+        raise ValidationError(f"keep must be a key of _KEEP, got {keep}")
     psi = amplitudes.reshape(amplitudes.shape[:-1] + (2, 2, 2))
     dim = 2 ** len(keep)
     return np.einsum(_KEEP[keep], psi, psi.conj()).reshape(
         amplitudes.shape[:-1] + (dim, dim))
-
-
-def partial_trace(s: ThreeQubitPureState, keep) -> np.ndarray:
-    """Reduced 4x4 density matrix of the retained qubit pair (labels ascending)."""
-    keep = tuple(sorted(keep))
-    if len(keep) != 2 or keep not in _KEEP:
-        raise ValidationError(f"keep must be one of (1,2),(2,3),(1,3), got {keep}")
-    return _reduced(s.amplitudes, keep)
-
-
-def reduced_single(s: ThreeQubitPureState, qubit: int) -> np.ndarray:
-    """2x2 reduced density matrix of one qubit."""
-    if qubit not in (1, 2, 3):
-        raise ValidationError(f"qubit label must be 1, 2 or 3, got {qubit}")
-    return _reduced(s.amplitudes, (qubit,))
 
 
 def herm_eig(m: np.ndarray):

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +64,168 @@ def test_settings_from_vectors_rejects_bad_input():
         bell.settings_from_vectors(2.0 * np.ones((6, 3)))
 
 
+_SETTINGS_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
+
+
+@pytest.mark.parametrize("position", [0, 4, 8])
+def test_a_settings_stack_with_a_bad_row_at_any_position_is_rejected(
+        position):
+    vectors = optimize._random_directions(np.random.default_rng(70), (9, 6))
+    assert len(bell.settings_from_vectors(vectors)) == 9
+    for row in (0, 3, 5):
+        for bad, match in ((math.nan, "must be finite"),
+                           (math.inf, "must be finite"),
+                           (vectors[position, row, 1] + 1e-6, "has norm")):
+            broken = vectors.copy()
+            broken[position, row, 1] = bad
+            with pytest.raises(qcore.ValidationError, match=match):
+                bell.settings_from_vectors(broken)
+            with pytest.raises(qcore.ValidationError, match=match):
+                bell.settings_from_vectors(broken[position])
+    for shape in ((9, 5, 3), (9, 6, 2), (2, 9, 6, 3), (18,)):
+        with pytest.raises(qcore.ValidationError, match="six 3-vectors"):
+            bell.settings_from_vectors(np.ones(shape))
+
+
+def test_settings_hold_one_read_only_copy_of_their_array():
+    vectors = optimize._random_directions(np.random.default_rng(71), (4, 6))
+    given = vectors.copy()
+    stacked = bell.settings_from_vectors(given)
+    alone = [bell.settings_from_vectors(v) for v in given]
+    given[:] = 0.0
+    for ms in stacked + alone:
+        array = ms.vectors()
+        assert array.shape == (6, 3) and array.dtype == float
+        assert not array.flags.writeable
+        assert ms.vectors() is array
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    for ms, one, v in zip(stacked, alone, vectors):
+        assert ms.vectors().tobytes() == one.vectors().tobytes() == (
+            v.tobytes())
+
+
+def test_pickled_and_copied_settings_stay_checked_and_read_only():
+    vectors = optimize._random_directions(np.random.default_rng(77), (3, 6))
+    for ms in bell.settings_from_vectors(vectors):
+        for again in (pickle.loads(pickle.dumps(ms)), copy.deepcopy(ms),
+                      copy.copy(ms)):
+            assert type(again) is bell.MeasurementSettings and again == ms
+            assert again.vectors().shape == (6, 3)
+            assert not again.vectors().flags.writeable
+
+
+def test_settings_compare_and_hash_by_value():
+    vectors = optimize._random_directions(np.random.default_rng(72), 6)
+    ms = bell.settings_from_vectors(vectors)
+    same = bell.settings_from_vectors(vectors.tolist())
+    assert ms is not same and ms == same and hash(ms) == hash(same)
+    assert ms == bell.settings_from_vectors(vectors[None])[0]
+    assert len({ms, same}) == 1
+    flipped = vectors.copy()
+    flipped[5] = -flipped[5]
+    assert ms != bell.settings_from_vectors(flipped)
+    assert ms != "settings" and ms != tuple(map(tuple, vectors))
+    # By value, as the six UnitVectors were: -0.0 equals 0.0.
+    x_z = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] * 3)
+    negated_zeros = np.where(x_z == 0.0, -0.0, x_z)
+    assert bell.settings_from_vectors(x_z) == bell.settings_from_vectors(
+        negated_zeros)
+    assert hash(bell.settings_from_vectors(x_z)) == hash(
+        bell.settings_from_vectors(negated_zeros))
+
+
+def _components(direction):
+    return np.array([direction.x, direction.y, direction.z]).tobytes()
+
+
+def test_each_named_direction_is_the_unit_vector_of_its_row():
+    rng = np.random.default_rng(73)
+    vectors = optimize._random_directions(rng, (20, 6))
+    vectors[0] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0],
+                  [1.0, -0.0, 0.0], [0.6, 0.0, -0.8], [0.0, -1.0, 0.0]]
+    for ms, rows in zip(bell.settings_from_vectors(vectors), vectors):
+        for name, row in zip(_SETTINGS_NAMES, rows):
+            direction = getattr(ms, name)
+            assert type(direction) is qcore.UnitVector
+            assert all(type(v) is float for v in direction)
+            assert _components(direction) == _components(
+                qcore.UnitVector(*row))
+            assert direction == qcore.UnitVector(*row)
+            assert (direction.polar, direction.azimuth) == (
+                qcore.UnitVector(*row).polar, qcore.UnitVector(*row).azimuth)
+            with pytest.raises(AttributeError):
+                setattr(ms, name, direction)
+
+
+def _unit_vector_from_angles(polar, azimuth):
+    """UnitVector.from_angles as it was written before the settings became
+    one array: its own scalar arithmetic, then the checked constructor."""
+    st = math.sin(polar)
+    return qcore.UnitVector(st * math.cos(azimuth), st * math.sin(azimuth),
+                            math.cos(polar))
+
+
+def _unit_vector_settings_ghz(p):
+    """The UnitVector-built `optimal_settings_ghz`, as a (6, 3) array."""
+    profile = entanglement.ghz_profile_closed(p)
+    x_hat = _unit_vector_from_angles(math.pi / 2, 0.0)
+    z_hat = _unit_vector_from_angles(0.0, 0.0)
+    if bell._ghz_branches(profile.tau, profile.c12 ** 2)[0]:
+        P, Q = bell._ghz_closed_terms(p)
+        theta_c = math.atan2(Q, P)
+        c = qcore.UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
+        minus_z = _unit_vector_from_angles(math.pi, 0.0)
+        directions = (z_hat, z_hat, z_hat, minus_z, c, c)
+    else:
+        theta_c = math.atan2(math.sqrt(2.0) * math.sin(p.theta3),
+                             math.cos(p.theta3))
+        minus_y = _unit_vector_from_angles(math.pi / 2, 3.0 * math.pi / 2)
+        directions = (x_hat, minus_y, x_hat, minus_y,
+                      _unit_vector_from_angles(theta_c, math.pi / 4),
+                      _unit_vector_from_angles(theta_c,
+                                               2.0 * math.pi - math.pi / 4))
+    return np.array([(v.x, v.y, v.z) for v in directions])
+
+
+def _unit_vector_settings_w(tilde_a, tilde_b, tilde_c):
+    """The UnitVector-built `settings_from_w_angles`, as a (6, 3) array."""
+    directions = []
+    for tilde in (tilde_a, tilde_b, tilde_c):
+        directions += [qcore.UnitVector(math.cos(tilde), 0.0, math.sin(tilde)),
+                       qcore.UnitVector(math.cos(tilde), 0.0,
+                                        -math.sin(tilde))]
+    return np.array([(v.x, v.y, v.z) for v in directions])
+
+
+def test_optimal_settings_ghz_match_the_unit_vector_built_settings():
+    rng = np.random.default_rng(74)
+    grid = np.linspace(0.0, math.pi / 2, 21).tolist()
+    points = [(theta, theta3) for theta in grid for theta3 in grid]
+    points += [tuple(rng.uniform(0.0, math.pi / 2, size=2))
+               for _ in range(300)]
+    branches = set()
+    for theta, theta3 in points:
+        p = qcore.GhzClassParams(theta, theta3)
+        profile = entanglement.ghz_profile_closed(p)
+        branches.add(bell._ghz_branches(profile.tau, profile.c12 ** 2)[0])
+        vectors = bell.optimal_settings_ghz(p).vectors()
+        assert vectors.tobytes() == _unit_vector_settings_ghz(p).tobytes()
+    assert branches == {True, False}
+    # -z keeps the x component that sin(pi) leaves.
+    low = bell.optimal_settings_ghz(qcore.GhzClassParams(0.1, 0.0))
+    assert low.b_prime.x == math.sin(math.pi) > 0.0 and low.b_prime.z == -1.0
+
+
+def test_settings_from_w_angles_match_the_unit_vector_built_settings():
+    rng = np.random.default_rng(75)
+    tildes = [tuple(rng.uniform(0.0, math.pi, size=3)) for _ in range(300)]
+    tildes += [(0.0, math.pi / 2, math.pi), (W_SYM_TILT,) * 3]
+    for tilde in tildes:
+        vectors = bell.settings_from_w_angles(*tilde).vectors()
+        assert vectors.tobytes() == _unit_vector_settings_w(*tilde).tobytes()
+
+
 def test_bell_operators_structure():
     rng = np.random.default_rng(9)
     for _ in range(30):
@@ -113,7 +277,7 @@ def test_correlation_tensor_matches_expectation():
 
 
 def test_svetlichny_value_examples():
-    all_z = bell.MeasurementSettings(*([qcore.Z_HAT] * 6))
+    all_z = bell.settings_from_vectors([tuple(qcore.Z_HAT)] * 6)
     product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert bell.svetlichny_value(product, all_z) == pytest.approx(0.0,
                                                                   abs=1e-12)
@@ -170,6 +334,36 @@ def test_stacked_operators_tensors_and_values_equal_each_alone(shape):
         assert np.array_equal(tensors[index], bell.correlation_tensor(state))
         assert values[index] == bell.svetlichny_value(state, ms)
         assert direct[index] == bell.svetlichny_value_direct(state, ms)
+
+
+def _value_from_all_three_views(amps, vectors):
+    """svetlichny_value as it was written with all three tensor views."""
+    t = bell.correlation_tensor(amps)
+    parties = np.reshape(vectors, (-1, 3, 2, 3)).transpose(1, 2, 0, 3)
+    coeff = bell._party_coefficients(bell._tensor_views(t), parties, 0)
+    terms = (coeff * parties[0]).transpose(1, 0, 2).reshape(-1, 6)
+    return np.abs(np.sum(terms, axis=-1)).reshape(t.shape[:-3])
+
+
+def test_svetlichny_value_reads_one_view_bit_for_bit():
+    rng = np.random.default_rng(76)
+    amps, vectors = _stacks(rng, (30,))
+    ghz_params = [qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, 2))
+                  for _ in range(10)]
+    amps = np.concatenate([amps, [qcore.ghz_state(p).amplitudes
+                                  for p in ghz_params]])
+    # Optimal GHZ settings have exact zeros, whose signs the fold keeps.
+    vectors = np.concatenate([vectors, [
+        bell.optimal_settings_ghz(p).vectors() for p in ghz_params]])
+    stacked = bell.svetlichny_value(amps, vectors)
+    assert stacked.tobytes() == _value_from_all_three_views(
+        amps, vectors).tobytes()
+    for a, v in zip(amps, vectors):
+        for ms in (v, bell.settings_from_vectors(v)):
+            value = bell.svetlichny_value(a, ms)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == _value_from_all_three_views(
+                a, v).tobytes()
 
 
 def test_a_settings_stack_with_one_bad_entry_is_rejected():

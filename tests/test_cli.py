@@ -660,16 +660,18 @@ def test_an_m_spectrum_above_4_fails_the_ceiling_suite(monkeypatch):
 
 
 
-# The operator suites' cases as they were computed one at a time, from
-# single-input calls: the stacked suites must give the same stream.
-def _correlator_cases_alone(rng, n, draw, closed, state):
+# The stacked suites' cases as they were computed one at a time, from
+# single-input calls on checked states and directions: the stacked suites
+# must give the same stream.
+def _correlator_cases_alone(rng, n, draw, closed, amplitudes):
     for _ in range(n):
         params = draw(rng)
         a, b, c = (qcore.UnitVector(*v)
                    for v in optimize._random_directions(rng, 3))
         op = qcore.tensor3(*(qcore.spin_observable(v) for v in (a, b, c)))
-        yield (abs(closed(params, a, b, c)
-                   - qcore.expectation(state(params), op)), params, a, b, c)
+        state = qcore.ThreeQubitPureState(amplitudes(params))
+        yield (abs(closed(params, a, b, c) - qcore.expectation(state, op)),
+               params, a, b, c)
 
 
 def _w_reduced_cases_alone(rng, n):
@@ -689,6 +691,19 @@ def _tensor_vs_direct_cases_alone(rng, n):
         ms = bell.settings_from_vectors(optimize._random_directions(rng, 6))
         yield (abs(bell.svetlichny_value(state, ms)
                    - bell.svetlichny_value_direct(state, ms)), k)
+
+
+def _monogamy_cases_alone(rng, rotations, n_haar, n_w):
+    for k in range(n_haar):
+        residual = entanglement.entanglement_profile(
+            qcore.haar_random_state(rng)).monogamy_residual
+        yield -residual, "haar", k, residual
+    for k in range(n_w):
+        w = qcore.w_state(cli._random_w_params(rng)).amplitudes
+        state = qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rotations) @ w)
+        residual = entanglement.entanglement_profile(state).monogamy_residual
+        yield abs(residual), "w", k, residual
 
 
 def _mermin_factor_cases_alone(n_side):
@@ -719,21 +734,25 @@ def _w_closed(params, *dirs):
 
 # Each suite's stacked and one-at-a-time cases, and a call of either at
 # the suite's `verify` size; the Mermin grid, which draws nothing, is one
-# point wider so that it spans two slices.
+# point wider so that it spans two slices.  The correlator suites take the
+# amplitude builders, and the monogamy suite a fixed rotation stream.
 OPERATOR_SUITES = {
     "eq12-oracle": (cli._correlator_cases, _correlator_cases_alone,
                     lambda cases, rng: cases(
                         rng, 1000, cli._random_ghz_params,
-                        bell.ghz_correlator_closed, qcore.ghz_state)),
+                        bell.ghz_correlator_closed, qcore._ghz_amplitudes)),
     "eq24-oracle": (cli._correlator_cases, _correlator_cases_alone,
                     lambda cases, rng: cases(
                         rng, 1000, cli._random_w_params, _w_closed,
-                        qcore.w_state)),
+                        qcore._w_amplitudes)),
     "w-reduced-oracle": (cli._w_reduced_cases, _w_reduced_cases_alone,
                          lambda cases, rng: cases(rng, 500)),
     "tensor-vs-direct": (cli._tensor_vs_direct_cases,
                          _tensor_vs_direct_cases_alone,
                          lambda cases, rng: cases(rng, 1000)),
+    "monogamy": (cli._monogamy_cases, _monogamy_cases_alone,
+                 lambda cases, rng: cases(rng, np.random.default_rng(1),
+                                          1000, 200)),
     "mermin-factor": (cli._mermin_factor_cases, _mermin_factor_cases_alone,
                       lambda cases, rng: cases(11)),
     "ceiling": (cli._ceiling_cases, _ceiling_cases_alone,
@@ -742,8 +761,18 @@ OPERATOR_SUITES = {
 
 
 def _plain(case):
-    return tuple(v.tolist() if isinstance(v, np.ndarray) else v
-                 for v in case)
+    """A case with each number as the bytes of its float64 values, so that
+    cases compare bit for bit: an error, a family's parameters, angles, and
+    a direction's components, as a UnitVector or as a list."""
+    def bits(value):
+        if isinstance(value, (qcore.GhzClassParams, qcore.WClassParams)):
+            value = dataclasses.astuple(value)
+        elif isinstance(value, qcore.UnitVector):
+            value = tuple(value)
+        if isinstance(value, (float, tuple, list, np.ndarray)):
+            return np.asarray(value, dtype=float).tobytes()
+        return value
+    return tuple(bits(v) for v in case)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 123])
@@ -756,6 +785,26 @@ def test_a_stacked_suite_yields_the_cases_of_its_one_at_a_time_loop(
                 for case in run(alone, np.random.default_rng(seed))]
     assert len(got) > cli.CASE_SLICE
     assert got == expected
+
+
+def test_a_failing_correlator_suite_names_its_parameters_and_directions(
+        monkeypatch):
+    def off(params, a, d, c):
+        return bell.ghz_correlator_closed(params, a, d, c) + params.theta
+
+    monkeypatch.setattr(cli, "ghz_correlator_closed", off)
+    eq12 = cli.verification_battery(0)[0]
+    assert eq12.name == "eq12-oracle" and not eq12.passed
+    cases = cli._correlator_cases(np.random.default_rng(0), 1000,
+                                  cli._random_ghz_params, off,
+                                  qcore._ghz_amplitudes)
+    error, params, a, b, c = max(cases, key=lambda case: case[0])
+    assert eq12.worst == error
+    assert eq12.detail == f"params={params} a={a} b={b} c={c}"
+    assert repr(params) in eq12.detail
+    for name, direction in zip("abc", (a, b, c)):
+        assert len(direction) == 3
+        assert f"{name}={[float(v) for v in direction]}" in eq12.detail
 
 
 def test_the_tensor_vs_direct_suite_needs_memory_that_does_not_grow():

@@ -36,13 +36,13 @@ def test_concurrence_product_state():
 
 
 def test_concurrence_ghz_reduced():
-    rho = qcore.partial_trace(ghz(), (1, 2))
+    rho = qcore._reduced(ghz().amplitudes, (1, 2))
     assert entanglement.concurrence_two_qubit(rho) == pytest.approx(
         0.0, abs=1e-10)
 
 
 def test_concurrence_w_reduced():
-    rho = qcore.partial_trace(w_sym(), (1, 2))
+    rho = qcore._reduced(w_sym().amplitudes, (1, 2))
     assert entanglement.concurrence_two_qubit(rho) == pytest.approx(
         2.0 / 3.0, abs=1e-10)
 
@@ -92,7 +92,7 @@ def _reduced_pairs(rng, n):
                                       @ qcore.w_state(random_w_params(rng))
                                       .amplitudes),
             qcore.ghz_state(random_ghz_params(rng))]
-    return np.stack([qcore.partial_trace(s, keep) for s in states
+    return np.stack([qcore._reduced(s.amplitudes, keep) for s in states
                      for keep in ((1, 2), (2, 3), (1, 3))])
 
 
@@ -156,6 +156,42 @@ def test_profiles_stream_from_any_iterable_a_slice_at_a_time():
                               for s in drawn]
 
 
+def test_profiles_of_amplitude_vectors_equal_the_profiles_of_their_states():
+    rng = np.random.default_rng(29)
+    amplitudes = [qcore.haar_random_state(rng).amplitudes for _ in range(130)]
+    amplitudes += [qcore.haar_local_unitary(rng) @ qcore.w_state(
+        random_w_params(rng)).amplitudes for _ in range(50)]
+    amplitudes += [qcore.ghz_state(random_ghz_params(rng)).amplitudes
+                   for _ in range(30)]
+    rng.shuffle(amplitudes)
+    assert len(amplitudes) > 2 * entanglement.PROFILE_SLICE
+    states = [qcore.ThreeQubitPureState(a) for a in amplitudes]
+    expected = list(entanglement.entanglement_profiles(states))
+    # Plain arrays, lists, and states and arrays mixed within one slice.
+    assert list(entanglement.entanglement_profiles(amplitudes)) == expected
+    assert list(entanglement.entanglement_profiles(
+        a.tolist() for a in amplitudes)) == expected
+    mixed = [s if k % 3 else s.amplitudes for k, s in enumerate(states)]
+    assert list(entanglement.entanglement_profiles(mixed)) == expected
+
+
+@pytest.mark.parametrize("position", [0, 57, 99])
+def test_profiles_reject_a_bad_amplitude_vector_inside_a_slice(position):
+    rng = np.random.default_rng(30)
+    amplitudes = [qcore.haar_random_state(rng).amplitudes
+                  for _ in range(entanglement.PROFILE_SLICE)]
+    for bad, match in ((1.01 * amplitudes[position], "deviates from 1"),
+                       (np.full(8, math.nan), "must be finite")):
+        items = list(amplitudes)
+        items[position] = bad
+        with pytest.raises(qcore.ValidationError, match=match):
+            list(entanglement.entanglement_profiles(items))
+    # An item that is itself a stack, or a bare number, is no state.
+    for bad in (np.stack(amplitudes[:2]), 1.0):
+        with pytest.raises(qcore.ValidationError):
+            list(entanglement.entanglement_profiles([bad]))
+
+
 def test_the_monogamy_suite_needs_memory_that_does_not_grow_with_its_states():
     def peak(n_haar):
         rng, rotations = np.random.default_rng(0), np.random.default_rng(1)
@@ -205,32 +241,34 @@ def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(17)
     for _ in range(30):
         s = qcore.haar_random_state(rng)
-        rho = qcore.partial_trace(s, (1, 2))
+        rho = qcore._reduced(s.amplitudes, (1, 2))
         # U1 x U2 x U3 on the state is (U1 x U2) rho (U1 x U2)^dagger on rho.
-        rotated = qcore.partial_trace(qcore.ThreeQubitPureState(
-            qcore.haar_local_unitary(rng) @ s.amplitudes), (1, 2))
+        rotated = qcore._reduced(qcore.ThreeQubitPureState(
+            qcore.haar_local_unitary(rng) @ s.amplitudes).amplitudes, (1, 2))
         assert entanglement.concurrence_two_qubit(rotated) == pytest.approx(
             entanglement.concurrence_two_qubit(rho), abs=1e-8)
 
 
 def test_bipartition_product():
     s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
-    assert entanglement.concurrence_bipartition(s, 1) == pytest.approx(0.0)
+    assert entanglement.entanglement_profile(s).c1_23 == pytest.approx(0.0)
 
 
 def test_bipartition_ghz():
-    assert entanglement.concurrence_bipartition(ghz(), 1) == pytest.approx(1.0)
+    assert entanglement.entanglement_profile(ghz()).c1_23 == pytest.approx(
+        1.0)
 
 
 def test_bipartition_w_symmetric():
     expected = math.sqrt(8.0) / 3.0
-    assert entanglement.concurrence_bipartition(w_sym(), 1) == pytest.approx(
-        expected, abs=1e-12)
+    profile = entanglement.entanglement_profile(w_sym())
+    for cut in (profile.c1_23, profile.c2_13, profile.c3_12):
+        assert cut == pytest.approx(expected, abs=1e-12)
 
 
 def test_bipartition_rejects_bad_label():
     with pytest.raises(qcore.ValidationError):
-        entanglement.concurrence_bipartition(ghz(), 4)
+        entanglement._cut_concurrences(ghz().amplitudes[None], 4)
 
 
 def test_three_tangle_ghz():

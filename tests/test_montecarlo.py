@@ -77,7 +77,7 @@ def test_outcome_distribution_marginal_consistency():
         a, b, c = (random_unit(rng) for _ in range(3))
         probs = montecarlo.outcome_distribution(s, a, b, c).reshape(2, 2, 2)
         marginal = probs.sum(axis=2)
-        rho = qcore.partial_trace(s, (1, 2))
+        rho = qcore._reduced(s.amplitudes, (1, 2))
         for i, ra in enumerate((1.0, -1.0)):
             for j, rb in enumerate((1.0, -1.0)):
                 proj = np.kron(

@@ -386,7 +386,7 @@ def test_seesaw_reports_its_start_exactly_with_one_party_flipped_if_negative(
         start = optimize._value(bell._party_coefficients(
             bell._tensor_views(t), parties, 2), parties[2])[0]
         result = single_ascent(state, init)
-        expected = init.vectors()
+        expected = init.vectors().copy()
         if start < 0.0:
             expected[:2] = -expected[:2]
         signs.add(start < 0.0)
