@@ -153,10 +153,10 @@ def entanglement_profiles(states: Iterable) -> Iterator[EntanglementProfile]:
     states = iter(states)
     while batch := list(itertools.islice(states, PROFILE_SLICE)):
         # A state's amplitudes, or an item that is an amplitude vector.
-        amplitudes = _amplitudes(np.stack(
-            [getattr(s, "amplitudes", s) for s in batch]))
-        if amplitudes.ndim != 2:
-            raise ValidationError("each item needs exactly 8 amplitudes")
+        items = [getattr(s, "amplitudes", s) for s in batch]
+        if any(np.shape(item) != (8,) for item in items):
+            raise ValidationError("state needs exactly 8 amplitudes")
+        amplitudes = _amplitudes(np.stack(items))
         pairs = [concurrence_two_qubit(_reduced(amplitudes, keep)).tolist()
                  for keep in ((1, 2), (2, 3), (1, 3))]
         cuts = [_cut_concurrences(amplitudes, solo) for solo in (1, 2, 3)]

@@ -47,45 +47,52 @@ class ShotEstimate:
             raise ValidationError("stderr must be non-negative")
 
 
-def outcome_distribution(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
-                         c: UnitVector) -> np.ndarray:
+def outcome_distribution(s: ThreeQubitPureState, a, b, c) -> np.ndarray:
     """Born probabilities of the 8 joint outcomes of (a, b, c) measurements.
 
     P(r1, r2, r3) = <psi| prod_i (I + r_i n_i . sigma) / 2 |psi>, contracted
-    in one einsum over each party's stacked (2, 2, 2) projector pair.
+    in one einsum over each party's stacked (..., 2, 2, 2) projector pairs.
+    Each party's argument is one direction or an (..., 3) stack of them; the
+    result has the stack axes of a, then b, then c, and last the 8 outcomes,
+    so three single directions give the (8,) vector.  Every entry equals,
+    bit for bit, the call on its own three directions: the contraction stays
+    unoptimized, as a reordered one would move bits and so sampled counts.
     """
     observables = [spin_observable(n) for n in (a, b, c)]
-    pairs = [np.stack([IDENTITY_2 + o, IDENTITY_2 - o]) / 2.0
-             for o in observables]
+    pairs = [(np.stack([IDENTITY_2 + o, IDENTITY_2 - o], axis=-3) / 2.0)
+             .reshape(-1, 2, 2, 2) for o in observables]
     psi = s.amplitudes.reshape(2, 2, 2)
-    probs = np.einsum("abc,rad,sbe,tcf,def->rst", psi.conj(), *pairs,
-                      psi).reshape(8)
+    probs = np.einsum("abc,xrad,ysbe,ztcf,def->xyzrst", psi.conj(), *pairs,
+                      psi).reshape(sum((o.shape[:-2] for o in observables),
+                                       ()) + (8,))
     if np.max(np.abs(probs.imag)) > 1e-10:
         raise ValidationError("outcome probabilities have an imaginary residue")
     probs = probs.real
     if np.min(probs) < -1e-12:
         raise ValidationError(f"negative Born probability {np.min(probs)}")
     probs = np.maximum(probs, 0.0)
-    if abs(probs.sum() - 1.0) > 1e-10:
+    if np.max(np.abs(probs.sum(axis=-1) - 1.0)) > 1e-10:
         raise ValidationError("outcome probabilities do not sum to 1")
     return probs
 
 
-def estimate_correlator(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
-                        c: UnitVector, shots: int, seed: int) -> ShotEstimate:
-    """Sample the product of the three outcomes and report mean and stderr.
+def _check_shots(shots: int) -> None:
+    """Shots must lie in [1, 2**63 - 1], the counts numpy's multinomial
+    takes (int64)."""
+    if shots < 1:
+        raise ValidationError("shots must be at least 1")
+    if shots > _MAX_SHOTS:
+        raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
+
+
+def _sample(probs: np.ndarray, shots: int, seed: int) -> ShotEstimate:
+    """Sample the product of the three outcomes of one (8,) distribution.
 
     One multinomial draw gives the counts of the 8 outcomes; only n+, the
     count with an even number of -1 results, matters. With n- = N - n+,
     the mean is (n+ - n-)/N and the sample standard error of the +-1
     products is 2 sqrt(n+ n- / (N - 1)) / N, evaluated on exact integers.
-    Memory is O(1) in `shots`, which must lie in [1, 2**63 - 1].
     """
-    if shots < 1:
-        raise ValidationError("shots must be at least 1")
-    if shots > _MAX_SHOTS:
-        raise ValidationError(f"shots must be at most 2**63 - 1, got {shots}")
-    probs = outcome_distribution(s, a, b, c)
     rng = np.random.default_rng(seed)
     # outcome_distribution allows a sum 1e-10 off 1; multinomial does not.
     counts = rng.multinomial(shots, probs / probs.sum())
@@ -101,20 +108,33 @@ def estimate_correlator(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
     return ShotEstimate(mean=mean, stderr=stderr, shots=shots, seed=seed)
 
 
+def estimate_correlator(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
+                        c: UnitVector, shots: int, seed: int) -> ShotEstimate:
+    """Sample the product of the three outcomes and report mean and stderr.
+
+    Memory is O(1) in `shots`, which must lie in [1, 2**63 - 1].
+    """
+    _check_shots(shots)
+    return _sample(outcome_distribution(s, a, b, c), shots, seed)
+
+
 def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
                         shots_per_correlator: int, seed: int) -> ShotEstimate:
     """Estimate <S> from eight independently sampled correlators.
 
-    Each correlator runs on its own derived sub-seed; the combined standard
+    The eight outcome distributions are the entries of one (2, 2, 2, 8)
+    Born table, contracted once from the settings' (6, 3) array.  Each
+    correlator runs on its own derived sub-seed; the combined standard
     error is the quadrature sum of the per-correlator errors.
     """
-    a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
+    _check_shots(shots_per_correlator)
+    table = outcome_distribution(s, *ms.vectors().reshape(3, 2, 3))
     mean = 0.0
     var = 0.0
     # The sub-seed index runs over b's choice fastest, then c's, then a's.
     for index, (x, z, y) in enumerate(itertools.product((0, 1), repeat=3)):
-        est = estimate_correlator(s, a[x], b[y], c[z], shots_per_correlator,
-                                  _derived_seed(seed, index))
+        est = _sample(table[x, y, z], shots_per_correlator,
+                      _derived_seed(seed, index))
         mean += float(SVETLICHNY_SIGNS[x, y, z]) * est.mean
         var += est.stderr ** 2
     return ShotEstimate(mean=mean, stderr=math.sqrt(var),

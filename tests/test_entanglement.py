@@ -192,6 +192,15 @@ def test_profiles_reject_a_bad_amplitude_vector_inside_a_slice(position):
             list(entanglement.entanglement_profiles([bad]))
 
 
+def test_profiles_reject_an_amplitude_vector_of_the_wrong_length_in_a_mixed_slice():
+    short = np.ones(7) / math.sqrt(7)
+    for items in ([short], [ghz().amplitudes, short],
+                  [short, ghz().amplitudes]):
+        with pytest.raises(qcore.ValidationError,
+                           match="state needs exactly 8 amplitudes"):
+            list(entanglement.entanglement_profiles(items))
+
+
 def test_the_monogamy_suite_needs_memory_that_does_not_grow_with_its_states():
     def peak(n_haar):
         rng, rotations = np.random.default_rng(0), np.random.default_rng(1)

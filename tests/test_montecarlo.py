@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,96 @@ def test_outcome_distribution_matches_the_projector_oracle():
         probs = montecarlo.outcome_distribution(s, *dirs)
         assert np.allclose(probs, expected, rtol=0.0, atol=1e-14)
 
+
+
+def random_directions(rng, k):
+    v = rng.normal(size=(k, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def test_a_stacked_table_equals_its_single_calls_bit_for_bit():
+    rng = np.random.default_rng(55)
+    shapes = list(itertools.product((1, 2, 3), repeat=3))
+    for n in range(216):
+        s = qcore.haar_random_state(rng)
+        stacks = [random_directions(rng, k) for k in shapes[n % len(shapes)]]
+        table = montecarlo.outcome_distribution(s, *stacks)
+        assert table.shape == tuple(len(d) for d in stacks) + (8,)
+        for i, j, k in np.ndindex(table.shape[:3]):
+            single = montecarlo.outcome_distribution(
+                s, qcore.UnitVector(*stacks[0][i]),
+                qcore.UnitVector(*stacks[1][j]), stacks[2][k])
+            assert single.shape == (8,)
+            assert table[i, j, k].tobytes() == single.tobytes()
+
+
+def test_a_single_direction_adds_no_axis_to_the_table():
+    rng = np.random.default_rng(56)
+    s = qcore.haar_random_state(rng)
+    a, c = random_directions(rng, 2), random_directions(rng, 3)
+    table = montecarlo.outcome_distribution(s, a, qcore.X_HAT, c)
+    assert table.shape == (2, 3, 8)
+    assert table.tobytes() == montecarlo.outcome_distribution(
+        s, a, qcore.X_HAT.cartesian[None], c)[:, 0].tobytes()
+
+
+def _reference_svetlichny(s, ms, shots, seed):
+    """<S> as eight separate estimate_correlator calls, b's choice fastest
+    in the sub-seed index, then c's, then a's."""
+    a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
+    mean = 0.0
+    var = 0.0
+    for index, (x, z, y) in enumerate(itertools.product((0, 1), repeat=3)):
+        est = montecarlo.estimate_correlator(
+            s, a[x], b[y], c[z], shots, qcore._derived_seed(seed, index))
+        mean += float(bell.SVETLICHNY_SIGNS[x, y, z]) * est.mean
+        var += est.stderr ** 2
+    return montecarlo.ShotEstimate(mean=mean, stderr=math.sqrt(var),
+                                   shots=shots, seed=seed)
+
+
+def test_estimate_svetlichny_equals_eight_correlator_estimates():
+    rng = np.random.default_rng(57)
+    cases = [(ghz(), bell.optimal_settings_ghz(
+        qcore.GhzClassParams(math.pi / 4, math.pi / 2))),
+        (qcore.w_state(qcore.WClassParams(R3, R3, R3)), w_sym_settings())]
+    cases += [(qcore.haar_random_state(rng),
+               bell.settings_from_vectors(random_directions(rng, 6)))
+              for _ in range(40)]
+    for n, (s, ms) in enumerate(cases):
+        for shots in (1, 2, 1000, 10 ** 15, 2 ** 63 - 1):
+            seed = int(rng.integers(2 ** 32)) if n % 2 else n
+            est = montecarlo.estimate_svetlichny(s, ms, shots, seed)
+            ref = _reference_svetlichny(s, ms, shots, seed)
+            for field in ("mean", "stderr", "shots", "seed"):
+                assert getattr(est, field) == getattr(ref, field)
+
+
+def test_estimate_svetlichny_contracts_once_with_one_observable_stack_per_party(
+        monkeypatch):
+    calls = {"outcome_distribution": [], "spin_observable": []}
+    for name in calls:
+        def counted(*args, wrapped=getattr(montecarlo, name), log=calls[name]):
+            log.append(args)
+            return wrapped(*args)
+        monkeypatch.setattr(montecarlo, name, counted)
+    montecarlo.estimate_svetlichny(ghz(), w_sym_settings(), 1000, seed=0)
+    assert len(calls["outcome_distribution"]) == 1
+    assert [np.shape(n) for (n,) in calls["spin_observable"]] == [(2, 3)] * 3
+
+
+@pytest.mark.parametrize("shots", [0, 2 ** 63])
+def test_a_shot_count_out_of_range_is_rejected_before_any_contraction(
+        monkeypatch, shots):
+    def fail(*args):
+        raise AssertionError("outcome_distribution ran")
+
+    monkeypatch.setattr(montecarlo, "outcome_distribution", fail)
+    with pytest.raises(qcore.ValidationError, match="shots must be at"):
+        montecarlo.estimate_svetlichny(ghz(), w_sym_settings(), shots, seed=0)
+    with pytest.raises(qcore.ValidationError, match="shots must be at"):
+        montecarlo.estimate_correlator(ghz(), qcore.X_HAT, qcore.X_HAT,
+                                       qcore.X_HAT, shots, seed=0)
 
 def test_estimate_correlator_deterministic_outcome():
     s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
