@@ -124,10 +124,12 @@ def settings_from_vectors(vectors):
 class SmaxReport:
     """Closed-form maximum with the settings that achieve it.
 
-    For the GHZ class, `achieving_settings` belong to the representative
-    state of `_ghz_params_from_profile` (theta <= pi/4), not necessarily to
-    the state the profile came from: at theta = 1.2, theta3 = 0.2 they
-    reach 3.7906 on the input state against the closed form's 3.9638.
+    From `smax_ghz_closed`, `achieving_settings` belong to the
+    representative state of `_ghz_params_from_profile` (theta <= pi/4), not
+    necessarily to the state the profile came from: at theta = 1.2,
+    theta3 = 0.2 they reach 3.7906 on the input state against the closed
+    form's 3.9638.  A GHZ sweep row's report carries the row's own
+    `optimal_settings_ghz`, which reach its closed value.
     """
 
     closed_value: float
@@ -376,23 +378,28 @@ def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
         _angle_components(theta_c, 2.0 * math.pi - math.pi / 4)])
 
 
-def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
-    """Closed-form Svetlichny maximum of a GHZ-class profile.
-
+def _ghz_report(profile: EntanglementProfile,
+                settings: MeasurementSettings) -> SmaxReport:
+    """Eq. (19)'s maximum of a GHZ-class profile, reported with `settings`:
     4 sqrt(1 - tau) on the low branch (3 tau + C12^2 <= 1), else
-    4 sqrt(C12^2 + 2 tau), from the profile alone.  The report's settings
-    are `optimal_settings_ghz` of the representative state from
-    `_ghz_params_from_profile` (theta <= pi/4), not of the input state;
-    see `SmaxReport`.
-    """
-    if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
-        raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
+    4 sqrt(C12^2 + 2 tau)."""
     low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
     branch, value = (("low-branch", low_value) if low
                      else ("high-branch", high_value))
     return SmaxReport(closed_value=value, branch=branch,
-                      achieving_settings=optimal_settings_ghz(
-                          _ghz_params_from_profile(profile)))
+                      achieving_settings=settings)
+
+
+def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
+    """Closed-form Svetlichny maximum of a GHZ-class profile, from the
+    profile alone.  The report's settings are `optimal_settings_ghz` of the
+    representative state from `_ghz_params_from_profile` (theta <= pi/4),
+    not of the input state; see `SmaxReport`.
+    """
+    if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
+        raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
+    return _ghz_report(profile, optimal_settings_ghz(
+        _ghz_params_from_profile(profile)))
 
 
 def w_correlator_closed(profile: EntanglementProfile, a, b, c) -> float:

@@ -27,16 +27,18 @@ each one stops.
 
 One ascent loop serves every caller.  A batch holds the starts of one or
 more rows, one state each, and each row stops at its own certificate and
-counts its own steps.  `multistart_maximize` is a batch of one row; a
-grid takes its rows in batches of BATCH_ROWS.  A GHZ row is first tried
-at the closed-form settings of its own (theta, theta3): one evaluation
-there that meets the certificate proves the row's maximum, with no
-ascent.  The rows that fail it, and every W row, ascend together, with
-per-start sums in a fixed order, so each row's result is bit-identical to
-its result alone.  Either way a batch's certificate is read in one
-stacked pass, by the one result builder that every path shares: one
-`bell.smax_upper_bound` call for its rows' bounds, and one block pass and
-one Hessian eigensolve at its rows' reported settings.
+counts its own steps.  `multistart_maximize` is a batch of one row.  A
+grid builds and checks its points in chunks of BATCH_ROWS * N_STARTS,
+one start per row, as many as one ascent batch holds.  A GHZ row is
+first tried at the closed-form settings of its own (theta, theta3): one
+evaluation there that meets the certificate proves the row's maximum,
+with no ascent.  The rows that fail it, and every W row, ascend together
+in batches of BATCH_ROWS rows, with per-start sums in a fixed order, so
+each row's result is bit-identical to its result alone.  Either way a
+chunk's or a batch's certificate is read in one stacked pass, by the one
+result builder that every path shares: one `bell.smax_upper_bound` call
+for its rows' bounds, and one block pass and one Hessian eigensolve at
+its rows' reported settings.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ from .bell import (
     SmaxReport,
     _block,
     _contract,
+    _ghz_report,
     _party_coefficients,
     _tensor_views,
     correlation_tensor,
     optimal_settings_ghz,
     settings_from_vectors,
-    smax_ghz_closed,
     smax_upper_bound,
     smax_w,
 )
@@ -101,8 +103,9 @@ REPORT_TOL = 1e-3
 # Seeded starts per multistart ascent; a numeric-below sweep row retries
 # with four times as many.
 N_STARTS = 50
-# The most grid rows that are checked, and ascend, as one batch, so a grid
-# of any size needs bounded memory: the ascent's one memory bound.
+# The most grid rows that ascend as one batch, so a grid of any size needs
+# bounded memory: the ascent's one memory bound.  A grid checks its rows
+# at their settings BATCH_ROWS * N_STARTS at a time, one start per row.
 BATCH_ROWS = 8
 
 
@@ -476,7 +479,7 @@ def _flag_for_gap(gap: float) -> str:
 def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
     """Each row's result at its own settings if they meet the certificate.
 
-    Row i is evaluated once at settings[i], all rows in one batch: <S>
+    Row i is evaluated once at settings[i], all rows in one pass: <S>
     there witnesses the value, and `_at_bound` proves that no settings do
     better.  The certified rows' results are built in one `_results` call.
     A row with no settings, or whose settings fall short, gives None.
@@ -504,36 +507,39 @@ def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
 
 def _verification_rows(points: Sequence[tuple], first: int,
                         seed: int) -> list:
-    """Closed value vs. certified numeric maximum at a batch of grid
+    """Closed value vs. certified numeric maximum at a chunk of grid
     points, rows first, first + 1, ... of a grid.
 
     Each point is its (params, amplitude vector, profile, closed-form
-    report, settings); the batch's amplitudes are checked once, as one
-    stack.  A row whose settings meet the certificate at the bound
-    takes its value there, with no ascent; the other rows, including every
-    row without settings, run one batched multistart ascent.  A
-    numeric-below flag is retried by itself with four times the starts
-    before it sticks; numeric-above rows are findings, not failures.
+    report, settings); the chunk's amplitudes are checked once, as one
+    stack, and its rows' settings are tried in one stacked pass.  A row
+    whose settings meet the certificate at the bound takes its value
+    there, with no ascent; the other rows, including every row without
+    settings, run the multistart ascent in batches of BATCH_ROWS, in row
+    order.  A numeric-below flag is retried by itself with four times the
+    starts before it sticks; numeric-above rows are findings, not
+    failures.  Only a row that ascends or retries derives its seed.
     """
-    # A row's own seed keeps its result independent of the rows around it.
-    seeds = [_derived_seed(seed, first + i) for i in range(len(points))]
     tensors = correlation_tensor(np.stack([point[1] for point in points]))
     results = _certified_at_settings(tensors, [point[4] for point in points])
     ascend = [i for i, result in enumerate(results) if result is None]
-    if ascend:
-        ascended = _maximize_rows(tensors[ascend],
-                                  [seeds[i] for i in ascend], N_STARTS)
-        for i, result in zip(ascend, ascended):
+    for start in range(0, len(ascend), BATCH_ROWS):
+        batch = ascend[start:start + BATCH_ROWS]
+        # A row's own seed keeps its result independent of its batch.
+        seeds = [_derived_seed(seed, first + i) for i in batch]
+        for i, result in zip(batch, _maximize_rows(tensors[batch], seeds,
+                                                   N_STARTS)):
             results[i] = result
     rows = []
-    for (params, state, profile, closed, _), row_seed, result in zip(
-            points, seeds, results):
+    for i, ((params, state, profile, closed, _), result) in enumerate(
+            zip(points, results)):
         value = closed.closed_value
         numeric = result.best_value
         flag = _flag_for_gap(numeric - value)
         if flag == "numeric-below":
             numeric = max(numeric, multistart_maximize(
-                state, row_seed, 4 * N_STARTS).best_value)
+                state, _derived_seed(seed, first + i),
+                4 * N_STARTS).best_value)
             flag = _flag_for_gap(numeric - value)
         rows.append(VerificationRow(
             params=params, profile=profile, closed=closed,
@@ -542,21 +548,26 @@ def _verification_rows(points: Sequence[tuple], first: int,
 
 
 def _verify_grid(point, grid: Sequence[tuple], seed: int) -> list:
-    """One row per grid point, each point built by `point`.  The rows run
-    in batches of BATCH_ROWS, so the memory a grid needs beyond its rows
-    does not grow with its size."""
+    """One row per grid point, each point built by `point`.  The points are
+    built and checked in chunks of BATCH_ROWS * N_STARTS: a check at the
+    settings takes one start per row, so a chunk holds as many starts as
+    one ascent batch, and the memory a grid needs beyond its rows does not
+    grow with its size."""
+    chunk = BATCH_ROWS * N_STARTS
     rows = []
-    for first in range(0, len(grid), BATCH_ROWS):
+    for first in range(0, len(grid), chunk):
         rows += _verification_rows(
-            [point(*p) for p in grid[first:first + BATCH_ROWS]], first, seed)
+            [point(*p) for p in grid[first:first + chunk]], first, seed)
     return rows
 
 
 def _ghz_point(theta: float, theta3: float) -> tuple:
+    """A GHZ grid point, whose report carries the point's own settings."""
     params = GhzClassParams(float(theta), float(theta3))
     profile = ghz_profile_closed(params)
+    settings = optimal_settings_ghz(params)
     return ((params.theta, params.theta3), _ghz_amplitudes(params), profile,
-            smax_ghz_closed(profile), optimal_settings_ghz(params))
+            _ghz_report(profile, settings), settings)
 
 
 # The most points a sweep curve may take, and the most a whole grid may

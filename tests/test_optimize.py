@@ -437,7 +437,8 @@ def test_a_grid_at_the_point_bound_is_built(monkeypatch):
         batches.append(len(points))
         return list(range(first, first + len(points)))
 
-    # The points are built and their rows run batch by batch.
+    # The points are built and their rows run chunk by chunk, a chunk as
+    # many rows as one ascent batch has starts.
     monkeypatch.setattr(optimize, "_ghz_point", lambda *point: point)
     monkeypatch.setattr(optimize, "_w_point", lambda *point: point)
     monkeypatch.setattr(optimize, "_verification_rows", row_indices)
@@ -447,10 +448,25 @@ def test_a_grid_at_the_point_bound_is_built(monkeypatch):
                                     [0.3] * curves) == rows
     assert optimize.verify_grid_w([0.5] * curves,
                                   optimize.MAX_GRID_STEPS) == rows
-    assert max(batches) == optimize.BATCH_ROWS
+    assert max(batches) == optimize.BATCH_ROWS * optimize.N_STARTS
     assert sum(batches) == 2 * optimize.MAX_GRID_POINTS
     with pytest.raises(qcore.ValidationError):
         optimize.ghz_grid_points(optimize.MAX_GRID_STEPS, [0.3] * (curves + 1))
+
+
+def check_ghz_report(row):
+    """A GHZ row's report: Eq. (19)'s value and branch, as smax_ghz_closed
+    gives them, with the row's own settings, which reach that value.
+    Returns the value smax_ghz_closed's representative settings reach."""
+    params = qcore.GhzClassParams(*row.params)
+    closed = bell.smax_ghz_closed(row.profile)
+    assert row.closed.closed_value == closed.closed_value
+    assert row.closed.branch == closed.branch
+    assert row.closed.achieving_settings == bell.optimal_settings_ghz(params)
+    state = qcore.ghz_state(params)
+    assert abs(bell.svetlichny_value(state, row.closed.achieving_settings)
+               - row.closed.closed_value) <= 1e-12
+    return bell.svetlichny_value(state, closed.achieving_settings)
 
 
 def test_verify_grid_ghz_small():
@@ -459,14 +475,28 @@ def test_verify_grid_ghz_small():
     for row in rows:
         assert row.flag == "match"
         assert abs(row.gap) <= 1e-3
-    # Each row carries its point's profile and closed-form report.
+    # Each row carries its point's profile and closed-form report, with the
+    # point's own settings.
     for row in rows:
         params = qcore.GhzClassParams(*row.params)
         assert row.profile == entanglement.ghz_profile_closed(params)
-        assert row.closed == bell.smax_ghz_closed(row.profile)
+        check_ghz_report(row)
     # The theta = 0 product row sits at the separable value 4.
     assert rows[0].closed.closed_value == pytest.approx(4.0)
     assert rows[0].numeric_value == pytest.approx(4.0, abs=1e-6)
+
+
+def test_a_sweep_row_reports_settings_that_reach_its_closed_value():
+    rows = optimize.verify_grid_ghz(
+        21, [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2])
+    short = 0
+    for row in rows:
+        # The representative's settings, which smax_ghz_closed reports,
+        # fall short of the closed value on some rows with theta > pi/4.
+        if abs(check_ghz_report(row) - row.closed.closed_value) > 1e-3:
+            assert row.params[0] > math.pi / 4
+            short += 1
+    assert short > 0
 
 
 def w_sum_max(c12):
@@ -572,6 +602,62 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
     assert result.numeric_value == target and result.gap == 0.0
 
 
+def test_a_certified_row_that_flags_below_retries_from_its_own_seed(
+        monkeypatch):
+    forced = (math.pi / 4, 3 * math.pi / 8)
+    built = optimize._ghz_point
+    derived, retries, ascents, states = [], [], [], {}
+
+    def raised(*where):
+        # The row is certified at its settings, but its closed value is
+        # raised, so it flags numeric-below and retries by itself.
+        params, state, profile, closed, settings = built(*where)
+        states[params] = state
+        if where == forced:
+            closed = dataclasses.replace(
+                closed, closed_value=closed.closed_value + 1e-2)
+        return params, state, profile, closed, settings
+
+    def derived_seed(*args):
+        derived.append(args)
+        return qcore._derived_seed(*args)
+
+    def retry(state, seed, n_starts=optimize.N_STARTS):
+        retries.append((state, seed, n_starts))
+        return maximize(state, seed, n_starts)
+
+    def ascent(tensors, seeds, n_starts):
+        ascents.append((list(seeds), n_starts))
+        return maximize_rows(tensors, seeds, n_starts)
+
+    maximize, maximize_rows = (optimize.multistart_maximize,
+                               optimize._maximize_rows)
+    monkeypatch.setattr(optimize, "_ghz_point", raised)
+    monkeypatch.setattr(optimize, "_derived_seed", derived_seed)
+    monkeypatch.setattr(optimize, "multistart_maximize", retry)
+    monkeypatch.setattr(optimize, "_maximize_rows", ascent)
+    rows = optimize.verify_grid_ghz(5, [math.pi / 8, 3 * math.pi / 8], seed=3)
+    index = [row.params for row in rows].index(forced)
+    # Only the retried row derives its seed, and only for its retry.
+    assert derived == [(3, index)]
+    ((state, seed, n_starts),) = retries
+    assert state is states[forced]
+    assert seed == qcore._derived_seed(3, index)
+    assert n_starts == 4 * optimize.N_STARTS
+    # No row ran the grid's ascent: the one ascent is the retry's.
+    assert ascents == [([seed], 4 * optimize.N_STARTS)]
+    assert [row.flag for row in rows].count("numeric-below") == 1
+    assert rows[index].flag == "numeric-below"
+
+
+def test_the_default_sweep_ghz_derives_no_seed(tmp_path, monkeypatch):
+    derived = []
+    monkeypatch.setattr(optimize, "_derived_seed",
+                        lambda *args: derived.append(args))
+    assert cli.main(["sweep-ghz", "--out", str(tmp_path / "ghz.csv")]) == 0
+    assert derived == []
+
+
 def _spied_grid(grid, monkeypatch):
     """The rows of `grid()` and the (tensors, seeds, n_starts, results) of
     every batched ascent it ran."""
@@ -651,6 +737,28 @@ def test_a_batched_grid_gives_each_row_its_result_alone(family, monkeypatch):
         assert row.gap == numeric - row.closed.closed_value
     if family == "ghz":
         assert all(r.global_maximum for r in results)
+
+
+def test_a_grid_of_several_chunks_gives_each_row_its_row_alone(monkeypatch):
+    # 2 curves of 401 points: two full chunks and two rows more.  Every
+    # 97th row misses the certificate at its settings and ascends.
+    grid = optimize.ghz_grid_points(401, [math.pi / 8, 1.2])
+    assert len(grid) > 2 * optimize.BATCH_ROWS * optimize.N_STARTS
+    tilted = set(grid[::97])
+    built = optimize._ghz_point
+
+    def point(*where):
+        params, state, profile, closed, settings = built(*where)
+        if where in tilted:
+            settings = perturbed_settings(qcore.GhzClassParams(*where))
+        return params, state, profile, closed, settings
+
+    monkeypatch.setattr(optimize, "_ghz_point", point)
+    rows = optimize.verify_grid_ghz(401, [math.pi / 8, 1.2], seed=4)
+    assert len(rows) == len(grid)
+    for index, where in enumerate(grid):
+        (alone,) = optimize._verification_rows([point(*where)], index, 4)
+        assert rows[index] == alone
 
 
 def test_a_grid_needs_memory_that_does_not_grow_with_its_rows(monkeypatch):
@@ -1003,9 +1111,9 @@ def test_a_grid_batch_makes_one_correlation_tensor_call(monkeypatch):
     monkeypatch.setattr(optimize, "correlation_tensor", counted)
     rows = optimize.verify_grid_ghz(21, [0.3, 0.8, 1.4])
     assert len(rows) == 63
-    # One stacked call per batch of BATCH_ROWS rows, not one per row.
-    assert [np.shape(s) for s in calls] == (
-        [(optimize.BATCH_ROWS, 8)] * 7 + [(63 - 7 * optimize.BATCH_ROWS, 8)])
+    # One stacked call per chunk of BATCH_ROWS * N_STARTS rows, not one per
+    # row: the whole grid here.
+    assert [np.shape(s) for s in calls] == [(63, 8)]
 
 
 def reference_result(t, bound, parties, value, residual, steps):
@@ -1165,6 +1273,6 @@ def test_the_default_sweep_ghz_makes_one_eigensolve_and_bound_per_batch(
     monkeypatch.setattr(optimize, "smax_upper_bound",
                         counted("smax_upper_bound", bell.smax_upper_bound))
     cli.main(["sweep-ghz", "--out", str(tmp_path / "ghz.csv")])
-    batches = [optimize.BATCH_ROWS] * 7 + [63 - 7 * optimize.BATCH_ROWS]
-    assert calls["eigvalsh"] == [(n, 12, 12) for n in batches]
-    assert calls["smax_upper_bound"] == [(n, 3, 3, 3) for n in batches]
+    # The 63 rows are one chunk, certified in one stacked pass.
+    assert calls["eigvalsh"] == [(63, 12, 12)]
+    assert calls["smax_upper_bound"] == [(63, 3, 3, 3)]
