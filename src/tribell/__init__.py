@@ -10,11 +10,8 @@ and simulates finite-shot Born-rule experiments.
 from .qcore import (
     GhzClassParams,
     ThreeQubitPureState,
-    UnitVector,
     ValidationError,
     WClassParams,
-    X_HAT,
-    Z_HAT,
     expectation,
     ghz_state,
     haar_local_unitary,

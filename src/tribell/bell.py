@@ -14,9 +14,9 @@ W families also have closed forms.  The flattenings of the correlation
 tensor bound <S> over all settings (`smax_upper_bound`, of one tensor or
 a stack); on the GHZ family the bound is the closed-form maximum itself.
 A setting is one checked, read-only (6, 3) array of directions
-(`MeasurementSettings`), and a stack of them is checked at once; its
-named directions are UnitVectors for I/O.  The closed-form correlators
-read any three directions' angles through `qcore._angles`.
+(`MeasurementSettings`), whose rows are its directions, and a stack of
+them is checked at once.  The closed-form correlators read any three
+directions' angles through `qcore._angles`.
 scipy is imported on the first `smax_w` call, its only user, so no other
 path loads it.
 """
@@ -32,7 +32,6 @@ import numpy as np
 from .qcore import (
     GhzClassParams,
     PAULIS,
-    UnitVector,
     ValidationError,
     _amplitudes,
     _angle_components,
@@ -70,26 +69,29 @@ class MeasurementSettings:
     """The six measurement directions (a, a', b, b', c, c') as one read-only
     (6, 3) array of their Cartesian components, in that order.
 
-    `settings_from_vectors` builds them from any (6, 3) array-like, or a
-    stack of them, which it copies and checks once by `qcore._directions`;
-    the constructor keeps such a checked read-only array as it is.
-    Equality and hash go by value.  The named directions are UnitVector
-    views of their rows, for I/O, built with no second check.
+    The constructor copies a (6, 3) array-like and checks its directions
+    by `qcore._directions`; `settings_from_vectors` also takes a stack of
+    them, which it checks once, as one stack.  Equality and hash go by
+    value.
     """
 
     __slots__ = ("_vectors",)
 
-    def __init__(self, checked: np.ndarray):
-        """Settings of a read-only (6, 3) array that was checked."""
-        self._vectors = checked
+    def __init__(self, vectors):
+        """Settings of a (6, 3) array-like, copied and checked."""
+        self._vectors = _checked_vectors(vectors, (2,))
+
+    @classmethod
+    def _of(cls, checked: np.ndarray) -> "MeasurementSettings":
+        """Settings of a read-only (6, 3) array that was checked, with no
+        second check."""
+        settings = object.__new__(cls)
+        settings._vectors = checked
+        return settings
 
     def vectors(self) -> np.ndarray:
         """The read-only (6, 3) array itself, not a copy."""
         return self._vectors
-
-    a, a_prime, b, b_prime, c, c_prime = (property(
-        lambda self, k=k: UnitVector._checked(self._vectors[k].tolist()))
-        for k in range(6))
 
     def __eq__(self, other):
         return (isinstance(other, MeasurementSettings)
@@ -103,21 +105,29 @@ class MeasurementSettings:
 
     def __reduce__(self):
         # A pickled or copied setting is rebuilt, checked and read-only.
-        return settings_from_vectors, (self._vectors,)
+        return MeasurementSettings, (self._vectors,)
+
+
+def _checked_vectors(vectors, ndims=(2, 3)) -> np.ndarray:
+    """A read-only copy of a (6, 3) array-like or an (n, 6, 3) stack, of a
+    number of axes in `ndims`, whose directions are checked once, as one
+    stack."""
+    vectors = np.array(vectors, dtype=float)
+    if vectors.ndim not in ndims or vectors.shape[-2:] != (6, 3):
+        raise ValidationError("expected six 3-vectors")
+    _directions(vectors)
+    vectors.setflags(write=False)
+    return vectors
 
 
 def settings_from_vectors(vectors):
     """MeasurementSettings holding six Cartesian unit vectors exactly, from
     a (6, 3) array-like, or a list of them from an (n, 6, 3) stack, whose
     directions are checked once, as one stack."""
-    vectors = np.array(vectors, dtype=float)
-    if vectors.ndim not in (2, 3) or vectors.shape[-2:] != (6, 3):
-        raise ValidationError("expected six 3-vectors")
-    _directions(vectors)
-    vectors.setflags(write=False)
+    vectors = _checked_vectors(vectors)
     if vectors.ndim == 2:
-        return MeasurementSettings(vectors)
-    return [MeasurementSettings(row) for row in vectors]
+        return MeasurementSettings._of(vectors)
+    return [MeasurementSettings._of(row) for row in vectors]
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,7 +338,7 @@ def _ghz_closed_terms(p: GhzClassParams) -> Tuple[float, float]:
 
 def ghz_correlator_closed(p: GhzClassParams, a, d, c) -> float:
     """Closed-form <A D C> for the GHZ-class family, at any three
-    directions of three components each, such as UnitVectors or rows."""
+    directions of three components each, such as rows of a setting."""
     P, Q = _ghz_closed_terms(p)
     (ta, pa), (td, pd), (tc, pc) = _angles(*a), _angles(*d), _angles(*c)
     first = math.cos(ta) * math.cos(td) * (
@@ -404,7 +414,7 @@ def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
 
 def w_correlator_closed(profile: EntanglementProfile, a, b, c) -> float:
     """Closed-form <A B C> for a W-class profile, at any three directions
-    of three components each, such as UnitVectors or rows."""
+    of three components each, such as rows of a setting."""
     (ta, pa), (tb, pb), (tc, pc) = _angles(*a), _angles(*b), _angles(*c)
     return (
         math.cos(tb) * (

@@ -181,7 +181,7 @@ def _family_spec(family: str, values: Sequence[str]) -> StateSpec:
 
 def parse_settings_file(text: str) -> MeasurementSettings:
     """Six lines 'name: polar azimuth' for a, a', b, b', c, c'; each pair
-    of angles is checked as `UnitVector.from_angles` checks it, and the six
+    of angles is checked by `qcore._angle_components`, and the six
     directions once, as settings."""
     entries = _parse_keyvalue(text)
     _check_schema(entries, _SETTINGS_NAMES)

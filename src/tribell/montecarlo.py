@@ -4,7 +4,10 @@ Each correlator draws exact multinomial counts of the eight joint outcomes
 of three local spin measurements from their Born distribution, so time and
 memory do not grow with the number of shots. The counts give the estimate
 and its standard error in closed form; the Svetlichny value combines eight
-independently sampled correlators.
+independently sampled correlators.  A state is a ThreeQubitPureState or
+one vector of 8 amplitudes, a direction a row of three components, and a
+setting a MeasurementSettings or one (6, 3) array, each read through the
+library's one check of its kind.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import numpy as np
 
 from .qcore import (
     IDENTITY_2,
-    ThreeQubitPureState,
-    UnitVector,
     ValidationError,
+    _amplitudes,
     _derived_seed,
     spin_observable,
 )
-from .bell import SVETLICHNY_SIGNS, MeasurementSettings
+from .bell import SVETLICHNY_SIGNS, _settings_vectors
 
 # Outcome index encodes the three signs: bit 0 means the +1 result, so
 # index = 4*i1 + 2*i2 + i3 with i = 0 for +1 and 1 for -1.
@@ -47,7 +49,7 @@ class ShotEstimate:
             raise ValidationError("stderr must be non-negative")
 
 
-def outcome_distribution(s: ThreeQubitPureState, a, b, c) -> np.ndarray:
+def outcome_distribution(s, a, b, c) -> np.ndarray:
     """Born probabilities of the 8 joint outcomes of (a, b, c) measurements.
 
     P(r1, r2, r3) = <psi| prod_i (I + r_i n_i . sigma) / 2 |psi>, contracted
@@ -58,10 +60,13 @@ def outcome_distribution(s: ThreeQubitPureState, a, b, c) -> np.ndarray:
     bit for bit, the call on its own three directions: the contraction stays
     unoptimized, as a reordered one would move bits and so sampled counts.
     """
+    amps = _amplitudes(s)
+    if amps.shape != (8,):
+        raise ValidationError("expected one state of 8 amplitudes")
     observables = [spin_observable(n) for n in (a, b, c)]
     pairs = [(np.stack([IDENTITY_2 + o, IDENTITY_2 - o], axis=-3) / 2.0)
              .reshape(-1, 2, 2, 2) for o in observables]
-    psi = s.amplitudes.reshape(2, 2, 2)
+    psi = amps.reshape(2, 2, 2)
     probs = np.einsum("abc,xrad,ysbe,ztcf,def->xyzrst", psi.conj(), *pairs,
                       psi).reshape(sum((o.shape[:-2] for o in observables),
                                        ()) + (8,))
@@ -108,18 +113,20 @@ def _sample(probs: np.ndarray, shots: int, seed: int) -> ShotEstimate:
     return ShotEstimate(mean=mean, stderr=stderr, shots=shots, seed=seed)
 
 
-def estimate_correlator(s: ThreeQubitPureState, a: UnitVector, b: UnitVector,
-                        c: UnitVector, shots: int, seed: int) -> ShotEstimate:
+def estimate_correlator(s, a, b, c, shots: int, seed: int) -> ShotEstimate:
     """Sample the product of the three outcomes and report mean and stderr.
 
-    Memory is O(1) in `shots`, which must lie in [1, 2**63 - 1].
+    Each of a, b and c is one direction.  Memory is O(1) in `shots`, which
+    must lie in [1, 2**63 - 1].
     """
     _check_shots(shots)
+    if any(np.shape(n) != (3,) for n in (a, b, c)):
+        raise ValidationError("expected one direction of 3 components")
     return _sample(outcome_distribution(s, a, b, c), shots, seed)
 
 
-def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
-                        shots_per_correlator: int, seed: int) -> ShotEstimate:
+def estimate_svetlichny(s, ms, shots_per_correlator: int,
+                        seed: int) -> ShotEstimate:
     """Estimate <S> from eight independently sampled correlators.
 
     The eight outcome distributions are the entries of one (2, 2, 2, 8)
@@ -128,7 +135,10 @@ def estimate_svetlichny(s: ThreeQubitPureState, ms: MeasurementSettings,
     error is the quadrature sum of the per-correlator errors.
     """
     _check_shots(shots_per_correlator)
-    table = outcome_distribution(s, *ms.vectors().reshape(3, 2, 3))
+    vectors = _settings_vectors(ms)
+    if vectors.shape != (6, 3):
+        raise ValidationError("expected one setting of six 3-vectors")
+    table = outcome_distribution(s, *vectors.reshape(3, 2, 3))
     mean = 0.0
     var = 0.0
     # The sub-seed index runs over b's choice fastest, then c's, then a's.

@@ -2,13 +2,14 @@
 
 States are length-8 complex vectors indexed by the basis label b1 b2 b3 with
 qubit 1 as the leftmost bit (index = 4*b1 + 2*b2 + b3).  A measurement
-direction is a unit vector stored as its Cartesian components; its polar
-and azimuth angles are derived for I/O and the closed forms, by one scalar
-helper (`_angles`) that reads any three components.  A UnitVector is the
-I/O view of one direction: measurement settings keep their six directions
-as one checked (6, 3) array (`bell.MeasurementSettings`).  Observables
-are spin projections n.sigma, and all matrices stay at most 8x8; the
-Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
+direction is a row of its three Cartesian components, and a function that
+takes one also takes an (..., 3) stack; `_directions` is its one check.
+Its polar and azimuth angles are derived for I/O and the closed forms, by
+one scalar helper (`_angles`) that reads any three components, and
+`_angle_components` maps angles back.  Measurement settings keep their six
+directions as one checked (6, 3) array (`bell.MeasurementSettings`).
+Observables are spin projections n.sigma, and all matrices stay at most
+8x8; the Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -112,11 +113,9 @@ def _amplitudes(s) -> np.ndarray:
 
 
 def _directions(n) -> np.ndarray:
-    """The components of a UnitVector, or an (..., 3) stack of directions
-    after the one check of directions, which UnitVector also makes: finite
-    and of unit norm within NORM_TOL."""
-    if isinstance(n, UnitVector):
-        return n.cartesian
+    """The components of a direction, or an (..., 3) stack of directions,
+    after the one check of directions: finite and of unit norm within
+    NORM_TOL."""
     n = np.asarray(n, dtype=float)
     if n.ndim < 1 or n.shape[-1] != 3:
         raise ValidationError("expected directions of shape (..., 3)")
@@ -129,60 +128,6 @@ def _directions(n) -> np.ndarray:
         raise ValidationError(
             f"direction has norm {norm.flat[np.argmax(off)]}, not 1")
     return n
-
-
-@dataclass(frozen=True, slots=True)
-class UnitVector:
-    """Measurement direction stored as its Cartesian components (x, y, z).
-
-    The components are kept exactly as given, so a direction that an
-    optimizer reached comes back bit for bit; the angles are derived.
-    Iterating gives the components.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        # The one check of directions, on a stack of one.
-        components = _directions([self.x, self.y, self.z]).tolist()
-        for name, value in zip("xyz", components):
-            object.__setattr__(self, name, value)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
-
-    @classmethod
-    def _checked(cls, components) -> "UnitVector":
-        """The direction of float components that were already checked,
-        such as a row of a checked stack, with no second check."""
-        n = object.__new__(cls)
-        for name, value in zip("xyz", components):
-            object.__setattr__(n, name, value)
-        return n
-
-    @property
-    def cartesian(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def polar(self) -> float:
-        """Angle from +z in [0, pi]."""
-        return _angles(*self)[0]
-
-    @property
-    def azimuth(self) -> float:
-        return _angles(*self)[1]
-
-    @classmethod
-    def from_angles(cls, polar: float, azimuth: float) -> "UnitVector":
-        """The direction at polar angle in [0, pi] and azimuth, in radians."""
-        return cls(*_angle_components(polar, azimuth))
-
-
-X_HAT = UnitVector.from_angles(math.pi / 2, 0.0)
-Z_HAT = UnitVector.from_angles(0.0, 0.0)
 
 
 class ThreeQubitPureState:
@@ -251,8 +196,9 @@ def _derived_seed(seed: int, index: int) -> int:
 
 
 def spin_observable(n) -> np.ndarray:
-    """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1, for a
-    UnitVector or for each direction of an (..., 3) stack (..., 2, 2)."""
+    """n . sigma as a 2x2 Hermitian matrix with eigenvalues +-1, for one
+    direction's three components or for each direction of an (..., 3)
+    stack (..., 2, 2)."""
     return np.einsum("...i,ijk->...jk", _directions(n), PAULIS)
 
 

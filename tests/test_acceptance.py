@@ -145,8 +145,7 @@ def test_criterion_07_oracle_equivalence(capsys):
     worst12 = worst24 = worst_red = 0.0
     for _ in range(1000):
         params = qcore.GhzClassParams(*rng.uniform(0.0, math.pi / 2, size=2))
-        dirs = [qcore.UnitVector(*(v / np.linalg.norm(v)))
-                for v in rng.normal(size=(3, 3))]
+        dirs = [v / np.linalg.norm(v) for v in rng.normal(size=(3, 3))]
         op = qcore.tensor3(*(qcore.spin_observable(d) for d in dirs))
         worst12 = max(worst12, abs(
             bell.ghz_correlator_closed(params, *dirs)

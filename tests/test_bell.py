@@ -17,6 +17,10 @@ R2 = math.sqrt(2.0)
 R3 = 1 / math.sqrt(3)
 W_SYM_MAX = (16.0 / 3.0) * math.sqrt(2.0 / 3.0)
 W_SYM_TILT = math.acos(1 / math.sqrt(3))
+# +x as the direction at polar angle pi/2 and azimuth 0, whose z component
+# is cos(pi / 2), and +z.
+X_HAT = (1.0, 0.0, 6.123233995736766e-17)
+Z_HAT = (0.0, 0.0, 1.0)
 
 
 def ghz(theta=math.pi / 4, theta3=math.pi / 2):
@@ -33,12 +37,11 @@ def w_sym_settings():
 
 def random_unit(rng):
     v = rng.normal(size=3)
-    return qcore.UnitVector(*(v / np.linalg.norm(v)))
+    return v / np.linalg.norm(v)
 
 
 def random_settings(rng):
-    return bell.settings_from_vectors(
-        [random_unit(rng).cartesian for _ in range(6)])
+    return bell.settings_from_vectors([random_unit(rng) for _ in range(6)])
 
 
 def random_w_params(rng):
@@ -62,9 +65,6 @@ def test_settings_from_vectors_rejects_bad_input():
         bell.settings_from_vectors(np.eye(3))
     with pytest.raises(qcore.ValidationError):
         bell.settings_from_vectors(2.0 * np.ones((6, 3)))
-
-
-_SETTINGS_NAMES = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
 
 
 @pytest.mark.parametrize("position", [0, 4, 8])
@@ -115,6 +115,47 @@ def test_pickled_and_copied_settings_stay_checked_and_read_only():
             assert not again.vectors().flags.writeable
 
 
+def test_the_settings_constructor_copies_and_checks_its_array():
+    vectors = optimize._random_directions(np.random.default_rng(78), 6)
+    given = vectors.copy()
+    ms = bell.MeasurementSettings(given)
+    given[:] = 0.0
+    assert ms == bell.settings_from_vectors(vectors)
+    assert ms.vectors().tobytes() == vectors.tobytes()
+    assert not ms.vectors().flags.writeable
+    assert bell.MeasurementSettings(vectors.tolist()) == ms
+    off_unit = vectors.copy()
+    off_unit[2] *= 1.0 + 1e-6
+    for bad, match in ((np.zeros((6, 3)), "has norm"),
+                       (np.full((6, 3), math.nan), "must be finite"),
+                       (off_unit, "has norm"),
+                       (np.ones((5, 3)), "six 3-vectors"),
+                       (np.ones((6, 2)), "six 3-vectors"),
+                       (vectors[None], "six 3-vectors"),
+                       (vectors.ravel(), "six 3-vectors")):
+        with pytest.raises(qcore.ValidationError, match=match):
+            bell.MeasurementSettings(bad)
+    state = qcore.ghz_state(qcore.GhzClassParams(0.5, 1.1))
+    with pytest.raises(qcore.ValidationError):
+        bell.svetlichny_value(state, bell.MeasurementSettings(
+            np.zeros((6, 3))))
+
+
+def test_a_settings_stack_is_checked_once(monkeypatch):
+    calls = []
+
+    def counted(n, wrapped=bell._directions):
+        calls.append(np.shape(n))
+        return wrapped(n)
+
+    monkeypatch.setattr(bell, "_directions", counted)
+    vectors = optimize._random_directions(np.random.default_rng(79), (400, 6))
+    settings = bell.settings_from_vectors(vectors)
+    assert calls == [(400, 6, 3)]
+    assert [ms.vectors().tobytes() for ms in settings] == [
+        v.tobytes() for v in vectors]
+
+
 def test_settings_compare_and_hash_by_value():
     vectors = optimize._random_directions(np.random.default_rng(72), 6)
     ms = bell.settings_from_vectors(vectors)
@@ -126,7 +167,7 @@ def test_settings_compare_and_hash_by_value():
     flipped[5] = -flipped[5]
     assert ms != bell.settings_from_vectors(flipped)
     assert ms != "settings" and ms != tuple(map(tuple, vectors))
-    # By value, as the six UnitVectors were: -0.0 equals 0.0.
+    # By value: -0.0 equals 0.0.
     x_z = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] * 3)
     negated_zeros = np.where(x_z == 0.0, -0.0, x_z)
     assert bell.settings_from_vectors(x_z) == bell.settings_from_vectors(
@@ -135,46 +176,31 @@ def test_settings_compare_and_hash_by_value():
         bell.settings_from_vectors(negated_zeros))
 
 
-def _components(direction):
-    return np.array([direction.x, direction.y, direction.z]).tobytes()
-
-
-def test_each_named_direction_is_the_unit_vector_of_its_row():
-    rng = np.random.default_rng(73)
-    vectors = optimize._random_directions(rng, (20, 6))
-    vectors[0] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0],
-                  [1.0, -0.0, 0.0], [0.6, 0.0, -0.8], [0.0, -1.0, 0.0]]
-    for ms, rows in zip(bell.settings_from_vectors(vectors), vectors):
-        for name, row in zip(_SETTINGS_NAMES, rows):
-            direction = getattr(ms, name)
-            assert type(direction) is qcore.UnitVector
-            assert all(type(v) is float for v in direction)
-            assert _components(direction) == _components(
-                qcore.UnitVector(*row))
-            assert direction == qcore.UnitVector(*row)
-            assert (direction.polar, direction.azimuth) == (
-                qcore.UnitVector(*row).polar, qcore.UnitVector(*row).azimuth)
-            with pytest.raises(AttributeError):
-                setattr(ms, name, direction)
+def _checked_row(x, y, z):
+    """One direction's components after the one check of directions, as
+    plain floats, the way a direction object held them before the settings
+    became one array."""
+    return tuple(qcore._directions([x, y, z]).tolist())
 
 
 def _unit_vector_from_angles(polar, azimuth):
-    """UnitVector.from_angles as it was written before the settings became
-    one array: its own scalar arithmetic, then the checked constructor."""
+    """The direction at polar and azimuth as it was written before the
+    settings became one array: its own scalar arithmetic, then the check."""
     st = math.sin(polar)
-    return qcore.UnitVector(st * math.cos(azimuth), st * math.sin(azimuth),
-                            math.cos(polar))
+    return _checked_row(st * math.cos(azimuth), st * math.sin(azimuth),
+                        math.cos(polar))
 
 
 def _unit_vector_settings_ghz(p):
-    """The UnitVector-built `optimal_settings_ghz`, as a (6, 3) array."""
+    """`optimal_settings_ghz` built one checked direction at a time, as a
+    (6, 3) array."""
     profile = entanglement.ghz_profile_closed(p)
     x_hat = _unit_vector_from_angles(math.pi / 2, 0.0)
     z_hat = _unit_vector_from_angles(0.0, 0.0)
     if bell._ghz_branches(profile.tau, profile.c12 ** 2)[0]:
         P, Q = bell._ghz_closed_terms(p)
         theta_c = math.atan2(Q, P)
-        c = qcore.UnitVector(math.sin(theta_c), 0.0, math.cos(theta_c))
+        c = _checked_row(math.sin(theta_c), 0.0, math.cos(theta_c))
         minus_z = _unit_vector_from_angles(math.pi, 0.0)
         directions = (z_hat, z_hat, z_hat, minus_z, c, c)
     else:
@@ -185,17 +211,17 @@ def _unit_vector_settings_ghz(p):
                       _unit_vector_from_angles(theta_c, math.pi / 4),
                       _unit_vector_from_angles(theta_c,
                                                2.0 * math.pi - math.pi / 4))
-    return np.array([(v.x, v.y, v.z) for v in directions])
+    return np.array(directions)
 
 
 def _unit_vector_settings_w(tilde_a, tilde_b, tilde_c):
-    """The UnitVector-built `settings_from_w_angles`, as a (6, 3) array."""
+    """`settings_from_w_angles` built one checked direction at a time, as a
+    (6, 3) array."""
     directions = []
     for tilde in (tilde_a, tilde_b, tilde_c):
-        directions += [qcore.UnitVector(math.cos(tilde), 0.0, math.sin(tilde)),
-                       qcore.UnitVector(math.cos(tilde), 0.0,
-                                        -math.sin(tilde))]
-    return np.array([(v.x, v.y, v.z) for v in directions])
+        directions += [_checked_row(math.cos(tilde), 0.0, math.sin(tilde)),
+                       _checked_row(math.cos(tilde), 0.0, -math.sin(tilde))]
+    return np.array(directions)
 
 
 def test_optimal_settings_ghz_match_the_unit_vector_built_settings():
@@ -214,7 +240,8 @@ def test_optimal_settings_ghz_match_the_unit_vector_built_settings():
     assert branches == {True, False}
     # -z keeps the x component that sin(pi) leaves.
     low = bell.optimal_settings_ghz(qcore.GhzClassParams(0.1, 0.0))
-    assert low.b_prime.x == math.sin(math.pi) > 0.0 and low.b_prime.z == -1.0
+    b_prime = low.vectors()[3]
+    assert b_prime[0] == math.sin(math.pi) > 0.0 and b_prime[2] == -1.0
 
 
 def test_settings_from_w_angles_match_the_unit_vector_built_settings():
@@ -272,12 +299,12 @@ def test_correlation_tensor_matches_expectation():
         t = bell.correlation_tensor(s)
         dirs = [random_unit(rng) for _ in range(3)]
         op = qcore.tensor3(*(qcore.spin_observable(d) for d in dirs))
-        value = np.einsum("ijk,i,j,k->", t, *(d.cartesian for d in dirs))
+        value = np.einsum("ijk,i,j,k->", t, *dirs)
         assert value == pytest.approx(qcore.expectation(s, op), abs=1e-10)
 
 
 def test_svetlichny_value_examples():
-    all_z = bell.settings_from_vectors([tuple(qcore.Z_HAT)] * 6)
+    all_z = bell.settings_from_vectors([Z_HAT] * 6)
     product = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
     assert bell.svetlichny_value(product, all_z) == pytest.approx(0.0,
                                                                   abs=1e-12)
@@ -411,15 +438,16 @@ def test_ghz_correlator_closed_product_limit():
     params = qcore.GhzClassParams(0.0, 0.4)
     for _ in range(20):
         a, d, c = (random_unit(rng) for _ in range(3))
-        expected = (math.cos(a.polar) * math.cos(d.polar)
-                    * math.cos(c.polar))
+        expected = (math.cos(qcore._angles(*a)[0])
+                    * math.cos(qcore._angles(*d)[0])
+                    * math.cos(qcore._angles(*c)[0]))
         assert bell.ghz_correlator_closed(params, a, d, c) == pytest.approx(
             expected, abs=1e-12)
 
 
 def test_ghz_correlator_closed_xxx():
     params = qcore.GhzClassParams(math.pi / 4, math.pi / 2)
-    x = qcore.X_HAT
+    x = X_HAT
     assert bell.ghz_correlator_closed(params, x, x, x) == pytest.approx(1.0)
 
 
@@ -574,7 +602,7 @@ def test_mermin_factor_at_optimal_settings():
 
 def test_w_correlator_closed_all_z():
     rng = np.random.default_rng(27)
-    z = qcore.Z_HAT
+    z = Z_HAT
     for _ in range(20):
         profile = entanglement.w_profile_closed(random_w_params(rng))
         assert bell.w_correlator_closed(profile, z, z, z) == pytest.approx(
@@ -583,8 +611,7 @@ def test_w_correlator_closed_all_z():
 
 def test_w_correlator_closed_zero_profile():
     profile = entanglement.w_profile_closed(qcore.WClassParams(1.0, 0.0, 0.0))
-    value = bell.w_correlator_closed(profile, qcore.Z_HAT, qcore.Z_HAT,
-                                     qcore.X_HAT)
+    value = bell.w_correlator_closed(profile, Z_HAT, Z_HAT, X_HAT)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -828,11 +855,11 @@ def test_smax_w_settings_reach_the_reported_value(monkeypatch):
 def test_optimal_settings_w_symmetric_structure():
     ms = w_sym_settings()
     expected = [math.cos(W_SYM_TILT), 0.0, math.sin(W_SYM_TILT)]
-    for v in (ms.a, ms.b, ms.c):
-        assert np.allclose(v.cartesian, expected, atol=1e-12)
+    for v in ms.vectors()[0::2]:
+        assert np.allclose(v, expected, atol=1e-12)
     expected_prime = [math.cos(W_SYM_TILT), 0.0, -math.sin(W_SYM_TILT)]
-    for v in (ms.a_prime, ms.b_prime, ms.c_prime):
-        assert np.allclose(v.cartesian, expected_prime, atol=1e-12)
+    for v in ms.vectors()[1::2]:
+        assert np.allclose(v, expected_prime, atol=1e-12)
 
 
 def test_w_symmetric_mermin_below_svetlichny():

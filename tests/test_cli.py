@@ -116,7 +116,7 @@ def test_parse_settings_file():
         f"{name}: pi/2 0" for name in
         ("a", "a_prime", "b", "b_prime", "c", "c_prime"))
     ms = cli.parse_settings_file(lines + "\n")
-    assert np.allclose(ms.a.cartesian, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(ms.vectors()[0], [1.0, 0.0, 0.0], atol=1e-12)
     with pytest.raises(qcore.ValidationError):
         cli.parse_settings_file("a: pi/2 0\n")
     with pytest.raises(qcore.ValidationError):
@@ -133,9 +133,9 @@ def test_parse_settings_file_takes_any_azimuth():
     names = ("a", "a_prime", "b", "b_prime", "c", "c_prime")
     wrapped = cli.parse_settings_file("\n".join(
         f"{name}: 1.1 {2 * math.pi + 0.1!r}" for name in names))
-    expected = qcore.UnitVector.from_angles(1.1, 0.1).cartesian
+    expected = qcore._angle_components(1.1, 0.1)
     assert np.allclose(wrapped.vectors(), expected, rtol=0.0, atol=1e-15)
-    # An azimuth in range reaches from_angles unchanged.
+    # An azimuth in range reaches _angle_components unchanged.
     rng = np.random.default_rng(9)
     angles = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
               for _ in names]
@@ -143,7 +143,7 @@ def test_parse_settings_file_takes_any_azimuth():
         f"{name}: {polar!r} {azimuth!r}"
         for name, (polar, azimuth) in zip(names, angles)))
     assert np.array_equal(ms.vectors(), [
-        qcore.UnitVector.from_angles(*pair).cartesian for pair in angles])
+        qcore._angle_components(*pair) for pair in angles])
 
 
 def test_analyze_ghz(capsys):
@@ -679,8 +679,7 @@ def test_an_m_spectrum_above_4_fails_the_ceiling_suite(monkeypatch):
 def _correlator_cases_alone(rng, n, draw, closed, amplitudes):
     for _ in range(n):
         params = draw(rng)
-        a, b, c = (qcore.UnitVector(*v)
-                   for v in optimize._random_directions(rng, 3))
+        a, b, c = (v.tolist() for v in optimize._random_directions(rng, 3))
         op = qcore.tensor3(*(qcore.spin_observable(v) for v in (a, b, c)))
         state = qcore.ThreeQubitPureState(amplitudes(params))
         yield (abs(closed(params, a, b, c) - qcore.expectation(state, op)),
@@ -776,12 +775,10 @@ OPERATOR_SUITES = {
 def _plain(case):
     """A case with each number as the bytes of its float64 values, so that
     cases compare bit for bit: an error, a family's parameters, angles, and
-    a direction's components, as a UnitVector or as a list."""
+    a direction's components."""
     def bits(value):
         if isinstance(value, (qcore.GhzClassParams, qcore.WClassParams)):
             value = dataclasses.astuple(value)
-        elif isinstance(value, qcore.UnitVector):
-            value = tuple(value)
         if isinstance(value, (float, tuple, list, np.ndarray)):
             return np.asarray(value, dtype=float).tobytes()
         return value

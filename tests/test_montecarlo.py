@@ -10,6 +10,10 @@ from tribell import bell, montecarlo, qcore
 R2 = math.sqrt(2.0)
 R3 = 1 / math.sqrt(3)
 W_SYM_TILT = math.acos(1 / math.sqrt(3))
+# +x as the direction at polar angle pi/2 and azimuth 0, whose z component
+# is cos(pi / 2), and +z.
+X_HAT = (1.0, 0.0, 6.123233995736766e-17)
+Z_HAT = (0.0, 0.0, 1.0)
 
 
 def ghz():
@@ -22,7 +26,7 @@ def w_sym_settings():
 
 def random_unit(rng):
     v = rng.normal(size=3)
-    return qcore.UnitVector(*(v / np.linalg.norm(v)))
+    return v / np.linalg.norm(v)
 
 
 def test_svetlichny_terms_match_operator():
@@ -31,7 +35,7 @@ def test_svetlichny_terms_match_operator():
         s = qcore.haar_random_state(rng)
         ms = bell.settings_from_vectors(
             [v / np.linalg.norm(v) for v in rng.normal(size=(6, 3))])
-        a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
+        a, b, c = ms.vectors().reshape(3, 2, 3)
         total = 0.0
         for x, y, z in np.ndindex(2, 2, 2):
             op = qcore.tensor3(*(qcore.spin_observable(v)
@@ -43,16 +47,14 @@ def test_svetlichny_terms_match_operator():
 
 def test_outcome_distribution_product_state():
     s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
-    probs = montecarlo.outcome_distribution(s, qcore.Z_HAT, qcore.Z_HAT,
-                                            qcore.Z_HAT)
+    probs = montecarlo.outcome_distribution(s, Z_HAT, Z_HAT, Z_HAT)
     expected = np.zeros(8)
     expected[0] = 1.0
     assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_outcome_distribution_ghz():
-    probs = montecarlo.outcome_distribution(ghz(), qcore.Z_HAT, qcore.Z_HAT,
-                                            qcore.Z_HAT)
+    probs = montecarlo.outcome_distribution(ghz(), Z_HAT, Z_HAT, Z_HAT)
     expected = np.zeros(8)
     expected[0] = expected[7] = 0.5
     assert np.allclose(probs, expected, atol=1e-12)
@@ -68,7 +70,7 @@ def test_outcome_distribution_reproduces_correlator():
         mean = float(probs @ montecarlo._OUTCOME_PRODUCTS)
         tensor = bell.correlation_tensor(s)
         assert mean == pytest.approx(np.einsum(
-            "ijk,i,j,k->", tensor, *(d.cartesian for d in dirs)), abs=1e-10)
+            "ijk,i,j,k->", tensor, *dirs), abs=1e-10)
 
 
 def test_outcome_distribution_marginal_consistency():
@@ -119,8 +121,8 @@ def test_a_stacked_table_equals_its_single_calls_bit_for_bit():
         assert table.shape == tuple(len(d) for d in stacks) + (8,)
         for i, j, k in np.ndindex(table.shape[:3]):
             single = montecarlo.outcome_distribution(
-                s, qcore.UnitVector(*stacks[0][i]),
-                qcore.UnitVector(*stacks[1][j]), stacks[2][k])
+                s, stacks[0][i].tolist(), stacks[1][j].tolist(),
+                stacks[2][k])
             assert single.shape == (8,)
             assert table[i, j, k].tobytes() == single.tobytes()
 
@@ -129,16 +131,16 @@ def test_a_single_direction_adds_no_axis_to_the_table():
     rng = np.random.default_rng(56)
     s = qcore.haar_random_state(rng)
     a, c = random_directions(rng, 2), random_directions(rng, 3)
-    table = montecarlo.outcome_distribution(s, a, qcore.X_HAT, c)
+    table = montecarlo.outcome_distribution(s, a, X_HAT, c)
     assert table.shape == (2, 3, 8)
     assert table.tobytes() == montecarlo.outcome_distribution(
-        s, a, qcore.X_HAT.cartesian[None], c)[:, 0].tobytes()
+        s, a, np.array([X_HAT]), c)[:, 0].tobytes()
 
 
 def _reference_svetlichny(s, ms, shots, seed):
     """<S> as eight separate estimate_correlator calls, b's choice fastest
     in the sub-seed index, then c's, then a's."""
-    a, b, c = (ms.a, ms.a_prime), (ms.b, ms.b_prime), (ms.c, ms.c_prime)
+    a, b, c = ms.vectors().reshape(3, 2, 3)
     mean = 0.0
     var = 0.0
     for index, (x, z, y) in enumerate(itertools.product((0, 1), repeat=3)):
@@ -190,13 +192,13 @@ def test_a_shot_count_out_of_range_is_rejected_before_any_contraction(
     with pytest.raises(qcore.ValidationError, match="shots must be at"):
         montecarlo.estimate_svetlichny(ghz(), w_sym_settings(), shots, seed=0)
     with pytest.raises(qcore.ValidationError, match="shots must be at"):
-        montecarlo.estimate_correlator(ghz(), qcore.X_HAT, qcore.X_HAT,
-                                       qcore.X_HAT, shots, seed=0)
+        montecarlo.estimate_correlator(ghz(), X_HAT, X_HAT,
+                                       X_HAT, shots, seed=0)
 
 def test_estimate_correlator_deterministic_outcome():
     s = qcore.ThreeQubitPureState([1, 0, 0, 0, 0, 0, 0, 0])
-    est = montecarlo.estimate_correlator(s, qcore.Z_HAT, qcore.Z_HAT,
-                                         qcore.Z_HAT, shots=1000, seed=0)
+    est = montecarlo.estimate_correlator(s, Z_HAT, Z_HAT,
+                                         Z_HAT, shots=1000, seed=0)
     assert est.mean == 1.0
     assert est.stderr == 0.0
 
@@ -213,24 +215,24 @@ def test_estimate_correlator_seed_reproducible():
 
 
 def test_estimate_correlator_ghz_xxx():
-    est = montecarlo.estimate_correlator(ghz(), qcore.X_HAT, qcore.X_HAT,
-                                         qcore.X_HAT, shots=100_000, seed=1)
+    est = montecarlo.estimate_correlator(ghz(), X_HAT, X_HAT,
+                                         X_HAT, shots=100_000, seed=1)
     # The exact correlator is 1; a Born sample can only undershoot.
     assert est.mean <= 1.0
     assert abs(est.mean - 1.0) <= 5.0 * max(est.stderr, 1e-6)
 
 
 def test_estimate_correlator_single_shot():
-    est = montecarlo.estimate_correlator(ghz(), qcore.X_HAT, qcore.Z_HAT,
-                                         qcore.Z_HAT, shots=1, seed=2)
+    est = montecarlo.estimate_correlator(ghz(), X_HAT, Z_HAT,
+                                         Z_HAT, shots=1, seed=2)
     assert est.mean in (-1.0, 1.0)
     assert est.stderr == 1.0
 
 
 def test_estimate_correlator_rejects_zero_shots():
     with pytest.raises(qcore.ValidationError):
-        montecarlo.estimate_correlator(ghz(), qcore.X_HAT, qcore.X_HAT,
-                                       qcore.X_HAT, shots=0, seed=0)
+        montecarlo.estimate_correlator(ghz(), X_HAT, X_HAT,
+                                       X_HAT, shots=0, seed=0)
 
 
 def test_estimate_correlator_matches_the_expanded_samples():
@@ -261,15 +263,15 @@ def test_estimate_correlator_renormalises_the_distribution(monkeypatch):
     probs[0], probs[6] = 0.5 + 5e-11, 0.5
     monkeypatch.setattr(montecarlo, "outcome_distribution",
                         lambda *args: probs)
-    est = montecarlo.estimate_correlator(ghz(), qcore.Z_HAT, qcore.Z_HAT,
-                                         qcore.Z_HAT, shots=1000, seed=0)
+    est = montecarlo.estimate_correlator(ghz(), Z_HAT, Z_HAT,
+                                         Z_HAT, shots=1000, seed=0)
     # Outcomes 0 and 6 both have an even number of -1 results.
     assert est.mean == 1.0
     assert est.stderr == 0.0
 
 
 def test_estimate_correlator_takes_huge_shot_counts():
-    dirs = (qcore.X_HAT, qcore.Z_HAT, qcore.Z_HAT)
+    dirs = (X_HAT, Z_HAT, Z_HAT)
     est = montecarlo.estimate_correlator(ghz(), *dirs, shots=10 ** 15,
                                          seed=7)
     # The exact correlator is 0, so the stderr is close to 1/sqrt(N).
@@ -335,3 +337,50 @@ def test_shot_estimate_validation():
         montecarlo.ShotEstimate(mean=0.0, stderr=-1.0, shots=10, seed=0)
     with pytest.raises(qcore.ValidationError):
         montecarlo.ShotEstimate(mean=0.0, stderr=0.0, shots=0, seed=0)
+
+
+def test_an_amplitude_vector_samples_as_its_state():
+    rng = np.random.default_rng(58)
+    for _ in range(10):
+        s = qcore.haar_random_state(rng)
+        ms = bell.settings_from_vectors(random_directions(rng, 6))
+        dirs = random_directions(rng, 3)
+        amps = s.amplitudes.tolist()
+        assert montecarlo.outcome_distribution(amps, *dirs).tobytes() == (
+            montecarlo.outcome_distribution(s, *dirs).tobytes())
+        assert montecarlo.estimate_correlator(
+            amps, *dirs, shots=1000, seed=3) == montecarlo.estimate_correlator(
+                s, *dirs, shots=1000, seed=3)
+        for state in (s, amps):
+            for settings in (ms, ms.vectors(), ms.vectors().tolist()):
+                assert montecarlo.estimate_svetlichny(
+                    state, settings, 1000, seed=4) == (
+                        montecarlo.estimate_svetlichny(s, ms, 1000, seed=4))
+
+
+def test_the_sampler_rejects_what_is_not_one_state_or_one_setting():
+    rng = np.random.default_rng(59)
+    s = qcore.haar_random_state(rng)
+    vectors = random_directions(rng, 6)
+    stacked = np.stack([s.amplitudes] * 2)
+    for bad, match in ((stacked, "one state"), (s.amplitudes[:7], "8 amp"),
+                       (2.0 * s.amplitudes, "squared norm"),
+                       (np.full(8, math.nan), "must be finite")):
+        with pytest.raises(qcore.ValidationError, match=match):
+            montecarlo.outcome_distribution(bad, Z_HAT, Z_HAT, Z_HAT)
+        with pytest.raises(qcore.ValidationError, match=match):
+            montecarlo.estimate_correlator(bad, Z_HAT, Z_HAT, Z_HAT, 10, 0)
+        with pytest.raises(qcore.ValidationError, match=match):
+            montecarlo.estimate_svetlichny(bad, vectors, 10, seed=0)
+    for bad, match in ((vectors[None], "one setting"),
+                       (np.stack([vectors] * 2), "one setting"),
+                       (vectors[:5], "six 3-vectors"),
+                       (np.zeros((6, 3)), "has norm")):
+        with pytest.raises(qcore.ValidationError, match=match):
+            montecarlo.estimate_svetlichny(s, bad, 10, seed=0)
+    for dirs in ((vectors[:2], Z_HAT, Z_HAT), (Z_HAT, vectors[None, 0], Z_HAT),
+                 (Z_HAT, Z_HAT, vectors[:3])):
+        with pytest.raises(qcore.ValidationError, match="one direction"):
+            montecarlo.estimate_correlator(s, *dirs, shots=10, seed=0)
+    with pytest.raises(qcore.ValidationError, match="has norm"):
+        montecarlo.estimate_correlator(s, Z_HAT, (0.0, 0.0, 0.0), Z_HAT, 10, 0)

@@ -75,17 +75,16 @@ def test_w_params_validation():
 
 
 def test_spin_observable_pauli_axes():
-    assert np.allclose(qcore.spin_observable(qcore.Z_HAT), qcore.SIGMA_Z)
-    assert np.allclose(qcore.spin_observable(qcore.X_HAT), qcore.SIGMA_X)
-    assert np.allclose(qcore.spin_observable(qcore.UnitVector(0.0, 1.0, 0.0)),
-                       qcore.SIGMA_Y)
+    assert np.allclose(qcore.spin_observable([0.0, 0.0, 1.0]), qcore.SIGMA_Z)
+    assert np.allclose(qcore.spin_observable([1.0, 0.0, 0.0]), qcore.SIGMA_X)
+    assert np.allclose(qcore.spin_observable([0.0, 1.0, 0.0]), qcore.SIGMA_Y)
 
 
 def test_spin_observable_unit_eigenvalues():
     rng = np.random.default_rng(11)
     for _ in range(50):
         v = rng.normal(size=3)
-        n = qcore.UnitVector(*(v / np.linalg.norm(v)))
+        n = v / np.linalg.norm(v)
         vals = qcore.herm_eig(qcore.spin_observable(n))[0]
         assert np.allclose(vals, [1.0, -1.0], atol=1e-12)
 
@@ -95,46 +94,48 @@ def test_unit_vector_round_trip():
     for _ in range(100):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        n = qcore.UnitVector(*v)
-        assert np.array_equal(n.cartesian, v)
-        assert 0.0 <= n.polar <= math.pi
-        assert 0.0 <= n.azimuth < 2 * math.pi
-        assert np.allclose(
-            qcore.UnitVector.from_angles(n.polar, n.azimuth).cartesian, v,
-            atol=1e-12)
+        n = qcore._directions(v)
+        assert np.array_equal(n, v)
+        polar, azimuth = qcore._angles(*n)
+        assert 0.0 <= polar <= math.pi
+        assert 0.0 <= azimuth < 2 * math.pi
+        assert np.allclose(qcore._angle_components(polar, azimuth), v,
+                           atol=1e-12)
     # atan2 gives -1e-17 here, which the modulo alone rounds up to 2 pi.
-    assert qcore.UnitVector(1.0, -1e-17, 0.0).azimuth == 0.0
+    assert qcore._angles(1.0, -1e-17, 0.0)[1] == 0.0
 
 
 def test_unit_vector_rejects_zero():
     with pytest.raises(qcore.ValidationError):
-        qcore.UnitVector(0.0, 0.0, 0.0)
+        qcore._directions([0.0, 0.0, 0.0])
 
 
 def test_unit_vector_rejects_bad_polar():
     for polar, azimuth in ((4.0, 0.0), (-0.1, 0.0), (math.nan, 0.0),
                            (math.inf, 0.0), (1.0, math.nan)):
         with pytest.raises(qcore.ValidationError):
-            qcore.UnitVector.from_angles(polar, azimuth)
+            qcore._angle_components(polar, azimuth)
 
 
 def test_unit_vector_rejects_off_unit_and_nonfinite_components():
     for components in ((1.0 + 1e-6, 0.0, 0.0), (0.6, 0.8, 1e-3),
                        (math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0)):
         with pytest.raises(qcore.ValidationError):
-            qcore.UnitVector(*components)
+            qcore._directions(components)
 
 
 @pytest.mark.parametrize("polar", [1e-9, math.pi - 1e-9, 0.3, math.pi / 2])
 def test_unit_vector_polar_is_accurate_near_the_poles(polar):
-    n = qcore.UnitVector.from_angles(polar, 0.3)
-    assert n.polar == pytest.approx(polar, rel=1e-6)
-    assert n.azimuth == pytest.approx(0.3, rel=1e-6)
+    n = qcore._directions(qcore._angle_components(polar, 0.3))
+    got_polar, got_azimuth = qcore._angles(*n)
+    assert got_polar == pytest.approx(polar, rel=1e-6)
+    assert got_azimuth == pytest.approx(0.3, rel=1e-6)
 
 
 def test_angles_are_the_math_atan2_formulas_bit_for_bit():
-    """The closed correlators and UnitVector read angles by math.atan2 and
-    math.hypot; numpy's arctan2 rounds differently in ~8% of cases."""
+    """The closed correlators read a direction's angles, of plain floats or
+    of a checked row, by math.atan2 and math.hypot; numpy's arctan2 rounds
+    differently in ~8% of cases."""
     rng = np.random.default_rng(33)
     v = rng.normal(size=(3000, 3))
     vectors = (v / np.linalg.norm(v, axis=1)[:, None]).tolist()
@@ -144,8 +145,8 @@ def test_angles_are_the_math_atan2_formulas_bit_for_bit():
         polar = math.atan2(math.hypot(x, y), z)
         azimuth = math.atan2(y, x) % (2 * math.pi)
         expected = (polar, azimuth if azimuth < 2 * math.pi else 0.0)
-        n = qcore.UnitVector(x, y, z)
-        for got in (qcore._angles(x, y, z), (n.polar, n.azimuth)):
+        n = qcore._directions([x, y, z])
+        for got in (qcore._angles(x, y, z), qcore._angles(*n)):
             assert [a.hex() for a in got] == [a.hex() for a in expected]
 
 
@@ -190,7 +191,7 @@ def test_expectation_bounded_for_spin_products():
     rng = np.random.default_rng(2)
     for _ in range(200):
         s = qcore.haar_random_state(rng)
-        ops = [qcore.spin_observable(qcore.UnitVector(*(v / np.linalg.norm(v))))
+        ops = [qcore.spin_observable(v / np.linalg.norm(v))
                for v in rng.normal(size=(3, 3))]
         value = qcore.expectation(s, qcore.tensor3(*ops))
         assert -1.0 - 1e-10 <= value <= 1.0 + 1e-10
@@ -218,8 +219,7 @@ def test_stacked_spin_observable_tensor3_and_expectation_equal_each_alone(
     assert factors.shape == shape + (3, 2, 2)
     assert ops.shape == shape + (8, 8) and values.shape == shape
     for index in np.ndindex(shape):
-        alone = [qcore.spin_observable(qcore.UnitVector(*v))
-                 for v in dirs[index]]
+        alone = [qcore.spin_observable(v.tolist()) for v in dirs[index]]
         assert np.array_equal(factors[index], np.stack(alone))
         op = qcore.tensor3(*alone)
         assert np.array_equal(ops[index], op)
