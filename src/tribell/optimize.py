@@ -35,10 +35,8 @@ evaluation there that meets the certificate proves the row's maximum,
 with no ascent.  The rows that fail it, and every W row, ascend together
 in batches of BATCH_ROWS rows, with per-start sums in a fixed order, so
 each row's result is bit-identical to its result alone.  Either way a
-chunk's or a batch's certificate is read in one stacked pass, by the one
-result builder that every path shares: one `bell.smax_upper_bound` call
-for its rows' bounds, and one block pass and one Hessian eigensolve at
-its rows' reported settings.
+chunk's or a batch's certificate is read in one stacked pass, with one
+`bell.smax_upper_bound` call for its rows' bounds.
 """
 
 from __future__ import annotations
@@ -196,12 +194,7 @@ def _tangent_bases(parties: np.ndarray) -> np.ndarray:
                      np.stack([zero, -z, y], axis=-1),
                      np.stack([-y, x, zero], axis=-1))
     first = first / np.sqrt(_dot(first, first))[..., None]
-    fx, fy, fz = first[..., 0], first[..., 1], first[..., 2]
-    # The cross product of each direction with its first basis vector,
-    # written out with the products np.cross takes.
-    second = np.stack([y * fz - z * fy, z * fx - x * fz, x * fy - y * fx],
-                      axis=-1)
-    return np.stack([first, second], axis=-2)
+    return np.stack([first, np.cross(parties, first)], axis=-2)
 
 
 # The sides (p, q), p < q, of each party's block: (1, 2), (0, 2), (0, 1).
@@ -241,29 +234,17 @@ def _damped_steps(hessian: np.ndarray, coords: np.ndarray) -> np.ndarray:
     _DAMPING: (len(_DAMPING), n, 12), from its (n, 12, 12) Hessian and the
     (n, 12) tangent coordinates of its gradient.
 
-    Each sum over the 12 coordinates runs down the leading axis of one
-    C-contiguous (12, n, 12) buffer of its terms, so in a fixed order; the
-    steps are summed one damping at a time in that buffer, since a
-    (12, 5, n, 12) stack of terms would take five times the memory.  The
-    buffer, the eigenvectors and the Hessian are freed on return, before
-    the Newton step values its trials.
+    Each sum over the 12 coordinates runs in order from +0.0, as a numpy
+    reduction does, so a sum of -0.0 terms is +0.0.
     """
-    n = len(coords)
     eigenvalues, vectors = np.linalg.eigh(hessian)
     # along[n, k] = sum over m of vectors[n, m, k] coords[n, m].
-    terms = np.empty((12, n, 12))
-    np.multiply(vectors.transpose(1, 0, 2), coords.T[:, :, None], out=terms)
-    along = np.add.reduce(terms, axis=0)
+    along = sum(vectors[:, m] * coords[:, m, None] for m in range(12))
     curvature = np.abs(eigenvalues) + np.reshape(_DAMPING, (-1, 1, 1))
     along = np.where(curvature > _FLAT_CURVATURE,
                      along / np.maximum(curvature, _FLAT_CURVATURE), 0.0)
     # step[d, n, k] = sum over i of vectors[n, k, i] along[d, n, i].
-    step = np.empty((len(_DAMPING), n, 12))
-    for d in range(len(_DAMPING)):
-        np.multiply(vectors.transpose(2, 0, 1), along[d].T[:, :, None],
-                    out=terms)
-        np.add.reduce(terms, axis=0, out=step[d])
-    return step
+    return sum(vectors[:, :, i] * along[..., i, None] for i in range(12))
 
 
 def _newton_step(views: np.ndarray, parties: np.ndarray, grad: np.ndarray,
@@ -477,32 +458,27 @@ def _flag_for_gap(gap: float) -> str:
 
 
 def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
-    """Each row's result at its own settings if they meet the certificate.
+    """Each row's |<S>| at its own settings if they meet the certificate.
 
     Row i is evaluated once at settings[i], all rows in one pass: <S>
     there witnesses the value, and `_at_bound` proves that no settings do
-    better.  The certified rows' results are built in one `_results` call.
-    A row with no settings, or whose settings fall short, gives None.
+    better.  A row with no settings, or whose settings fall short, gives
+    None.
     """
-    results = [None] * len(settings)
+    values = [None] * len(settings)
     tried = [i for i, ms in enumerate(settings) if ms is not None]
     if not tried:
-        return results
+        return values
     t = tensors[tried]
     parties = np.stack([settings[i].vectors().reshape(3, 2, 3)
                         for i in tried], axis=2)
     grad = _gradients(_block(_tensor_views(t), parties), parties)
     value = _value(grad[2], parties[2])
-    residual = _residual(grad, parties)
-    bounds = smax_upper_bound(t)
-    certified = np.flatnonzero(_at_bound(value, residual, bounds))
-    if certified.size:
-        for k, result in zip(certified, _results(
-                t[certified], bounds[certified], parties[:, :, certified],
-                value[certified], residual[certified],
-                np.zeros(certified.size, dtype=int))):
-            results[tried[k]] = result
-    return results
+    certified = _at_bound(value, _residual(grad, parties),
+                          smax_upper_bound(t))
+    for k in np.flatnonzero(certified):
+        values[tried[k]] = abs(float(value[k]))
+    return values
 
 
 def _verification_rows(points: Sequence[tuple], first: int,
@@ -521,20 +497,19 @@ def _verification_rows(points: Sequence[tuple], first: int,
     failures.  Only a row that ascends or retries derives its seed.
     """
     tensors = correlation_tensor(np.stack([point[1] for point in points]))
-    results = _certified_at_settings(tensors, [point[4] for point in points])
-    ascend = [i for i, result in enumerate(results) if result is None]
+    values = _certified_at_settings(tensors, [point[4] for point in points])
+    ascend = [i for i, numeric in enumerate(values) if numeric is None]
     for start in range(0, len(ascend), BATCH_ROWS):
         batch = ascend[start:start + BATCH_ROWS]
         # A row's own seed keeps its result independent of its batch.
         seeds = [_derived_seed(seed, first + i) for i in batch]
         for i, result in zip(batch, _maximize_rows(tensors[batch], seeds,
                                                    N_STARTS)):
-            results[i] = result
+            values[i] = result.best_value
     rows = []
-    for i, ((params, state, profile, closed, _), result) in enumerate(
-            zip(points, results)):
+    for i, ((params, state, profile, closed, _), numeric) in enumerate(
+            zip(points, values)):
         value = closed.closed_value
-        numeric = result.best_value
         flag = _flag_for_gap(numeric - value)
         if flag == "numeric-below":
             numeric = max(numeric, multistart_maximize(
@@ -653,7 +628,12 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 def _w_point(c12: float, sum_c: float) -> tuple:
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
-    # The upper bound is loose on W states, so no settings are tried.
+    # No settings are tried.  On the default sweep-w, smax_w's settings
+    # fall at least 4e-4 short of the upper bound, except at each curve's
+    # start (c23 = c31 = 0): there they meet it exactly, and only their
+    # residuals, 1.8e-9 to 7.8e-9, miss CONVERGENCE_TOL.  A row certified
+    # there would take its value from L-BFGS-B, not the ascent, and could
+    # move the CSV's bits.
     return ((profile.c12, profile.c23, profile.c31), _w_amplitudes(params),
             profile, smax_w(profile), None)
 

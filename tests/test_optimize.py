@@ -781,23 +781,28 @@ def test_a_grid_needs_memory_that_does_not_grow_with_its_rows(monkeypatch):
 
 
 def _certified_grid(grid, monkeypatch):
-    """The rows of `grid()` and the OptimizationResult each row took, when
-    no row may run the ascent."""
-    results = []
-    build = optimize._results
+    """The rows of `grid()`, when no row may run the ascent or build a
+    result."""
+    rows = []
+    verification_rows = optimize._verification_rows
 
     def spy(*args):
-        built = build(*args)
-        results.extend(built)
+        built = verification_rows(*args)
+        rows.extend(built)
         return built
 
     def no_ascent(tensors, seeds, n_starts):
         raise AssertionError(f"rows {seeds} ran the ascent")
 
+    def no_result(*args):
+        raise AssertionError("a row built an OptimizationResult")
+
     with monkeypatch.context() as patch:
-        patch.setattr(optimize, "_results", spy)
+        patch.setattr(optimize, "_verification_rows", spy)
         patch.setattr(optimize, "_maximize_rows", no_ascent)
-        return grid(), results
+        patch.setattr(optimize, "_results", no_result)
+        grid()
+    return rows
 
 
 def test_the_default_and_criterion_03_grids_are_certified_with_no_ascent(
@@ -807,10 +812,16 @@ def test_the_default_and_criterion_03_grids_are_certified_with_no_ascent(
              3 * 21),
             (lambda: optimize.verify_grid_ghz(
                 21, np.linspace(0.0, math.pi / 2, 21), seed=0), 21 * 21)]:
-        _, results = _certified_grid(grid, monkeypatch)
-        assert len(results) == size
-        assert all(r.global_maximum for r in results)
-        assert all(r.iterations_used == 0 for r in results)
+        rows = _certified_grid(grid, monkeypatch)
+        assert len(rows) == size
+        for row in rows:
+            state = qcore.ghz_state(qcore.GhzClassParams(*row.params))
+            # The value is <S> at the row's own settings, and it meets the
+            # bound that no settings pass.
+            assert row.numeric_value == pytest.approx(bell.svetlichny_value(
+                state, row.closed.achieving_settings), abs=1e-12)
+            assert row.numeric_value == pytest.approx(bell.smax_upper_bound(
+                bell.correlation_tensor(state)), abs=optimize.BOUND_TOL)
 
 
 def test_a_row_whose_settings_miss_the_certificate_ascends(monkeypatch):
@@ -1079,6 +1090,15 @@ def test_the_block_pass_matches_the_per_party_kernels(n, shared):
     assert values.tobytes() == expected_values.tobytes()
 
 
+def test_the_damped_steps_sum_from_plus_zero():
+    # A flat Hessian and a -0.0 gradient make every term -0.0.  Each sum
+    # starts from +0.0, as the numpy reductions it replaced did, so the
+    # steps keep those reductions' bits; a sum started from its first term
+    # would give -0.0.
+    step = optimize._damped_steps(np.zeros((4, 12, 12)), np.full((4, 12), -0.0))
+    assert not np.signbit(step).any()
+
+
 @pytest.mark.parametrize("rows, n_starts", [(4, 8), (8, 50)],
                          ids=["small", "400-starts"])
 def test_a_whole_ascent_matches_the_per_party_kernels(rows, n_starts):
@@ -1243,24 +1263,27 @@ def test_a_start_certified_at_the_bound_beats_a_higher_uncertified_one():
     assert not results[1].global_maximum
 
 
-def test_a_batch_with_no_certified_row_builds_no_result(monkeypatch):
+def test_a_batch_with_no_certified_row_builds_no_result():
     grid = [qcore.GhzClassParams(theta, theta3)
             for theta3 in (math.pi / 8, math.pi / 2)
             for theta in np.linspace(0.0, math.pi / 2, 4)]
     tensors = bell.correlation_tensor(
         np.stack([qcore.ghz_state(p).amplitudes for p in grid]))
-    calls = []
-    monkeypatch.setattr(optimize, "_results",
-                        lambda *args: calls.append(args))
-    results = optimize._certified_at_settings(
-        tensors, [perturbed_settings(p) for p in grid])
-    assert results == [None] * len(grid)
-    assert calls == []
+    assert optimize._certified_at_settings(
+        tensors, [perturbed_settings(p) for p in grid]) == [None] * len(grid)
+    # At the closed-form settings every row is certified, at its closed value.
+    values = optimize._certified_at_settings(
+        tensors, [bell.optimal_settings_ghz(p) for p in grid])
+    assert all(isinstance(value, float) for value in values)
+    for p, value in zip(grid, values):
+        assert value == pytest.approx(
+            bell.smax_ghz_closed(entanglement.ghz_profile_closed(p))
+            .closed_value, abs=1e-12)
 
 
-def test_the_default_sweep_ghz_makes_one_eigensolve_and_bound_per_batch(
+def test_the_default_sweep_ghz_makes_no_eigensolve_and_one_bound_per_chunk(
         tmp_path, monkeypatch):
-    calls = {"eigvalsh": [], "smax_upper_bound": []}
+    calls = {"eigvalsh": [], "smax_upper_bound": [], "_results": []}
 
     def counted(name, function):
         def spy(a, *args, **kwargs):
@@ -1272,7 +1295,10 @@ def test_the_default_sweep_ghz_makes_one_eigensolve_and_bound_per_batch(
                         counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(optimize, "smax_upper_bound",
                         counted("smax_upper_bound", bell.smax_upper_bound))
+    monkeypatch.setattr(optimize, "_results",
+                        counted("_results", optimize._results))
     cli.main(["sweep-ghz", "--out", str(tmp_path / "ghz.csv")])
-    # The 63 rows are one chunk, certified in one stacked pass.
-    assert calls["eigvalsh"] == [(63, 12, 12)]
+    # The 63 rows are one chunk, certified at their settings by value alone.
+    assert calls["eigvalsh"] == []
+    assert calls["_results"] == []
     assert calls["smax_upper_bound"] == [(63, 3, 3, 3)]
