@@ -138,8 +138,8 @@ class SmaxReport:
     representative state of `_ghz_params_from_profile` (theta <= pi/4), not
     necessarily to the state the profile came from: at theta = 1.2,
     theta3 = 0.2 they reach 3.7906 on the input state against the closed
-    form's 3.9638.  A GHZ sweep row's report carries the row's own
-    `optimal_settings_ghz`, which reach its closed value.
+    form's 3.9638.  A GHZ sweep row's report is `_ghz_report` of the row's
+    own (theta, theta3), whose settings reach its closed value.
     """
 
     closed_value: float
@@ -363,53 +363,54 @@ def _ghz_params_from_profile(profile: EntanglementProfile) -> GhzClassParams:
     return GhzClassParams(theta=theta, theta3=theta3)
 
 
-def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
-    """Measurement directions achieving the Eq.-(19)-style closed maximum.
+def _ghz_report(p: GhzClassParams,
+                profile: EntanglementProfile) -> SmaxReport:
+    """Eq. (19)'s maximum of the GHZ-class point `p`, whose profile is
+    `profile`, with the settings of `p` that reach it.
 
-    The low branch (3 tau + C12^2 <= 1) measures along z on the first two
-    qubits with b' = -b, and tilts the third-party direction by
-    arctan(Q / P); the high branch puts the primed directions along -y and
-    splits the third party symmetrically about the x-z plane with
-    tan(theta_c) = sqrt(2) tan(theta3).  Both sets satisfy <S> = 2 <M>.
+    The branch is read once, from `profile`.  The low branch
+    (3 tau + C12^2 <= 1), 4 sqrt(1 - tau), measures along z on the first
+    two qubits with b' = -b, and tilts the third-party direction by
+    arctan(Q / P); the high branch, 4 sqrt(C12^2 + 2 tau), puts the primed
+    directions along -y and splits the third party symmetrically about the
+    x-z plane with tan(theta_c) = sqrt(2) tan(theta3).  Both sets satisfy
+    <S> = 2 <M>.
     """
-    profile = ghz_profile_closed(p)
-    if _ghz_branches(profile.tau, profile.c12 ** 2)[0]:
+    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
+    if low:
         P, Q = _ghz_closed_terms(p)
         theta_c = math.atan2(Q, P)
         z = _angle_components(0.0, 0.0)
         c = (math.sin(theta_c), 0.0, math.cos(theta_c))
-        return settings_from_vectors(
-            [z, z, z, _angle_components(math.pi, 0.0), c, c])
-    theta_c = math.atan2(math.sqrt(2.0) * math.sin(p.theta3), math.cos(p.theta3))
-    x = _angle_components(math.pi / 2, 0.0)
-    minus_y = _angle_components(math.pi / 2, 3.0 * math.pi / 2)
-    return settings_from_vectors([
-        x, minus_y, x, minus_y, _angle_components(theta_c, math.pi / 4),
-        _angle_components(theta_c, 2.0 * math.pi - math.pi / 4)])
+        vectors = [z, z, z, _angle_components(math.pi, 0.0), c, c]
+    else:
+        theta_c = math.atan2(math.sqrt(2.0) * math.sin(p.theta3),
+                             math.cos(p.theta3))
+        x = _angle_components(math.pi / 2, 0.0)
+        minus_y = _angle_components(math.pi / 2, 3.0 * math.pi / 2)
+        vectors = [x, minus_y, x, minus_y,
+                   _angle_components(theta_c, math.pi / 4),
+                   _angle_components(theta_c, 2.0 * math.pi - math.pi / 4)]
+    return SmaxReport(closed_value=low_value if low else high_value,
+                      branch="low-branch" if low else "high-branch",
+                      achieving_settings=settings_from_vectors(vectors))
 
 
-def _ghz_report(profile: EntanglementProfile,
-                settings: MeasurementSettings) -> SmaxReport:
-    """Eq. (19)'s maximum of a GHZ-class profile, reported with `settings`:
-    4 sqrt(1 - tau) on the low branch (3 tau + C12^2 <= 1), else
-    4 sqrt(C12^2 + 2 tau)."""
-    low, low_value, high_value = _ghz_branches(profile.tau, profile.c12 ** 2)
-    branch, value = (("low-branch", low_value) if low
-                     else ("high-branch", high_value))
-    return SmaxReport(closed_value=value, branch=branch,
-                      achieving_settings=settings)
+def optimal_settings_ghz(p: GhzClassParams) -> MeasurementSettings:
+    """Measurement directions of `p` achieving Eq. (19)'s maximum; see
+    `_ghz_report`."""
+    return _ghz_report(p, ghz_profile_closed(p)).achieving_settings
 
 
 def smax_ghz_closed(profile: EntanglementProfile) -> SmaxReport:
     """Closed-form Svetlichny maximum of a GHZ-class profile, from the
-    profile alone.  The report's settings are `optimal_settings_ghz` of the
-    representative state from `_ghz_params_from_profile` (theta <= pi/4),
-    not of the input state; see `SmaxReport`.
+    profile alone.  The report's settings are those of the representative
+    state from `_ghz_params_from_profile` (theta <= pi/4), not of the input
+    state; see `SmaxReport`.
     """
     if abs(profile.c23) > 1e-8 or abs(profile.c31) > 1e-8:
         raise ValidationError("GHZ-class profile requires c23 = c31 = 0")
-    return _ghz_report(profile, optimal_settings_ghz(
-        _ghz_params_from_profile(profile)))
+    return _ghz_report(_ghz_params_from_profile(profile), profile)
 
 
 def w_correlator_closed(profile: EntanglementProfile, a, b, c) -> float:
@@ -476,10 +477,12 @@ def smax_w(profile: EntanglementProfile) -> SmaxReport:
     both signs of the expression, so the reported value is max |S|.  The
     2 * _W_STARTS ascents are the blocks of one separable problem, solved
     by a single L-BFGS-B call with the analytic gradient
-    (w o cos(M x)) M of each block's value w . sin(M x), so each block
-    still converges to a stationary point of its own start.  The report
-    carries the maximizing angles and their `settings_from_w_angles`
-    directions.
+    (w o cos(M x)) M of each block's value w . sin(M x).  That joint run
+    can stop while single blocks still climb, so theta-tilde = (pi/2)^3,
+    where the value is -w_0 + w_1 + w_2 + w_3 = 4 on every W profile, is
+    a candidate too: it is reported when the ascents' best falls short of
+    it by more than roundoff.  The report carries the maximizing angles
+    and their `settings_from_w_angles` directions.
     """
     c12, c23, c31 = profile.c12, profile.c23, profile.c31
     identity = ((c23 * c31) ** 2 + (c12 * c23) ** 2 + (c12 * c31) ** 2
@@ -512,6 +515,10 @@ def smax_w(profile: EntanglementProfile) -> SmaxReport:
     best = int(np.argmax(values))
     best_value = float(values[best])
     best_angles = tuple(float(v) for v in angles[best])
+    corner = (math.pi / 2,) * 3
+    corner_value = w_reduced_value(profile, *corner)
+    if best_value < corner_value - 1e-12:
+        best_value, best_angles = corner_value, corner
     # The objective is invariant under flipping all three angles to
     # pi - theta; report the representative with the smaller sum.
     if sum(best_angles) > 1.5 * math.pi:

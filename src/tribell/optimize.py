@@ -29,13 +29,13 @@ One ascent loop serves every caller.  A batch holds the starts of one or
 more rows, one state each, and each row stops at its own certificate and
 counts its own steps.  `multistart_maximize` is a batch of one row.  A
 grid builds and checks its points in chunks of BATCH_ROWS * N_STARTS,
-one start per row, as many as one ascent batch holds.  A GHZ row is
-first tried at the closed-form settings of its own (theta, theta3): one
-evaluation there that meets the certificate proves the row's maximum,
-with no ascent.  The rows that fail it, and every W row, ascend together
-in batches of BATCH_ROWS rows, with per-start sums in a fixed order, so
-each row's result is bit-identical to its result alone.  Either way a
-chunk's or a batch's certificate is read in one stacked pass, with one
+one start per row, as many as one ascent batch holds.  Every row is
+first tried at the settings of its closed-form report: one evaluation
+there that meets the certificate proves the row's maximum, with no
+ascent.  The rows that fail it ascend together in batches of BATCH_ROWS
+rows, with per-start sums in a fixed order, so each row's result is
+bit-identical to its result alone.  Either way a chunk's or a batch's
+certificate is read in one stacked pass, with one
 `bell.smax_upper_bound` call for its rows' bounds.
 """
 
@@ -65,7 +65,6 @@ from .bell import (
     _party_coefficients,
     _tensor_views,
     correlation_tensor,
-    optimal_settings_ghz,
     settings_from_vectors,
     smax_upper_bound,
     smax_w,
@@ -462,23 +461,16 @@ def _certified_at_settings(tensors: np.ndarray, settings: Sequence) -> list:
 
     Row i is evaluated once at settings[i], all rows in one pass: <S>
     there witnesses the value, and `_at_bound` proves that no settings do
-    better.  A row with no settings, or whose settings fall short, gives
-    None.
+    better.  A row whose settings fall short gives None.
     """
-    values = [None] * len(settings)
-    tried = [i for i, ms in enumerate(settings) if ms is not None]
-    if not tried:
-        return values
-    t = tensors[tried]
-    parties = np.stack([settings[i].vectors().reshape(3, 2, 3)
-                        for i in tried], axis=2)
-    grad = _gradients(_block(_tensor_views(t), parties), parties)
+    parties = np.stack([ms.vectors().reshape(3, 2, 3) for ms in settings],
+                       axis=2)
+    grad = _gradients(_block(_tensor_views(tensors), parties), parties)
     value = _value(grad[2], parties[2])
     certified = _at_bound(value, _residual(grad, parties),
-                          smax_upper_bound(t))
-    for k in np.flatnonzero(certified):
-        values[tried[k]] = abs(float(value[k]))
-    return values
+                          smax_upper_bound(tensors))
+    return [abs(float(v)) if ok else None
+            for v, ok in zip(value, certified)]
 
 
 def _verification_rows(points: Sequence[tuple], first: int,
@@ -487,17 +479,18 @@ def _verification_rows(points: Sequence[tuple], first: int,
     points, rows first, first + 1, ... of a grid.
 
     Each point is its (params, amplitude vector, profile, closed-form
-    report, settings); the chunk's amplitudes are checked once, as one
-    stack, and its rows' settings are tried in one stacked pass.  A row
-    whose settings meet the certificate at the bound takes its value
-    there, with no ascent; the other rows, including every row without
-    settings, run the multistart ascent in batches of BATCH_ROWS, in row
-    order.  A numeric-below flag is retried by itself with four times the
-    starts before it sticks; numeric-above rows are findings, not
-    failures.  Only a row that ascends or retries derives its seed.
+    report); the chunk's amplitudes are checked once, as one stack, and
+    its rows' report settings are tried in one stacked pass.  A row whose
+    settings meet the certificate at the bound takes its value there, with
+    no ascent; the other rows run the multistart ascent in batches of
+    BATCH_ROWS, in row order.  A numeric-below flag is retried by itself
+    with four times the starts before it sticks; numeric-above rows are
+    findings, not failures.  Only a row that ascends or retries derives
+    its seed.
     """
     tensors = correlation_tensor(np.stack([point[1] for point in points]))
-    values = _certified_at_settings(tensors, [point[4] for point in points])
+    values = _certified_at_settings(
+        tensors, [point[3].achieving_settings for point in points])
     ascend = [i for i, numeric in enumerate(values) if numeric is None]
     for start in range(0, len(ascend), BATCH_ROWS):
         batch = ascend[start:start + BATCH_ROWS]
@@ -507,7 +500,7 @@ def _verification_rows(points: Sequence[tuple], first: int,
                                                    N_STARTS)):
             values[i] = result.best_value
     rows = []
-    for i, ((params, state, profile, closed, _), numeric) in enumerate(
+    for i, ((params, state, profile, closed), numeric) in enumerate(
             zip(points, values)):
         value = closed.closed_value
         flag = _flag_for_gap(numeric - value)
@@ -540,9 +533,8 @@ def _ghz_point(theta: float, theta3: float) -> tuple:
     """A GHZ grid point, whose report carries the point's own settings."""
     params = GhzClassParams(float(theta), float(theta3))
     profile = ghz_profile_closed(params)
-    settings = optimal_settings_ghz(params)
     return ((params.theta, params.theta3), _ghz_amplitudes(params), profile,
-            _ghz_report(profile, settings), settings)
+            _ghz_report(params, profile))
 
 
 # The most points a sweep curve may take, and the most a whole grid may
@@ -628,14 +620,8 @@ def w_params_for_sum(c12: float, sum_c: float) -> WClassParams:
 def _w_point(c12: float, sum_c: float) -> tuple:
     params = w_params_for_sum(float(c12), float(sum_c))
     profile = w_profile_closed(params)
-    # No settings are tried.  On the default sweep-w, smax_w's settings
-    # fall at least 4e-4 short of the upper bound, except at each curve's
-    # start (c23 = c31 = 0): there they meet it exactly, and only their
-    # residuals, 1.8e-9 to 7.8e-9, miss CONVERGENCE_TOL.  A row certified
-    # there would take its value from L-BFGS-B, not the ascent, and could
-    # move the CSV's bits.
     return ((profile.c12, profile.c23, profile.c31), _w_amplitudes(params),
-            profile, smax_w(profile), None)
+            profile, smax_w(profile))
 
 
 def w_grid_points(c12_values: Sequence[float], sum_steps: int) -> list:

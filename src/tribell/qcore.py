@@ -131,12 +131,13 @@ def _directions(n) -> np.ndarray:
 
 
 class ThreeQubitPureState:
-    """Unit-norm vector of 8 complex amplitudes."""
+    """Unit-norm vector of 8 complex amplitudes, held as a read-only copy of
+    the amplitudes it is given."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = np.array(amplitudes, dtype=complex)
         if amps.shape != (8,):
             raise ValidationError("state needs exactly 8 amplitudes")
         # The one check of amplitudes, on a stack of one.

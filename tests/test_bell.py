@@ -481,6 +481,21 @@ def test_smax_ghz_closed_branch_boundary():
     assert not bell._ghz_branches(1.0 / 3.0, 1e-9)[0]
 
 
+def test_smax_ghz_closed_reports_the_settings_of_the_branch_it_names():
+    # On this tie 3 tau + C12^2 = 1 within 1e-15, and the profile reads the
+    # low branch.  The settings are the low branch's too: a = a' = b = z,
+    # b' = -z and c = c', not the high branch's x and -y.
+    params = qcore.GhzClassParams(0.7630906406389955, 0.03157379551346526)
+    profile = entanglement.ghz_profile_closed(params)
+    assert abs(3.0 * profile.tau + profile.c12 ** 2 - 1.0) <= 1e-15
+    report = bell.smax_ghz_closed(profile)
+    assert report.branch == "low-branch"
+    vectors = report.achieving_settings.vectors()
+    assert vectors[:4].tolist() == [[0.0, 0.0, 1.0]] * 3 + [
+        list(qcore._angle_components(math.pi, 0.0))]
+    assert vectors[4].tolist() == vectors[5].tolist()
+
+
 def ghz_margin(theta, theta3):
     """sin^2 2theta (1 + sin^2 theta3) - 1, which is C12^2 + 2 tau - 1."""
     return math.sin(2.0 * theta) ** 2 * (1.0 + math.sin(theta3) ** 2) - 1.0
@@ -685,6 +700,21 @@ def test_smax_w_violation_threshold():
         report = bell.smax_w(profile)
         reduced = bell.w_reduced_value(profile, *report.theta_tilde)
         assert (report.closed_value > 4.0) == (reduced > 4.0)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    (0.00498745253499883, 0.7552701652437308, 0.6553946160977512),
+    (0.6251736219903019, 0.7804791362553188, 0.0032031605764566815)])
+def test_smax_w_reaches_4_where_the_joint_ascent_stops_short(amplitudes):
+    # On these profiles the joint L-BFGS-B run stops below 4, the reduced
+    # value at theta-tilde = (pi/2)^3 on every W profile.
+    params = qcore.WClassParams(*amplitudes)
+    report = bell.smax_w(entanglement.w_profile_closed(params))
+    assert report.closed_value == pytest.approx(4.0, abs=1e-12)
+    assert report.theta_tilde == (math.pi / 2,) * 3
+    assert bell.svetlichny_value(
+        qcore.w_state(params), report.achieving_settings) == pytest.approx(
+            report.closed_value, abs=1e-12)
 
 
 def w_margin(profile):

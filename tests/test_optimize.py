@@ -22,12 +22,26 @@ def random_settings(rng):
         [v / np.linalg.norm(v) for v in rng.normal(size=(6, 3))])
 
 
-def perturbed_settings(params):
-    """A GHZ point's closed-form settings, each direction tilted off its
-    maximum, so they miss the certificate and the point's row ascends."""
-    vectors = bell.optimal_settings_ghz(params).vectors() + 1e-3
+def perturbed_settings(ms):
+    """Settings `ms` with each direction tilted off by about 1e-3, so
+    closed-form settings miss the certificate and their row ascends."""
+    vectors = ms.vectors() + 1e-3
     return bell.settings_from_vectors(
         vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
+def perturbed_report(report):
+    """`report` with its settings perturbed."""
+    return dataclasses.replace(report, achieving_settings=perturbed_settings(
+        report.achieving_settings))
+
+
+def perturbed_points(point):
+    """The grid point builder `point`, each point's report perturbed."""
+    def build(*where):
+        params, state, profile, closed = point(*where)
+        return params, state, profile, perturbed_report(closed)
+    return build
 
 
 def single_ascent(state, ms):
@@ -589,11 +603,11 @@ def test_numeric_below_row_retries_with_four_times_the_starts(
         return types.SimpleNamespace(best_value=target)
 
     # The row's batched ascent falls short; its retry runs by itself.  A
-    # GHZ row reaches the ascent only when its settings miss the certificate.
-    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
+    # row reaches the ascent only when its settings miss the certificate.
     monkeypatch.setattr(optimize, "_maximize_rows", below)
     monkeypatch.setattr(optimize, "multistart_maximize", matching)
-    (result,) = optimize._verification_rows([point(*args)], 4, 7)
+    (result,) = optimize._verification_rows([perturbed_points(point)(*args)],
+                                            4, 7)
     seeds, starts = zip(*calls)
     assert starts == (optimize.N_STARTS, 4 * optimize.N_STARTS)
     # Both runs draw from the row's own seed.
@@ -611,12 +625,12 @@ def test_a_certified_row_that_flags_below_retries_from_its_own_seed(
     def raised(*where):
         # The row is certified at its settings, but its closed value is
         # raised, so it flags numeric-below and retries by itself.
-        params, state, profile, closed, settings = built(*where)
+        params, state, profile, closed = built(*where)
         states[params] = state
         if where == forced:
             closed = dataclasses.replace(
                 closed, closed_value=closed.closed_value + 1e-2)
-        return params, state, profile, closed, settings
+        return params, state, profile, closed
 
     def derived_seed(*args):
         derived.append(args)
@@ -695,21 +709,20 @@ def test_a_batched_grid_gives_each_row_its_result_alone(family, monkeypatch):
         point, grid = "_w_point", lambda: optimize.verify_grid_w(
             [0.45, 2.0 / 3.0], 9, seed=3)
         forced = (0.45, 0.45)
-    built = getattr(optimize, point)
+    # Every row misses the certificate at its settings, so it ascends.
+    built = perturbed_points(getattr(optimize, point))
     states = {}
 
     def raised(*where):
         # One row's closed value is raised, so it flags numeric-below and
         # retries by itself.
-        params, state, profile, closed, settings = built(*where)
+        params, state, profile, closed = built(*where)
         states[params] = state
         if where == forced:
             closed = dataclasses.replace(
                 closed, closed_value=closed.closed_value + 1e-2)
-        return params, state, profile, closed, settings
+        return params, state, profile, closed
 
-    # Every GHZ row misses the certificate at its settings, so it ascends.
-    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
     monkeypatch.setattr(optimize, point, raised)
     rows, batches = _spied_grid(grid, monkeypatch)
     grid_batches = [b for b in batches if b[2] == optimize.N_STARTS]
@@ -748,10 +761,10 @@ def test_a_grid_of_several_chunks_gives_each_row_its_row_alone(monkeypatch):
     built = optimize._ghz_point
 
     def point(*where):
-        params, state, profile, closed, settings = built(*where)
+        params, state, profile, closed = built(*where)
         if where in tilted:
-            settings = perturbed_settings(qcore.GhzClassParams(*where))
-        return params, state, profile, closed, settings
+            closed = perturbed_report(closed)
+        return params, state, profile, closed
 
     monkeypatch.setattr(optimize, "_ghz_point", point)
     rows = optimize.verify_grid_ghz(401, [math.pi / 8, 1.2], seed=4)
@@ -763,7 +776,8 @@ def test_a_grid_of_several_chunks_gives_each_row_its_row_alone(monkeypatch):
 
 def test_a_grid_needs_memory_that_does_not_grow_with_its_rows(monkeypatch):
     # The rows miss the certificate at their settings, so they all ascend.
-    monkeypatch.setattr(optimize, "optimal_settings_ghz", perturbed_settings)
+    monkeypatch.setattr(optimize, "_ghz_point",
+                        perturbed_points(optimize._ghz_point))
 
     def peak(curves):
         tracemalloc.start()
@@ -830,11 +844,11 @@ def test_a_row_whose_settings_miss_the_certificate_ascends(monkeypatch):
     states = {}
 
     def point(*where):
-        params, state, profile, closed, settings = built(*where)
+        params, state, profile, closed = built(*where)
         states[params] = state
         if where == tilted:
-            settings = perturbed_settings(qcore.GhzClassParams(*where))
-        return params, state, profile, closed, settings
+            closed = perturbed_report(closed)
+        return params, state, profile, closed
 
     monkeypatch.setattr(optimize, "_ghz_point", point)
     rows, batches = _spied_grid(lambda: optimize.verify_grid_ghz(
@@ -1270,7 +1284,8 @@ def test_a_batch_with_no_certified_row_builds_no_result():
     tensors = bell.correlation_tensor(
         np.stack([qcore.ghz_state(p).amplitudes for p in grid]))
     assert optimize._certified_at_settings(
-        tensors, [perturbed_settings(p) for p in grid]) == [None] * len(grid)
+        tensors, [perturbed_settings(bell.optimal_settings_ghz(p))
+                  for p in grid]) == [None] * len(grid)
     # At the closed-form settings every row is certified, at its closed value.
     values = optimize._certified_at_settings(
         tensors, [bell.optimal_settings_ghz(p) for p in grid])
@@ -1302,3 +1317,34 @@ def test_the_default_sweep_ghz_makes_no_eigensolve_and_one_bound_per_chunk(
     assert calls["eigvalsh"] == []
     assert calls["_results"] == []
     assert calls["smax_upper_bound"] == [(63, 3, 3, 3)]
+
+
+def test_the_default_sweep_ghz_builds_one_profile_and_branch_test_per_row(
+        tmp_path, monkeypatch):
+    calls = {"ghz_profile_closed": 0, "_ghz_branches": 0}
+
+    def counted(name, function):
+        def spy(*args):
+            calls[name] += 1
+            return function(*args)
+        return spy
+
+    profile = counted("ghz_profile_closed", entanglement.ghz_profile_closed)
+    for module in (optimize, bell):
+        monkeypatch.setattr(module, "ghz_profile_closed", profile)
+    monkeypatch.setattr(bell, "_ghz_branches",
+                        counted("_ghz_branches", bell._ghz_branches))
+    assert cli.main(["sweep-ghz", "--out", str(tmp_path / "ghz.csv")]) == 0
+    assert calls == {"ghz_profile_closed": 63, "_ghz_branches": 63}
+
+
+def test_a_w_row_is_certified_at_its_report_settings(monkeypatch):
+    # The c12 = 0 curve's first point is the product state |010>, where
+    # smax_w's settings meet the upper bound 4: no ascent runs.
+    def no_ascent(tensors, seeds, n_starts):
+        raise AssertionError(f"rows {seeds} ran the ascent")
+
+    monkeypatch.setattr(optimize, "_maximize_rows", no_ascent)
+    (row,) = optimize._verification_rows([optimize._w_point(0.0, 0.0)], 0, 0)
+    assert row.numeric_value == 4.0
+    assert row.flag == "match"

@@ -11,6 +11,18 @@ def test_make_state_basis():
     assert np.allclose(s.amplitudes, np.eye(8)[0])
 
 
+def test_a_state_copies_its_amplitudes():
+    amps = np.eye(8, dtype=complex)[0]
+    s = qcore.ThreeQubitPureState(amps)
+    # The caller's array stays writable, and writing to it leaves the
+    # state as it was; the state's own amplitudes are read-only.
+    amps[0] = 0.5
+    assert s.amplitudes.tolist() == np.eye(8)[0].tolist()
+    assert not s.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        s.amplitudes[0] = 0.5
+
+
 def test_make_state_rejects_zero_vector():
     with pytest.raises(qcore.ValidationError):
         qcore.ThreeQubitPureState(np.zeros(8))
