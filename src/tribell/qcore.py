@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-9
+NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -186,6 +186,13 @@ def test_analyze_classifies_from_the_profile(argv, expected, capsys):
     assert f"classification:    {expected}\n" in capsys.readouterr().out
 
 
+def raw_state_text(amps):
+    """A raw state file holding the amplitudes `amps` exactly."""
+    return "family: raw\n" + "".join(
+        f"amp{k}: [{a.real:.17g}, {a.imag:.17g}]\n"
+        for k, a in enumerate(amps))
+
+
 def test_analyze_reads_a_rotated_w_state_as_the_w_input(tmp_path, capsys):
     assert cli.main(["analyze", "--w", "0.6", "0.64", "0.48"]) == 0
     concurrences = [line for line in capsys.readouterr().out.splitlines()
@@ -196,9 +203,7 @@ def test_analyze_reads_a_rotated_w_state_as_the_w_input(tmp_path, capsys):
     path = tmp_path / "rotated.txt"
     for _ in range(20):
         amps = qcore.haar_local_unitary(rng) @ w
-        path.write_text("family: raw\n" + "".join(
-            f"amp{k}: [{a.real:.17g}, {a.imag:.17g}]\n"
-            for k, a in enumerate(amps)))
+        path.write_text(raw_state_text(amps))
         assert cli.main(["analyze", "--state", str(path)]) == 0
         out = capsys.readouterr().out
         assert "classification:    W-class\n" in out
@@ -326,6 +331,37 @@ def test_unreadable_input_file_is_io_error(tmp_path, capsys):
     assert cli.main(["simulate", "--ghz", "pi/4", "pi/2", "--settings",
                      str(tmp_path), "--shots", "1"]) == 3
     assert "cannot read settings file" in capsys.readouterr().err
+
+
+def test_a_state_that_passes_the_amplitude_check_passes_every_later_check(
+        tmp_path, capsys):
+    # Squared norms inside NORM_TOL of 1 must pass the correlation tensor's
+    # range check, the Born probabilities' sum check and the profile's
+    # clamps, in analyze and simulate alike.
+    rng = np.random.default_rng(0)
+    bases = [np.eye(8)[0],
+             qcore.ghz_state(qcore.GhzClassParams(math.pi / 4,
+                                                  math.pi / 2)).amplitudes,
+             qcore.w_state(qcore.WClassParams(R3, R3, R3)).amplitudes]
+    bases += [qcore.haar_random_state(rng).amplitudes for _ in range(6)]
+    path = tmp_path / "state.txt"
+    for amps in bases:
+        for eps in (-0.99, -0.5, 0.5, 0.99):
+            path.write_text(raw_state_text(
+                amps * math.sqrt(1.0 + eps * qcore.NORM_TOL)))
+            assert cli.main(["analyze", "--state", str(path)]) == 0
+            assert cli.main(["simulate", "--state", str(path), "--shots",
+                             "1000"]) == 0
+    capsys.readouterr()
+    # States just outside it are rejected by the amplitude check itself.
+    path.write_text(raw_state_text([0.7071067815] + [0.0] * 6
+                                   + [0.7071067815]))
+    for argv in (["simulate", "--w"] + ["0.577350269"] * 3,
+                 ["analyze", "--w"] + ["0.5773502693"] * 3,
+                 ["analyze", "--state", str(path)],
+                 ["simulate", "--state", str(path)]):
+        assert cli.main(argv) == 2
+        assert re.search(r"not 1|deviates from 1", capsys.readouterr().err)
 
 
 def test_non_utf8_input_file_is_input_error(tmp_path, capsys):
